@@ -442,11 +442,10 @@ def execute_attempt(
     if cache is not None:
         key = _attempt_key(config, inputs, node_faults, plan)
         if obs.is_enabled():
-            # Telemetry-transparent caching (same scheme as
-            # memoized_run): traced entries carry the run-scope events
-            # of the original execution, replayed on every hit, so the
-            # trace never depends on cache warmth.  The hit/miss facts
-            # are host-scope.
+            # Telemetry-transparent caching: traced entries carry the
+            # run-scope events of the original execution, replayed on
+            # every hit, so the trace never depends on cache warmth.
+            # The hit/miss facts are host-scope.
             okey = key + ":obs"
             entry = cache.get(okey)
             if entry is not None:

@@ -17,6 +17,7 @@ protocols are never installed in coverings.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import lru_cache
 from typing import Any
 
 from ..graphs.graph import CommunicationGraph, GraphError, NodeId
@@ -93,15 +94,10 @@ class EIGDevice(SyncDevice):
             if self.my_id not in path:
                 tree[path + (self.my_id,)] = value
         for sender, payload in inbox.items():
-            if payload is None:
-                continue
-            if not self._well_formed(payload, round_index):
-                continue  # garbage from a faulty node: ignore
-            for path, value in payload:
-                if sender not in path and len(path) == round_index:
-                    tree[tuple(path) + (sender,)] = value
+            if payload is not None:
+                tree.update(_relays(payload, sender, round_index))
         if round_index == self.rounds - 1:
-            decided = self._resolve(tree, ())
+            decided = self._resolve(tree)
         return (tree, decided)
 
     def choose(self, ctx: NodeContext, state: State) -> Any | None:
@@ -109,29 +105,95 @@ class EIGDevice(SyncDevice):
 
     # -- helpers -----------------------------------------------------------
 
-    def _well_formed(self, payload: Any, level: int) -> bool:
-        if not isinstance(payload, tuple):
-            return False
-        for entry in payload:
-            if not (isinstance(entry, tuple) and len(entry) == 2):
-                return False
-            path = entry[0]
-            if not isinstance(path, tuple) or len(path) != level:
-                return False
-            if len(set(path)) != len(path):
-                return False
-        return True
+    def _resolve(self, tree: Mapping[Path, Any]) -> Any:
+        """Bottom-up majority resolution (``newval`` in Lynch's book),
+        one level at a time from the leaves to the root."""
+        leaves, levels = _path_table(self.all_ids, self.rounds)
+        default = self.default
+        values = [tree.get(path, default) for path in leaves]
+        for spans in levels:
+            values = [
+                _strict_majority(values[start:stop], default)
+                for start, stop in spans
+            ]
+        return values[0]
 
-    def _resolve(self, tree: Mapping[Path, Any], path: Path) -> Any:
-        """Bottom-up majority resolution (``newval`` in Lynch's book)."""
-        if len(path) == self.rounds:
-            return tree.get(path, self.default)
-        children = [
-            self._resolve(tree, path + (q,))
-            for q in self.all_ids
-            if q not in path
-        ]
-        return _strict_majority(children, self.default)
+
+#: One slot per ``(sender, level)``: the payload object last expanded
+#: for it and that payload's relay items.  See :func:`_relays`.
+_RELAY_SLOTS: dict[tuple[Any, int], tuple[Any, tuple]] = {}
+
+
+def _relays(payload: Any, sender: PortLabel, level: int) -> tuple:
+    """The tree entries a level-``level`` broadcast from ``sender``
+    adds at a receiver: ``(path + (sender,), value)`` for every entry
+    whose path omits ``sender``, in payload order.
+
+    A malformed payload yields ``()``: it is garbage from a faulty
+    node, and is ignored.  That covers paths with repeated or
+    unhashable elements, which could not key the tree.
+
+    A correct sender hands the same payload object to all its
+    receivers, so the result is memoized on identity, one slot per
+    ``(sender, level)``.  That is sound because payloads are tuples
+    (immutable), a hit needs ``slot[0] is payload``, and the slot's
+    reference keeps the object alive, so its id is never reused for
+    another payload.  Corrupted and equivocating payloads are new
+    objects: they miss and are validated in full.
+    """
+    if not isinstance(payload, tuple):
+        return ()
+    key = (sender, level)
+    slot = _RELAY_SLOTS.get(key)
+    if slot is not None and slot[0] is payload:
+        return slot[1]
+    items = _expand(payload, sender, level)
+    _RELAY_SLOTS[key] = (payload, items)
+    return items
+
+
+def _expand(payload: tuple, sender: PortLabel, level: int) -> tuple:
+    items = []
+    for entry in payload:
+        if not (isinstance(entry, tuple) and len(entry) == 2):
+            return ()
+        path, value = entry
+        if not isinstance(path, tuple) or len(path) != level:
+            return ()
+        try:
+            if len(set(path)) != level:
+                return ()
+        except TypeError:  # an unhashable path element
+            return ()
+        if sender not in path:
+            items.append((tuple(path) + (sender,), value))
+    return tuple(items)
+
+
+@lru_cache(maxsize=16)
+def _path_table(
+    all_ids: tuple[NodeId, ...], rounds: int
+) -> tuple[tuple[Path, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The shape of the EIG tree for a roster, shared by every device
+    and every run with that roster.
+
+    Returns the leaf paths (length ``rounds``) and, for each level
+    from the deepest internal one up to the root, one ``(start,
+    stop)`` span per path of that level: its children, in roster
+    order, are entries ``start:stop`` of the level below.
+    """
+    level: list[Path] = [()]
+    spans_by_level = []
+    for _ in range(rounds):
+        deeper: list[Path] = []
+        spans = []
+        for path in level:
+            start = len(deeper)
+            deeper.extend(path + (q,) for q in all_ids if q not in path)
+            spans.append((start, len(deeper)))
+        spans_by_level.append(tuple(spans))
+        level = deeper
+    return tuple(level), tuple(reversed(spans_by_level))
 
 
 def _strict_majority(values: Sequence[Any], default: Any) -> Any:

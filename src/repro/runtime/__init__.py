@@ -47,10 +47,8 @@ from .incremental import (
 )
 from .memo import (
     BehaviorCache,
-    behavior_cache_of,
     fingerprint,
     graph_fingerprint,
-    memoized_run,
     plan_fingerprint,
 )
 from .plan import (
@@ -74,12 +72,10 @@ __all__ = [
     "SyncPlan",
     "TimedFaultInjector",
     "TimedPlan",
-    "behavior_cache_of",
     "compile_sync_plan",
     "compile_timed_plan",
     "fingerprint",
     "graph_fingerprint",
-    "memoized_run",
     "partition_between",
     "plan_fingerprint",
     "plan_signatures",

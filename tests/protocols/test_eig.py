@@ -74,6 +74,17 @@ class TestOneByzantineFault:
         verdict, _ = run_eig(4, 1, (1, 1, 1, 0), faulty={"n3": two_faced})
         assert verdict.ok
 
+    def test_unhashable_path_is_ignored(self):
+        # A path holding an unhashable element cannot key the tree; it is
+        # garbage from a faulty node and must not crash honest receivers.
+        garbage = ((([1],), 0),)
+        bad = ReplayDevice({p: [None, garbage] for p in ("n0", "n1", "n2")})
+        verdict, behavior = run_eig(4, 1, (1, 1, 1, 0), faulty={"n3": bad})
+        assert verdict.ok, verdict.describe()
+        for u in ("n0", "n1", "n2"):
+            tree, _ = behavior.node(u).states[-1]
+            assert not any(len(p) == 2 and p[-1] == "n3" for p in tree)
+
 
 class TestTwoByzantineFaults:
     @pytest.mark.parametrize("seed", range(5))
