@@ -270,14 +270,13 @@ def search_agreement_attacks(
         )
         return (attempt, strategies, inputs, verdict)
 
-    runner = ParallelRunner(jobs)
-    batch = max(4 * runner.jobs, 8)
-    for lo in range(1, attempts + 1, batch):
-        hi = min(lo + batch, attempts + 1)
-        # Captured merge: replay worker telemetry in index order and
-        # stop at the first violation, exactly like a serial scan.
+    # One pool for the whole scan, merged in index order: replay worker
+    # telemetry and stop at the first violation, exactly like a serial
+    # scan.  Returning closes the pool, discarding attempts that ran
+    # ahead.
+    with ParallelRunner(jobs).pool(probe) as pool:
         for (attempt, strategies, inputs, verdict), payload in (
-            runner.map_captured(probe, range(lo, hi))
+            pool.imap_captured(range(1, attempts + 1))
         ):
             obs.emit(obs.ATTEMPT_START, attempt=attempt)
             obs.replay(payload)

@@ -739,8 +739,8 @@ def run_campaign(
     """Sample attempts under the combined budget until a spec violation
     appears (then shrink it) or the attempt budget is exhausted.
 
-    ``jobs > 1`` fans attempt evaluation across a process pool in
-    batches; the smallest violating attempt index wins, so the result
+    ``jobs > 1`` streams attempt evaluation through one process pool;
+    the smallest violating attempt index wins, so the result
     (including the shrunk counterexample and its trace) is identical
     to the serial scan.  ``cache`` (created fresh when ``memoize`` and
     not supplied) memoizes every execution by content — pass your own
@@ -812,9 +812,7 @@ def run_campaign(
             # run-scope events instead of re-executing, and rebuild the
             # orbit bookkeeping so later *fresh* attempts dedup exactly
             # as the uninterrupted run would have.
-            ok = bool(record["ok"])
-            obs.emit(obs.CHECKPOINT_REUSE, item=item_key)
-            obs.replay(decode_payload(record.get("obs", ())))
+            ok = _replay_record(item_key, record)
             if orbit_index is not None:
                 node_faults, plan, inputs = _sample_attempt(config, attempt)
                 key = orbit_index.canonical_key(
@@ -860,23 +858,28 @@ def _run_campaign_parallel(
     incremental: IncrementalContext | None = None,
     store: Shard | None = None,
 ) -> CampaignResult:
-    """Parallel attempt scan: batches of indices fan out to workers,
-    which return only ``(attempt, spec ok)`` — small, picklable, and
-    free of the config's (unpicklable) device factory, which the
-    forked children inherit by memory instead.  Shrinking stays in the
-    parent, warmed by the parent-side cache.
+    """Parallel attempt scan on one fork pool per campaign.  Workers
+    return only ``(attempt, spec ok)`` — small, picklable, and free of
+    the config's (unpicklable) device factory, which the forked
+    children inherit by memory instead.  Shrinking stays in the parent,
+    warmed by the parent-side cache.
 
-    With orbit dedup, sampling and canonicalization happen in the
-    parent; only one representative per unseen orbit is dispatched to
-    the pool, and the ok-bits map back to every member in index order —
-    so the first violating index is the same one the serial scan finds.
+    Without orbit dedup every unjournaled attempt streams through the
+    pool in index order; the parent merges as results arrive and stops
+    at the first violation, like the serial scan, terminating workers
+    that ran ahead.  With orbit dedup, sampling and canonicalization
+    happen in the parent, batch by batch: only one representative per
+    unseen orbit is dispatched (to the same pool), and the ok-bits map
+    back to every member in index order — so the first violating index
+    is the same one the serial scan finds.
 
     A ``store`` shard filters journaled attempts out of the dispatch
     and journals fresh attempts as they merge (in index order, stopping
     at the first violation — exactly the set the serial scan would
-    journal), with an fsync at each batch's merge point.  The journal
-    key is the attempt index, so a run checkpointed at one ``--jobs``
-    value resumes correctly at any other.
+    journal), with an fsync every ``max(4 * jobs, 8)`` attempts, at the
+    violation and at the end.  The journal key is the attempt index, so
+    a run checkpointed at one ``--jobs`` value resumes correctly at any
+    other.
     """
 
     def probe(attempt: int) -> tuple[int, bool]:
@@ -894,114 +897,114 @@ def _run_campaign_parallel(
 
     runner = ParallelRunner(jobs)
     batch = max(4 * runner.jobs, 8)
+    attempts = range(1, config.attempts + 1)
+    records: dict[int, dict] = {}
+    if store is not None:
+        for attempt in attempts:
+            rec = store.get(f"attempt:{attempt}")
+            if reusable(rec):
+                records[attempt] = rec  # type: ignore[assignment]
     first_bad: int | None = None
-    orbit_ok: dict[str, bool] = {}
-    for lo in range(1, config.attempts + 1, batch):
-        hi = min(lo + batch, config.attempts + 1)
-        indices = range(lo, hi)
-        records: dict[int, dict] = {}
-        if store is not None:
-            for attempt in indices:
-                rec = store.get(f"attempt:{attempt}")
-                if reusable(rec):
-                    records[attempt] = rec  # type: ignore[assignment]
+    with runner.pool(probe) as pool:
         if orbit_index is None:
             # Workers capture each attempt's telemetry; the parent
-            # replays the payloads in index order, brackets them with
-            # the attempt events, and — like the serial scan — stops
-            # consuming at the first violation, discarding any events
-            # from attempts the serial run would never have executed.
-            pooled: dict[int, tuple[bool, tuple]] = {}
-            for (attempt, ok), payload in runner.map_captured(
-                probe, [a for a in indices if a not in records]
-            ):
-                pooled[attempt] = (ok, payload)
-            for attempt in indices:
+            # replays the payloads in index order and brackets them
+            # with the attempt events.  Results past the first
+            # violation are never consumed, so their events are
+            # discarded with the pool.
+            fresh = pool.imap_captured(a for a in attempts if a not in records)
+            for attempt in attempts:
                 item_key = f"attempt:{attempt}"
                 obs.emit(obs.ATTEMPT_START, attempt=attempt)
                 if attempt in records:
-                    record = records[attempt]
-                    ok = bool(record["ok"])
-                    obs.emit(obs.CHECKPOINT_REUSE, item=item_key)
-                    obs.replay(decode_payload(record.get("obs", ())))
+                    ok = _replay_record(item_key, records[attempt])
                 else:
-                    ok, payload = pooled[attempt]
+                    (_, ok), payload = next(fresh)
                     obs.replay(payload)
                     journal(item_key, ok, payload)
                 obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
+                if store is not None and (
+                    not ok or attempt % batch == 0 or attempt == config.attempts
+                ):
+                    store.sync()
                 if not ok:
                     first_bad = attempt
                     break
         else:
-            keys: dict[int, str] = {}
-            representatives: list[int] = []
-            dispatched: set[str] = set()
-            for attempt in indices:
-                node_faults, plan, inputs = _sample_attempt(config, attempt)
-                key = orbit_index.canonical_key(
-                    inputs, node_faults, plan, config.value_pool
-                )
-                keys[attempt] = key
-                if attempt in records:
-                    # A journaled attempt's verdict seeds its orbit, so
-                    # fresh members of the same orbit are not
-                    # re-dispatched — matching the uninterrupted run.
-                    orbit_ok.setdefault(key, bool(records[attempt]["ok"]))
-                    continue
-                if key not in orbit_ok and key not in dispatched:
-                    representatives.append(attempt)
-                    dispatched.add(key)
-            rep_payloads: dict[int, tuple] = {}
-            for (attempt, ok), payload in runner.map_captured(
-                probe, representatives
-            ):
-                orbit_ok[keys[attempt]] = ok
-                rep_payloads[attempt] = payload
-            for attempt in indices:
-                item_key = f"attempt:{attempt}"
-                obs.emit(obs.ATTEMPT_START, attempt=attempt)
-                if attempt in records:
-                    record = records[attempt]
-                    ok = bool(record["ok"])
-                    obs.emit(obs.CHECKPOINT_REUSE, item=item_key)
-                    obs.replay(decode_payload(record.get("obs", ())))
-                    orbit_index.record(keys[attempt])
-                elif store is not None and obs.is_enabled():
-                    # Capture the merge body so the journal records the
-                    # same run events a serial execution of this attempt
-                    # emits (the representative's payload, or the orbit
-                    # reuse event).
-                    with obs.capture() as capsule:
+            orbit_ok: dict[str, bool] = {}
+            for lo in range(1, config.attempts + 1, batch):
+                indices = range(lo, min(lo + batch, config.attempts + 1))
+                keys: dict[int, str] = {}
+                representatives: list[int] = []
+                dispatched: set[str] = set()
+                for attempt in indices:
+                    node_faults, plan, inputs = _sample_attempt(config, attempt)
+                    key = orbit_index.canonical_key(
+                        inputs, node_faults, plan, config.value_pool
+                    )
+                    keys[attempt] = key
+                    if attempt in records:
+                        # A journaled attempt's verdict seeds its orbit, so
+                        # fresh members of the same orbit are not
+                        # re-dispatched — matching the uninterrupted run.
+                        orbit_ok.setdefault(key, bool(records[attempt]["ok"]))
+                        continue
+                    if key not in orbit_ok and key not in dispatched:
+                        representatives.append(attempt)
+                        dispatched.add(key)
+                rep_payloads: dict[int, tuple] = {}
+                for (attempt, ok), payload in pool.imap_captured(representatives):
+                    orbit_ok[keys[attempt]] = ok
+                    rep_payloads[attempt] = payload
+                for attempt in indices:
+                    item_key = f"attempt:{attempt}"
+                    obs.emit(obs.ATTEMPT_START, attempt=attempt)
+                    if attempt in records:
+                        ok = _replay_record(item_key, records[attempt])
+                        orbit_index.record(keys[attempt])
+                    elif store is not None and obs.is_enabled():
+                        # Capture the merge body so the journal records the
+                        # same run events a serial execution of this attempt
+                        # emits (the representative's payload, or the orbit
+                        # reuse event).
+                        with obs.capture() as capsule:
+                            orbit_index.record(keys[attempt])
+                            if attempt in rep_payloads:
+                                obs.replay(rep_payloads[attempt])
+                            else:
+                                obs.emit(obs.ORBIT_REUSE, attempt=attempt)
+                        payload = capsule.payload()
+                        obs.replay(payload)
+                        ok = orbit_ok[keys[attempt]]
+                        journal(item_key, ok, payload)
+                    else:
                         orbit_index.record(keys[attempt])
                         if attempt in rep_payloads:
                             obs.replay(rep_payloads[attempt])
                         else:
                             obs.emit(obs.ORBIT_REUSE, attempt=attempt)
-                    payload = capsule.payload()
-                    obs.replay(payload)
-                    ok = orbit_ok[keys[attempt]]
-                    journal(item_key, ok, payload)
-                else:
-                    orbit_index.record(keys[attempt])
-                    if attempt in rep_payloads:
-                        obs.replay(rep_payloads[attempt])
-                    else:
-                        obs.emit(obs.ORBIT_REUSE, attempt=attempt)
-                    ok = orbit_ok[keys[attempt]]
-                    journal(item_key, ok, ())
-                obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
-                if not ok:
-                    first_bad = attempt
+                        ok = orbit_ok[keys[attempt]]
+                        journal(item_key, ok, ())
+                    obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
+                    if not ok:
+                        first_bad = attempt
+                        break
+                if store is not None:
+                    store.sync()
+                if first_bad is not None:
                     break
-        if store is not None:
-            store.sync()
-        if first_bad is not None:
-            break
     if first_bad is None:
         return CampaignResult(
             config=config, attempts=config.attempts, found=None, shrunk=None
         )
     return _finish_campaign(config, first_bad, cache, incremental)
+
+
+def _replay_record(item_key: str, record: dict) -> bool:
+    """Replay a journaled attempt's recorded run events; its verdict."""
+    obs.emit(obs.CHECKPOINT_REUSE, item=item_key)
+    obs.replay(decode_payload(record.get("obs", ())))
+    return bool(record["ok"])
 
 
 # -- graceful degradation --------------------------------------------------

@@ -7,9 +7,12 @@ safe: evaluate items in any order, merge results back **in item
 order**, and the outcome is byte-identical to the serial run.  This
 module supplies the one primitive everything else needs:
 
-:class:`ParallelRunner` — an ordered ``map`` over a process pool, with
-a serial fallback whenever the platform cannot fork, the pool cannot
-be built, or ``jobs <= 1``.
+:class:`ParallelRunner` — an ordered, streamed map over **one** process
+pool per call (:meth:`ParallelRunner.imap_captured`, or several
+dispatches sharing one :meth:`ParallelRunner.pool`), with a serial
+fallback whenever the platform cannot fork, the pool cannot be built,
+or ``jobs <= 1``.  ``map`` and ``map_captured`` are list-returning
+wrappers around the stream.
 
 Design notes
 ------------
@@ -18,22 +21,29 @@ Design notes
   ``fork`` start method the closure is *inherited* by the children via
   the parent's memory image — only the items (ints, small tuples) and
   the results cross the pipe, so work functions stay arbitrary.  The
-  module-level :func:`_call` trampoline is what actually gets pickled
-  (by name), and it reads the closure from :data:`_WORK`, set in the
-  parent immediately before the pool forks.
+  module-level :func:`_call_captured` trampoline is what actually gets
+  pickled (by name), and it reads the closure from :data:`_WORK`, set
+  in the parent before the pool forks and kept set for the pool's
+  whole life (the pool may fork replacement workers later).
 * **Results must be picklable.**  Callers return value objects
   (verdict tuples, rows, counterexamples) — never configs carrying
   lambdas.
-* **Determinism.**  ``map`` preserves item order (``Pool.map``), so
+* **One pool, streamed in order.**  Items go to the workers through
+  ``Pool.imap`` (one item per task) and come back in item order, so
   "first violation" style reductions in the caller see the same order
-  serial execution produced.
+  serial execution produced.  Workers run ahead of the caller's merge;
+  a caller that stops early closes the stream, which terminates the
+  pool and discards the results it never consumed.
 * **Per-item fault tolerance.**  A worker exception does not abort the
-  whole map: the trampolines ship failures back as values (with the
+  whole stream: the trampoline ships failures back as values (with the
   item's partially captured telemetry), and the parent re-executes the
-  failed item serially.  Only when the serial retry *also* fails does
-  the error surface — as an :class:`ItemError` carrying the item's
-  index, the item itself, and the worker's captured event payload, so
-  a post-mortem knows exactly which unit died and what it had logged.
+  failed item serially.  A worker *process* that dies (SIGKILL, OOM
+  killer) is noticed while the parent waits on the next result: the
+  pool is terminated and every undelivered item is finished serially
+  in the parent.  Only when a serial retry *also* fails does the error
+  surface — as an :class:`ItemError` carrying the item's index, the
+  item itself, and the worker's captured event payload, so a
+  post-mortem knows exactly which unit died and what it had logged.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from typing import Any, TypeVar
 
 from .. import obs
@@ -50,6 +60,10 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 logger = logging.getLogger(__name__)
+
+#: Seconds the parent waits on the next result before checking that
+#: the pool's workers are still alive.
+_POLL_S = 0.25
 
 
 class ItemError(RuntimeError):
@@ -80,31 +94,27 @@ class ItemError(RuntimeError):
 
 
 #: The current work closure, inherited by forked workers.  Only ever
-#: set in the parent, immediately before a pool is created.
+#: set in the parent, before a pool forks, until that pool is closed.
 _WORK: Callable[[Any], Any] | None = None
 
 
-def _call(item: Any) -> tuple[bool, Any, str | None]:
-    """Module-level trampoline (picklable by name) around :data:`_WORK`.
-
-    Returns ``(ok, result, error)`` — exceptions become values so a
-    crashing item neither aborts ``Pool.map`` nor loses its identity.
-    """
-    assert _WORK is not None, "worker forked before _WORK was set"
-    try:
-        return (True, _WORK(item), None)
-    except Exception as exc:
-        return (False, None, repr(exc))
+def _run_captured(fn: Callable[[T], R], item: T) -> tuple[R, tuple]:
+    """``fn(item)`` with the item's telemetry captured into a payload."""
+    with obs.capture() as capsule:
+        result = fn(item)
+    return (result, capsule.payload())
 
 
 def _call_captured(item: Any) -> tuple[bool, tuple[Any, tuple], str | None]:
-    """Trampoline that also captures the item's telemetry.
+    """Module-level trampoline (picklable by name) around :data:`_WORK`.
 
-    Forked workers inherit the parent's enabled telemetry; the capture
-    sink redirects the item's events into a picklable capsule that
-    rides back over the result pipe alongside the result, so the
-    parent can replay them in item order.  On failure the partial
-    capsule still rides back — post-mortem traces stay complete.
+    Returns ``(ok, (result, payload), error)``.  Forked workers inherit
+    the parent's enabled telemetry; the capture sink redirects the
+    item's events into a picklable capsule that rides back over the
+    result pipe alongside the result, so the parent can replay them in
+    item order.  Exceptions become values, so a crashing item neither
+    aborts the stream nor loses its identity, and its partial capsule
+    still rides back — post-mortem traces stay complete.
     """
     assert _WORK is not None, "worker forked before _WORK was set"
     with obs.capture() as capsule:
@@ -113,6 +123,10 @@ def _call_captured(item: Any) -> tuple[bool, tuple[Any, tuple], str | None]:
         except Exception as exc:
             return (False, (None, capsule.payload()), repr(exc))
     return (True, (result, capsule.payload()), None)
+
+
+class _WorkerLost(Exception):
+    """A pool worker process died with items still undelivered."""
 
 
 def fork_available() -> bool:
@@ -139,7 +153,7 @@ def available_parallelism() -> int:
 
 
 class ParallelRunner:
-    """An ordered parallel ``map`` with a serial fallback.
+    """An ordered parallel map with a serial fallback.
 
     ``jobs <= 1`` (or no fork support, a single-core box, or a pool
     failure) degrades to a plain in-process loop — same results, same
@@ -148,9 +162,9 @@ class ParallelRunner:
     (fork + pipe costs with zero concurrency — the recorded bench run
     measured 0.14x), so it is skipped, with the reason logged once.
 
-    A worker exception fails only its own item: the parent re-executes
-    that item serially (see :func:`_call` / :meth:`_retry`), so one
-    crashed or OOM-killed unit of work no longer aborts a campaign.
+    A worker exception or a dead worker fails only the items it left
+    undelivered: the parent re-executes them serially, so one crashed
+    or OOM-killed unit of work does not abort (or hang) a campaign.
     """
 
     def __init__(self, jobs: int = 1) -> None:
@@ -175,129 +189,175 @@ class ParallelRunner:
     def parallel(self) -> bool:
         return self.fallback_reason is None
 
+    def pool(self, fn: Callable[[T], R]) -> WorkerPool:
+        """A :class:`WorkerPool` running ``fn``; use it as a context
+        manager so the pool is terminated when the caller is done."""
+        return WorkerPool(self, fn)
+
+    def imap_captured(
+        self, fn: Callable[[T], R], items: Iterable[T]
+    ) -> Iterator[tuple[R, tuple]]:
+        """Stream ``(result, telemetry payload)`` pairs in item order
+        from one pool that lives as long as the generator.
+
+        Payloads are *not* replayed: callers whose serial semantics
+        stop consuming early (first-violation reductions) replay them
+        in item order, exactly as far as the serial run would have
+        executed, then close the generator (or drop it), which
+        terminates the pool.  Payloads are empty when telemetry is
+        disabled.  ``fn`` may be any callable (closures welcome — see
+        module docstring); items and results must be picklable when
+        running parallel.
+        """
+        with self.pool(fn) as pool:
+            yield from pool.imap_captured(items)
+
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """Apply ``fn`` to every item; results in item order.
 
-        ``fn`` may be any callable (closures welcome — see module
-        docstring); items and results must be picklable when running
-        parallel.
+        Each item's telemetry is replayed in item order, so the merged
+        event stream is byte-identical to the serial run's.
         """
-        work: Sequence[T] = list(items)
-        if not self.parallel or len(work) <= 1:
-            return [fn(item) for item in work]
-        if obs.is_enabled():
-            # Replay each worker's captured events in item order — the
-            # merged stream is byte-identical to the serial run's.
-            captured = self._pool_map(_call_captured, fn, work)
-            results = []
-            for result, payload in captured:
-                obs.replay(payload)
-                results.append(result)
-            return results
-        return self._pool_map(_call, fn, work)
+        results = []
+        for result, payload in self.imap_captured(fn, items):
+            obs.replay(payload)
+            results.append(result)
+        return results
 
     def map_captured(
         self, fn: Callable[[T], R], items: Iterable[T]
     ) -> list[tuple[R, tuple]]:
-        """Like :meth:`map`, but return ``(result, telemetry payload)``
-        pairs *without* replaying the payloads.
+        """:meth:`imap_captured`, collected into a list."""
+        return list(self.imap_captured(fn, items))
 
-        For callers whose serial semantics stop consuming results early
-        (first-violation reductions): they replay payloads themselves,
-        in item order, exactly as far as the serial run would have
-        executed.  Payloads are empty when telemetry is disabled.
-        """
-        work: Sequence[T] = list(items)
-        if not self.parallel or len(work) <= 1:
-            out: list[tuple[R, tuple]] = []
-            for item in work:
-                with obs.capture() as capsule:
-                    result = fn(item)
-                out.append((result, capsule.payload()))
-            return out
-        return self._pool_map(_call_captured, fn, work)
 
-    def _retry(
-        self,
-        captured: bool,
-        fn: Callable[[T], Any],
-        item: T,
-        index: int,
-        error: str,
-        worker_payload: tuple,
-    ) -> Any:
-        """Serially re-execute one item whose worker failed.
+class WorkerPool:
+    """One fork pool for one work function, shared by every dispatch
+    made through :meth:`imap_captured` until :meth:`close`.
 
-        A success replaces the failed result (re-captured from scratch,
-        so the merged event stream is exactly what an all-healthy run
-        produces — the worker's partial capsule is discarded).  A
-        second failure raises :class:`ItemError`, preserving the
-        worker's partial capsule for post-mortems.
-        """
-        logger.warning(
-            "worker failed on item #%d (%r): %s; re-executing serially",
-            index, item, error,
-        )
-        obs.emit(obs.WORKER_RETRY, index=index, error=error)
-        try:
-            if captured:
-                with obs.capture() as capsule:
-                    result = fn(item)
-                return (result, capsule.payload())
-            return fn(item)
-        except Exception as exc:
-            raise ItemError(index, item, exc, worker_payload) from exc
+    The pool forks at most once, lazily, on the first dispatch of two
+    or more items, with ``min(jobs, len(items))`` workers.  Smaller
+    dispatches, and every dispatch once the pool could not be built or
+    lost a worker, run serially in the parent.
+    """
 
-    def _pool_map(
-        self,
-        trampoline: Callable[[Any], Any],
-        fn: Callable[[T], Any],
-        work: Sequence[T],
-    ) -> list[Any]:
+    def __init__(self, runner: ParallelRunner, fn: Callable[[Any], Any]) -> None:
+        self.runner = runner
+        self.fn = fn
+        self._pool: Any = None
+        self._workers: list[multiprocessing.process.BaseProcess] = []
+        self._forked = False
+        self._merged = 0
+        self._previous_work: Callable[[Any], Any] | None = None
+
+    def __enter__(self) -> WorkerPool:
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Terminate the pool, killing workers that ran ahead, and
+        report how many results it delivered."""
         global _WORK
-        previous = _WORK
-        _WORK = fn
-        captured = trampoline is _call_captured
-        processes = min(self.jobs, len(work))
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        pool.terminate()
+        pool.join()
+        _WORK = self._previous_work
+        obs.emit(obs.WORKER_MERGE, items=self._merged)
+
+    def imap_captured(self, items: Iterable[Any]) -> Iterator[tuple[Any, tuple]]:
+        """Yield ``(result, telemetry payload)`` per item, in item order."""
+        work = list(items)
+        if len(work) <= 1 or not self._start(len(work)):
+            for item in work:
+                yield _run_captured(self.fn, item)
+            return
+        results = self._pool.imap(_call_captured, work)
+        for index, item in enumerate(work):
+            try:
+                ok, value, error = self._next(results)
+            except _WorkerLost:
+                logger.warning(
+                    "a pool worker died; finishing %d item(s) serially",
+                    len(work) - index,
+                )
+                self.close()
+                for rest in range(index, len(work)):
+                    yield self._retry(rest, work[rest], "worker died", ())
+                return
+            self._merged += 1
+            if ok:
+                yield value
+                continue
+            logger.warning(
+                "worker failed on item #%d (%r): %s; re-executing serially",
+                index, item, error,
+            )
+            yield self._retry(index, item, error or "unknown", value[1])
+
+    def _start(self, size: int) -> bool:
+        """Fork the pool unless it is running already; ``False`` means
+        run this dispatch serially."""
+        global _WORK
+        if self._pool is not None:
+            return True
+        if not self.runner.parallel or self._forked:
+            return False
+        self._forked = True
+        self._previous_work = _WORK
+        _WORK = self.fn
+        processes = min(self.runner.jobs, size)
+        before = set(multiprocessing.active_children())
         try:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=processes) as pool:
-                obs.emit(obs.WORKER_POOL, processes=processes, items=len(work))
-                wrapped = pool.map(trampoline, work)
-                obs.emit(obs.WORKER_MERGE, items=len(wrapped))
+            self._pool = multiprocessing.get_context("fork").Pool(processes)
         except (OSError, ValueError) as exc:  # pool could not be built
+            _WORK = self._previous_work
             logger.info(
                 "ParallelRunner falling back to serial: pool failed (%s)",
                 exc,
             )
-            if captured:
-                out = []
-                for item in work:
-                    with obs.capture() as capsule:
-                        result = fn(item)
-                    out.append((result, capsule.payload()))
-                return out
-            return [fn(item) for item in work]
-        finally:
-            _WORK = previous
-        results: list[Any] = []
-        for index, (ok, value, error) in enumerate(wrapped):
-            if ok:
-                results.append(value)
-                continue
-            worker_payload = value[1] if captured and value else ()
-            results.append(
-                self._retry(
-                    captured, fn, work[index], index, error or "unknown",
-                    worker_payload,
-                )
-            )
-        return results
+            return False
+        self._workers = [
+            p for p in multiprocessing.active_children() if p not in before
+        ]
+        obs.emit(obs.WORKER_POOL, processes=processes)
+        return True
+
+    def _next(self, results: Any) -> tuple[bool, Any, str | None]:
+        """The next result, raising :class:`_WorkerLost` if a worker
+        dies first (its in-flight item would never be delivered)."""
+        while True:
+            try:
+                return results.next(timeout=_POLL_S)
+            except multiprocessing.TimeoutError:
+                if not all(p.is_alive() for p in self._workers):
+                    raise _WorkerLost from None
+
+    def _retry(
+        self, index: int, item: Any, error: str, worker_payload: tuple
+    ) -> tuple[Any, tuple]:
+        """Serially re-execute one item the pool did not deliver.
+
+        A success stands in for the failed result (re-captured from
+        scratch, so the merged event stream is exactly what an
+        all-healthy run produces — the worker's partial capsule is
+        discarded).  A second failure raises :class:`ItemError`,
+        preserving the worker's partial capsule for post-mortems.
+        """
+        obs.emit(obs.WORKER_RETRY, index=index, error=error)
+        try:
+            return _run_captured(self.fn, item)
+        except Exception as exc:
+            raise ItemError(index, item, exc, worker_payload) from exc
 
 
 __all__ = [
     "ItemError",
     "ParallelRunner",
+    "WorkerPool",
     "available_parallelism",
     "fork_available",
 ]

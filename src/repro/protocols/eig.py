@@ -112,10 +112,17 @@ class EIGDevice(SyncDevice):
         default = self.default
         values = [tree.get(path, default) for path in leaves]
         for spans in levels:
-            values = [
-                _strict_majority(values[start:stop], default)
-                for start, stop in spans
-            ]
+            try:
+                values = [
+                    _strict_majority(values[start:stop], default)
+                    for start, stop in spans
+                ]
+            except TypeError:
+                # A faulty node's value (e.g. a list) cannot be hashed.
+                values = [
+                    _equality_majority(values[start:stop], default)
+                    for start, stop in spans
+                ]
         return values[0]
 
 
@@ -203,6 +210,16 @@ def _strict_majority(values: Sequence[Any], default: Any) -> Any:
     for value, count in tally.items():
         if count * 2 > len(values):
             return value
+    return default
+
+
+def _equality_majority(values: Sequence[Any], default: Any) -> Any:
+    """:func:`_strict_majority` for values that may be unhashable: it
+    counts by equality and returns the majority's first occurrence, as
+    the dict tally would."""
+    for v in values:
+        if sum(w is v or w == v for w in values) * 2 > len(values):
+            return v
     return default
 
 

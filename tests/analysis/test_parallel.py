@@ -9,6 +9,8 @@ to sorted JSON where a serializer exists.
 
 import json
 
+import pytest
+
 from repro.analysis.adversary_search import search_agreement_attacks
 from repro.analysis.campaign import (
     CampaignConfig,
@@ -255,3 +257,130 @@ class TestWorkerFaultTolerance:
         # parts of the serialized result that don't embed it.
         g, c = campaign_to_dict(golden), campaign_to_dict(crashed)
         assert g == c
+
+    def test_killed_worker_is_finished_serially_within_bound(self):
+        import multiprocessing
+        import os
+        import signal
+        import time
+
+        from repro import obs
+
+        parent = os.getpid()
+
+        def dies_on_three(x):
+            if x == 3 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)  # an OOM-killed child
+            return x * 10
+
+        def hung(signum, frame):
+            raise TimeoutError("runner hung after a worker was killed")
+
+        runner = _forced_pool_runner()
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        obs.enable()
+        try:
+            start = time.monotonic()
+            results = runner.map(dies_on_three, range(8))
+            elapsed = time.monotonic() - start
+            host_events = obs.get_log().events("host")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            obs.reset()
+        assert results == [x * 10 for x in range(8)]
+        assert elapsed < 10
+        assert any(e.kind == obs.WORKER_RETRY for e in host_events)
+        assert not multiprocessing.active_children()
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """Make every ``ParallelRunner`` in the test use the fork pool,
+    even on a 1-core CI box."""
+    import repro.analysis.parallel as parallel
+
+    if not fork_available():
+        pytest.skip("fork start method unavailable")
+    monkeypatch.setattr(parallel, "available_parallelism", lambda: 2)
+
+
+def _k4_config(factory, attempts, seed, links):
+    return CampaignConfig(
+        graph=complete_graph(4),
+        device_factory=factory,
+        rounds=3,
+        attempts=attempts,
+        seed=seed,
+        max_link_faults=links,
+    )
+
+
+#: A campaign that breaks at attempt 2 and one that survives 24
+#: attempts (three sync batches at two jobs).
+BREAKING = (_naive_factory, 40, 11, 2)
+SURVIVING = (_eig_factory, 24, 5, 1)
+
+
+class TestOnePoolPerCall:
+    def test_surviving_campaign_forks_one_pool(self, forced_pool):
+        from repro import obs
+
+        obs.enable()
+        try:
+            result = run_campaign(_k4_config(*SURVIVING), jobs=2)
+            kinds = [e.kind for e in obs.get_log().events("host")]
+        finally:
+            obs.reset()
+        assert not result.broken
+        assert kinds.count(obs.WORKER_POOL) == 1
+
+    def test_no_workers_outlive_a_breaking_campaign(self, forced_pool):
+        import multiprocessing
+
+        result = run_campaign(_k4_config(*BREAKING), jobs=2)
+        assert result.broken
+        assert not multiprocessing.active_children()
+
+    def test_no_workers_outlive_an_attack_scan_that_exits_early(
+        self, forced_pool
+    ):
+        import multiprocessing
+
+        result = search_agreement_attacks(
+            complete_graph(4), _naive_factory, 1, 3, attempts=30, seed=2,
+            jobs=2,
+        )
+        assert result.broken and result.attempts < 30
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize(
+        "case", [BREAKING, SURVIVING], ids=["breaking", "surviving"]
+    )
+    def test_journal_identical_across_jobs(self, forced_pool, tmp_path, case):
+        from repro import obs
+        from repro.analysis.runstore import Shard
+
+        class CountingShard(Shard):
+            syncs = 0
+
+            def sync(self):
+                self.syncs += 1
+                super().sync()
+
+        shards = {}
+        for jobs in (1, 2):
+            obs.enable()
+            try:
+                with CountingShard(tmp_path / f"jobs{jobs}.jsonl") as shard:
+                    run_campaign(_k4_config(*case), jobs=jobs, store=shard)
+            finally:
+                obs.reset()
+            shards[jobs] = shard
+        serial, pooled = (shards[j].path.read_bytes() for j in (1, 2))
+        assert serial and serial == pooled
+        # The parallel merge fsyncs every 8 attempts, at the violation
+        # and at the end (plus the close), as the batched driver did.
+        merged = len(shards[2])
+        assert shards[2].syncs == -(-merged // 8) + 1

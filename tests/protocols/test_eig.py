@@ -85,6 +85,29 @@ class TestOneByzantineFault:
             tree, _ = behavior.node(u).states[-1]
             assert not any(len(p) == 2 and p[-1] == "n3" for p in tree)
 
+    def test_unhashable_value_does_not_crash_deciders(self):
+        # The path is well formed, so the list value is relayed and
+        # resolved; the majority must count it by equality, not hash it.
+        garbage = (((), [1]),)
+        bad = ReplayDevice({p: [garbage, garbage] for p in ("n0", "n1", "n2")})
+        verdict, behavior = run_eig(4, 1, (1, 1, 1, 0), faulty={"n3": bad})
+        assert verdict.ok, verdict.describe()
+        assert {behavior.decisions()[u] for u in ("n0", "n1", "n2")} == {1}
+
+    def test_equality_majority_matches_tally_and_takes_unhashables(self):
+        from itertools import product
+
+        from repro.protocols.eig import _equality_majority, _strict_majority
+
+        for n in range(1, 6):
+            for values in product((0, 1, 2), repeat=n):
+                assert _equality_majority(values, "d") == _strict_majority(
+                    values, "d"
+                )
+        assert _equality_majority([[1], 0, [1]], "d") == [1]
+        assert _equality_majority([0, [1], 0], "d") == 0
+        assert _equality_majority([[1], [2], 0], "d") == "d"
+
 
 class TestTwoByzantineFaults:
     @pytest.mark.parametrize("seed", range(5))
