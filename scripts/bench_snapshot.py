@@ -15,11 +15,6 @@ each layer is output-invisible:
                       scan on a symmetric graph: one execution per
                       automorphism orbit, verdicts mapped back,
                       byte-identical sorted-JSON reports required.
-* ``incremental_shrink`` — repeated campaign+shrink+replay passes with
-                      a shared prefix-sharing execution trie
-                      (``incremental=IncrementalContext()``) vs the
-                      same passes re-executing every round; identical
-                      reports required.
 * ``parallel``      — ``run_campaign(jobs=N)`` vs serial, byte-identical
                       sorted-JSON reports required.  Wall-clock scaling
                       is recorded honestly along with the machine's
@@ -28,8 +23,8 @@ each layer is output-invisible:
                       ``ParallelRunner`` now refuses the pool there).
 * ``telemetry_overhead`` — the instrumented hot path
                       (``execute_plan``) with telemetry *disabled* vs
-                      ``repro.testing.bare_execute_plan``, the verbatim
-                      copy with the hooks stripped.  The disabled/bare
+                      :func:`bare_execute_plan` below, a copy with the
+                      hooks stripped.  The disabled/bare
                       wall-time ratio is a **hard gate**: above
                       1.05 the script exits nonzero, same as an
                       equivalence failure.  (An informational
@@ -71,13 +66,22 @@ from repro.analysis.parallel import (  # noqa: E402
     fork_available,
 )
 from repro.analysis.witness_io import campaign_to_dict  # noqa: E402
+from repro.graphs.automorphisms import OrbitIndex  # noqa: E402
 from repro.graphs.builders import complete_graph  # noqa: E402
 from repro.protocols.eig import eig_devices  # noqa: E402
 from repro.protocols.naive import MajorityVoteDevice  # noqa: E402
-from repro.runtime.incremental import IncrementalContext  # noqa: E402
 from repro.runtime.memo import BehaviorCache  # noqa: E402
 from repro.runtime.plan import compile_sync_plan  # noqa: E402
-from repro.runtime.sync.executor import run  # noqa: E402
+from repro.runtime.sync.behavior import (  # noqa: E402
+    EdgeBehavior,
+    NodeBehavior,
+    SyncBehavior,
+)
+from repro.runtime.sync.executor import (  # noqa: E402
+    ExecutionError,
+    _NodeRun,
+    run,
+)
 from repro.runtime.sync.system import make_system  # noqa: E402
 from repro.testing import reference_sync_run  # noqa: E402
 
@@ -200,20 +204,23 @@ def bench_orbit_dedup(smoke):
     )
     repeats = 1 if smoke else 3
 
+    from repro.analysis.campaign import _sample_attempt
+
     t_plain, plain = _time(
         lambda: run_campaign(config, memoize=False), repeats
     )
-
-    from repro.analysis.campaign import SearchStats
-
-    stats = SearchStats()
-
-    def deduped():
-        return run_campaign(
-            config, memoize=False, orbit_dedup=True, stats=stats
+    t_dedup, dedup = _time(
+        lambda: run_campaign(config, memoize=False, orbit_dedup=True),
+        repeats,
+    )
+    # The campaign survives, so it canonicalizes every attempt: replay
+    # the same keys into a fresh index for the orbit counters.
+    orbits = OrbitIndex(config.graph)
+    for attempt in range(1, attempts + 1):
+        node_faults, plan, inputs = _sample_attempt(config, attempt)
+        orbits.record(
+            orbits.canonical_key(inputs, node_faults, plan, config.value_pool)
         )
-
-    t_dedup, dedup = _time(deduped, repeats)
     same = json.dumps(campaign_to_dict(plain), sort_keys=True) == json.dumps(
         campaign_to_dict(dedup), sort_keys=True
     )
@@ -228,63 +235,7 @@ def bench_orbit_dedup(smoke):
         "orbit_dedup_ops": attempts / t_dedup if t_dedup else None,
         "speedup": t_plain / t_dedup if t_dedup else None,
         "identical_output": same,
-        "orbits": stats.orbit_index.stats(),
-    }
-
-
-def bench_incremental_shrink(smoke):
-    """Repeated campaign+shrink+replay passes, trie-backed vs not.
-
-    Mirrors the ``campaign_shrink`` repetition shape (re-analysis of
-    one config re-executes heavily overlapping attempts) but measures
-    the round-level prefix trie instead of whole-run memoization:
-    ``memoize=False`` on both legs, so every saving comes from rounds
-    replayed out of snapshots.
-    """
-    n, rounds, links, attempts, passes = (
-        (4, 4, 3, 20, 2) if smoke else (8, 10, 8, 120, 6)
-    )
-    config = CampaignConfig(
-        graph=complete_graph(n),
-        device_factory=_naive_factory,
-        rounds=rounds,
-        max_node_faults=0,
-        max_link_faults=links,
-        attempts=attempts,
-        seed=5,
-    )
-    repeats = 1 if smoke else 3
-
-    def cold():
-        return [
-            run_campaign(config, memoize=False) for _ in range(passes)
-        ]
-
-    def warm():
-        context = IncrementalContext()
-        return (
-            [
-                run_campaign(config, memoize=False, incremental=context)
-                for _ in range(passes)
-            ],
-            context,
-        )
-
-    t_cold, cold_runs = _time(cold, repeats)
-    t_warm, (warm_runs, context) = _time(warm, repeats)
-    return {
-        "workload": (
-            f"{passes}x campaign+shrink+replay on K{n}, "
-            f"{attempts} attempts, k<={links} links, {rounds} rounds, "
-            "unmemoized both legs"
-        ),
-        "plain_s": t_cold,
-        "plain_ops": passes / t_cold if t_cold else None,
-        "incremental_s": t_warm,
-        "incremental_ops": passes / t_warm if t_warm else None,
-        "speedup": t_cold / t_warm if t_warm else None,
-        "identical_output": cold_runs == warm_runs,
-        "trie": context.stats(),
+        "orbits": orbits.stats(),
     }
 
 
@@ -307,6 +258,74 @@ def bench_sweep(smoke):
     }
 
 
+def bare_execute_plan(plan, rounds, injector=None):
+    """``execute_plan`` with the telemetry hooks stripped out entirely.
+
+    The instrumented executor's disabled-telemetry cost is supposed to
+    be one hoisted boolean check per call plus one flag test per round;
+    this copy is the baseline that claim is measured against (the
+    ``telemetry_overhead`` section gates the ratio).  Keep it in
+    lockstep with :func:`repro.runtime.sync.executor.execute_plan` —
+    the section also asserts equal behaviors.
+    """
+    if rounds < 0:
+        raise ExecutionError("rounds must be non-negative")
+    compiled = plan.nodes
+    runs = []
+    for cn in compiled:
+        state = cn.device.init_state(cn.ctx)
+        node_run = _NodeRun(states=[state])
+        runs.append(node_run)
+        node_run.observe_choice(cn.device, cn.ctx, 0, cn.node)
+
+    edge_messages = {edge: [] for edge in plan.edges}
+
+    for round_index in range(rounds):
+        outboxes = {}
+        for cn, node_run in zip(compiled, runs):
+            out = cn.device.send(cn.ctx, node_run.states[-1], round_index)
+            valid_ports = cn.valid_ports
+            for label in out:
+                if label not in valid_ports:
+                    raise ExecutionError(
+                        f"device at {cn.node!r} sent on unknown port {label!r}"
+                    )
+            for edge, label in cn.out_routes:
+                message = out.get(label)
+                if injector is not None:
+                    message = injector.deliver(edge, round_index, message)
+                outboxes[edge] = message
+                edge_messages[edge].append(message)
+
+        for cn, node_run in zip(compiled, runs):
+            inbox = {
+                label: outboxes[edge] for label, edge in cn.in_routes
+            }
+            state = cn.device.transition(
+                cn.ctx, node_run.states[-1], round_index, inbox
+            )
+            node_run.states.append(state)
+            node_run.observe_choice(cn.device, cn.ctx, round_index + 1, cn.node)
+
+    node_behaviors = {
+        cn.node: NodeBehavior(
+            states=tuple(r.states),
+            decision=r.decision,
+            decided_at=r.decided_at,
+        )
+        for cn, r in zip(compiled, runs)
+    }
+    edge_behaviors = {
+        edge: EdgeBehavior(tuple(msgs)) for edge, msgs in edge_messages.items()
+    }
+    return SyncBehavior(
+        graph=plan.graph,
+        rounds=rounds,
+        node_behaviors=node_behaviors,
+        edge_behaviors=edge_behaviors,
+    )
+
+
 #: Hard ceiling on the disabled-telemetry / bare hot-path ratio.
 TELEMETRY_OVERHEAD_BUDGET = 1.05
 
@@ -319,7 +338,6 @@ def bench_telemetry_overhead(smoke):
     its best-of.  The workload matches the ``executor`` section's.
     """
     from repro import obs
-    from repro.testing import bare_execute_plan
 
     n, rounds, repeats = (4, 3, 60) if smoke else (8, 10, 120)
     graph = complete_graph(n)
@@ -414,7 +432,7 @@ def bench_checkpoint_overhead(smoke):
         for attempt in range(1, config.attempts + 1):
             node_faults, plan, inputs = _sample_attempt(config, attempt)
             _, verdict, _ = execute_attempt(
-                config, inputs, node_faults, plan, None, None
+                config, inputs, node_faults, plan, None
             )
             oks.append(verdict.ok)
             if not verdict.ok:
@@ -516,7 +534,6 @@ BENCHES = {
     "executor": bench_executor,
     "campaign_shrink": bench_campaign_shrink,
     "orbit_dedup": bench_orbit_dedup,
-    "incremental_shrink": bench_incremental_shrink,
     "sweep": bench_sweep,
     "parallel": bench_parallel,
     "telemetry_overhead": bench_telemetry_overhead,

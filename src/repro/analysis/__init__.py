@@ -31,7 +31,6 @@ from .campaign import (
     FRONTIER_HEADERS,
     FrontierRow,
     NodeFault,
-    SearchStats,
     campaign_store_key,
     degradation_frontier,
     frontier_store_key,
@@ -96,7 +95,6 @@ __all__ = [
     "RunMetrics",
     "ConvergenceCurve",
     "ReportLine",
-    "SearchStats",
     "measure_convergence",
     "theoretical_dlpsw_factor",
     "SearchResult",

@@ -233,9 +233,8 @@ def search_agreement_attacks(
     Pass a :class:`~repro.runtime.memo.BehaviorCache` as ``cache`` to
     memoize verdicts by attack content (repeated silent / crash /
     two-faced draws skip execution) and to read hit/miss counters
-    afterwards — this is what ``repro attack --cache-stats`` prints.
-    The counters only accumulate in-process: a forked pool's hits stay
-    in the workers.
+    afterwards.  The counters only accumulate in-process: a forked
+    pool's hits stay in the workers.
     """
     spec = spec or ByzantineAgreementSpec()
     if jobs is None:

@@ -15,34 +15,33 @@ termination), the first budget at which it breaks.  Together these grow
 the repo from "the theorems' constructions" toward "as many failure
 scenarios as you can imagine", with every run replayable.
 
-Performance (PR 2): every attempt is deterministic given its content,
-so :func:`execute_attempt` memoizes through a content-addressed
-:class:`~repro.runtime.memo.BehaviorCache` — the shrinker's and
+Every attempt is deterministic given its content, so
+:func:`execute_attempt` memoizes through a content-addressed
+:class:`~repro.runtime.memo.BehaviorCache`: the shrinker's and
 replayer's re-executions of identical ``(inputs, node faults, plan)``
-configurations become cache hits — and :func:`run_campaign` /
-:func:`degradation_frontier` accept ``jobs=N`` to fan attempts /
-budget levels across a process pool with serial-identical results
-(attempts are merged in index order; the first violating index wins,
-exactly as in the serial scan).
+configurations become cache hits.
 
-Performance (PR 3): two further equivalence-gated reductions.
+:func:`run_campaign` is one pipeline for every ``jobs`` value: sample
+each attempt from ``(seed, attempt)``, optionally collapse it onto an
+automorphism-orbit representative, execute through one
+:class:`~repro.analysis.parallel.WorkerPool`, journal, and merge
+verdicts in index order, stopping at the first violation.  ``jobs``
+only decides whether the pool forks; at ``jobs=1`` (or on a one-core
+fallback) the same loop runs in-process, with the memo cache.
+
 ``orbit_dedup=True`` canonicalizes each sampled scenario under the
 graph's automorphism group (:mod:`repro.graphs.automorphisms`) and
 executes one representative per orbit, reusing only the spec's ok-bit
-for the rest — the violating attempt itself is always re-executed for
+for the rest; the violating attempt itself is always re-executed for
 shrinking, so results stay byte-identical.  (Requires a node-symmetric
 device factory: every node gets behaviorally identical, label-
 equivariant devices, as with the bundled majority/EIG factories.)
-``incremental=True`` routes executions through a prefix-sharing
-:class:`~repro.runtime.incremental.ExecutionTrie`, replaying shared
-round prefixes — the shrinker's one-atom-deleted candidates being the
-best case — from snapshots instead of re-running them.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any
@@ -60,7 +59,6 @@ from ..runtime.faults import (
     SyncFaultInjector,
     partition_between,
 )
-from ..runtime.incremental import ExecutionTrie, IncrementalContext
 from ..runtime.memo import (
     BehaviorCache,
     fingerprint,
@@ -68,13 +66,12 @@ from ..runtime.memo import (
     json_fingerprint,
     plan_fingerprint,
 )
-from ..runtime.plan import compile_sync_plan
 from ..runtime.sync.behavior import SyncBehavior
 from ..runtime.sync.device import SyncDevice
 from ..runtime.sync.executor import run
 from ..runtime.sync.system import make_system
 from .adversary_search import STRATEGIES, build_adversary
-from .parallel import ParallelRunner
+from .parallel import ParallelRunner, WorkerPool
 from .runstore import (
     Shard,
     decode_payload,
@@ -373,21 +370,6 @@ def _attempt_key(
     )
 
 
-def _context_key(
-    config: CampaignConfig,
-    inputs: Mapping[NodeId, Any],
-    node_faults: Sequence[NodeFault],
-) -> str:
-    """Content key of an *execution context* — everything but the fault
-    plan.  Attempts sharing a context run on one compiled system (and
-    one execution trie); plans are what vary underneath it."""
-    return fingerprint(
-        _config_token(config),
-        tuple(sorted((str(u), repr(v)) for u, v in inputs.items())),
-        tuple((str(nf.node), nf.kind, nf.key) for nf in node_faults),
-    )
-
-
 def _build_system(
     config: CampaignConfig,
     inputs: Mapping[NodeId, Any],
@@ -416,7 +398,6 @@ def execute_attempt(
     node_faults: Sequence[NodeFault],
     plan: FaultPlan,
     cache: BehaviorCache | None = None,
-    incremental: IncrementalContext | None = None,
 ) -> tuple[SyncBehavior, SpecVerdict, InjectionTrace]:
     """Run one fully specified configuration and check the spec.
 
@@ -431,47 +412,36 @@ def execute_attempt(
     repeat execution (the shrinker and replayer produce many) returns
     the cached ``(behavior, verdict, trace)`` without re-running.
     Determinism makes this sound: equal content ⇒ equal results.
-
-    With an ``incremental`` context, cache misses execute through the
-    context's :class:`~repro.runtime.incremental.ExecutionTrie` for
-    this attempt's (config, inputs, node faults): rounds on which this
-    plan acts like an earlier plan are replayed from snapshots, and
-    only the divergent suffix actually runs.  The behavior, verdict
-    and trace are byte-identical to the plain path (golden-tested).
     """
-    if cache is not None:
-        key = _attempt_key(config, inputs, node_faults, plan)
-        if obs.is_enabled():
-            # Telemetry-transparent caching: traced entries carry the
-            # run-scope events of the original execution, replayed on
-            # every hit, so the trace never depends on cache warmth.
-            # The hit/miss facts are host-scope.
-            okey = key + ":obs"
-            entry = cache.get(okey)
-            if entry is not None:
-                result, payload = entry
-                obs.emit(obs.CACHE_HIT, cache="attempt", op="execute")
-                obs.replay(payload)
-                return result
-            obs.emit(obs.CACHE_MISS, cache="attempt", op="execute")
-            with obs.capture() as capsule:
-                result = _execute_attempt_uncached(
-                    config, inputs, node_faults, plan, incremental
-                )
-            obs.replay(capsule.payload())
-            cache.put(okey, (result, capsule.run_payload()))
+    if cache is None:
+        return _execute_attempt_uncached(config, inputs, node_faults, plan)
+    key = _attempt_key(config, inputs, node_faults, plan)
+    if obs.is_enabled():
+        # Telemetry-transparent caching: traced entries carry the
+        # run-scope events of the original execution, replayed on
+        # every hit, so the trace never depends on cache warmth.
+        # The hit/miss facts are host-scope.
+        okey = key + ":obs"
+        entry = cache.get(okey)
+        if entry is not None:
+            result, payload = entry
+            obs.emit(obs.CACHE_HIT, cache="attempt", op="execute")
+            obs.replay(payload)
             return result
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        result = _execute_attempt_uncached(
-            config, inputs, node_faults, plan, incremental
-        )
-        cache.put(key, result)
+        obs.emit(obs.CACHE_MISS, cache="attempt", op="execute")
+        with obs.capture() as capsule:
+            result = _execute_attempt_uncached(
+                config, inputs, node_faults, plan
+            )
+        obs.replay(capsule.payload())
+        cache.put(okey, (result, capsule.run_payload()))
         return result
-    return _execute_attempt_uncached(
-        config, inputs, node_faults, plan, incremental
-    )
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    result = _execute_attempt_uncached(config, inputs, node_faults, plan)
+    cache.put(key, result)
+    return result
 
 
 def _execute_attempt_uncached(
@@ -479,43 +449,19 @@ def _execute_attempt_uncached(
     inputs: Mapping[NodeId, Any],
     node_faults: Sequence[NodeFault],
     plan: FaultPlan,
-    incremental: IncrementalContext | None = None,
 ) -> tuple[SyncBehavior, SpecVerdict, InjectionTrace]:
     graph = config.graph
     faulty_nodes = {nf.node for nf in node_faults}
     correct = [u for u in graph.nodes if u not in faulty_nodes]
-
-    if incremental is not None:
-        ctx_key = _context_key(config, inputs, node_faults)
-        trie = incremental.get(ctx_key)
-        if trie is None:
-            system = _build_system(config, inputs, node_faults)
-            trie = ExecutionTrie(compile_sync_plan(system))
-            incremental.put(ctx_key, trie)
-        staged = trie.prepare(plan, config.rounds)
-        try:
-            behavior = staged.execute()
-        except Exception as exc:  # devices choking on injected garbage
-            verdict = _execution_violation(exc, correct)
-            empty = SyncBehavior(graph=graph, rounds=0)
-            result = (empty, verdict, staged.trace)
-        else:
-            verdict = config.spec.check(inputs, behavior.decisions(), correct)
-            result = (behavior, verdict, staged.trace)
-        return result
-
     injector = SyncFaultInjector(plan)
     system = _build_system(config, inputs, node_faults)
     try:
         behavior = run(system, config.rounds, injector)
     except Exception as exc:  # devices choking on injected garbage
         verdict = _execution_violation(exc, correct)
-        empty = SyncBehavior(graph=graph, rounds=0)
-        result = (empty, verdict, injector.trace)
-    else:
-        verdict = config.spec.check(inputs, behavior.decisions(), correct)
-        result = (behavior, verdict, injector.trace)
-    return result
+        return (SyncBehavior(graph=graph, rounds=0), verdict, injector.trace)
+    verdict = config.spec.check(inputs, behavior.decisions(), correct)
+    return (behavior, verdict, injector.trace)
 
 
 def _execution_violation(exc: Exception, correct: Sequence[NodeId]) -> SpecVerdict:
@@ -534,7 +480,6 @@ def replay_counterexample(
     config: CampaignConfig,
     counterexample: Counterexample,
     cache: BehaviorCache | None = None,
-    incremental: IncrementalContext | None = None,
 ) -> tuple[SyncBehavior, SpecVerdict, InjectionTrace]:
     """Re-run a counterexample exactly; deterministic by construction."""
     return execute_attempt(
@@ -543,7 +488,6 @@ def replay_counterexample(
         counterexample.node_faults,
         counterexample.plan,
         cache,
-        incremental,
     )
 
 
@@ -554,7 +498,6 @@ def shrink_counterexample(
     config: CampaignConfig,
     found: Counterexample,
     cache: BehaviorCache | None = None,
-    incremental: IncrementalContext | None = None,
 ) -> tuple[Counterexample, int]:
     """Greedy delta debugging: repeatedly delete one fault atom or one
     faulty node while the spec still breaks; stop at a local minimum.
@@ -563,10 +506,7 @@ def shrink_counterexample(
     deletions.  The result is *1-minimal*: removing any single
     remaining fault makes the violation disappear.  A ``cache`` makes
     the re-executed overlap between shrink iterations (and the final
-    replay) free; an ``incremental`` context makes even the *novel*
-    candidates cheap — deleting one atom leaves every round before the
-    atom's window byte-identical, so those rounds replay from the
-    execution trie's snapshots.
+    replay) free.
     """
     shrink_t0 = perf_counter()
     current = found
@@ -578,7 +518,7 @@ def shrink_counterexample(
             candidate_plan = current.plan.without_atoms([i])
             _, verdict, _ = execute_attempt(
                 config, current.inputs, current.node_faults, candidate_plan,
-                cache, incremental,
+                cache,
             )
             if not verdict.ok:
                 current = Counterexample(
@@ -605,8 +545,7 @@ def shrink_counterexample(
                 current.node_faults[:i] + current.node_faults[i + 1 :]
             )
             _, verdict, _ = execute_attempt(
-                config, current.inputs, candidate_nodes, current.plan, cache,
-                incremental,
+                config, current.inputs, candidate_nodes, current.plan, cache
             )
             if not verdict.ok:
                 current = Counterexample(
@@ -633,35 +572,6 @@ def shrink_counterexample(
 # -- the campaign ----------------------------------------------------------
 
 
-@dataclass
-class SearchStats:
-    """Out-parameter collecting the optimization machinery a campaign
-    actually used, so callers (``repro campaign --cache-stats``) can
-    print hit/miss counters afterwards.  Deliberately **not** part of
-    :class:`CampaignResult`: results stay byte-identical with and
-    without the optimizations, counters don't.
-    """
-
-    cache: BehaviorCache | None = None
-    orbit_index: OrbitIndex | None = None
-    incremental: IncrementalContext | None = None
-
-    def describe(self) -> str:
-        """Render the ``--cache-stats`` block.
-
-        Since the observability subsystem landed, the counters are
-        folded into a :class:`~repro.obs.MetricsRegistry` (the live
-        one when telemetry is on, a throwaway otherwise) and rendered
-        from its gauges — same strings as before, one source of truth.
-        """
-        from ..obs import MetricsRegistry, describe_search_stats, get_registry
-
-        registry = get_registry()
-        if registry is None:
-            registry = MetricsRegistry()
-        return describe_search_stats(registry, self)
-
-
 def _sample_attempt(
     config: CampaignConfig, attempt: int
 ) -> tuple[tuple[NodeFault, ...], FaultPlan, dict[NodeId, Any]]:
@@ -669,7 +579,7 @@ def _sample_attempt(
 
     One private rng stream per attempt (seeded by ``(seed, attempt)``),
     so any attempt can be regenerated in isolation — the property the
-    parallel driver and the replayer both rely on.  Draw order (node
+    worker pool and the replayer both rely on.  Draw order (node
     faults, then plan, then inputs) is part of the format and must not
     change.
     """
@@ -695,7 +605,6 @@ def _finish_campaign(
     config: CampaignConfig,
     attempt: int,
     cache: BehaviorCache | None,
-    incremental: IncrementalContext | None = None,
 ) -> CampaignResult:
     """Shrink and replay the violation at ``attempt`` (known to break).
 
@@ -704,9 +613,7 @@ def _finish_campaign(
     and the trace come from an actual run of *this* configuration.
     """
     node_faults, plan, inputs = _sample_attempt(config, attempt)
-    _, verdict, _ = execute_attempt(
-        config, inputs, node_faults, plan, cache, incremental
-    )
+    _, verdict, _ = execute_attempt(config, inputs, node_faults, plan, cache)
     found = Counterexample(
         inputs=inputs,
         node_faults=node_faults,
@@ -714,8 +621,8 @@ def _finish_campaign(
         verdict=verdict,
         attempt=attempt,
     )
-    shrunk, steps = shrink_counterexample(config, found, cache, incremental)
-    _, _, trace = replay_counterexample(config, shrunk, cache, incremental)
+    shrunk, steps = shrink_counterexample(config, found, cache)
+    _, _, trace = replay_counterexample(config, shrunk, cache)
     return CampaignResult(
         config=config,
         attempts=attempt,
@@ -726,285 +633,198 @@ def _finish_campaign(
     )
 
 
+#: One attempt ready to merge: ``(attempt, spec ok, telemetry
+#: payload, journaled by an earlier process)``.
+MergedAttempt = tuple[int, bool, tuple, bool]
+
+
 def run_campaign(
     config: CampaignConfig,
     jobs: int = 1,
     cache: BehaviorCache | None = None,
     memoize: bool = True,
     orbit_dedup: bool = False,
-    incremental: "IncrementalContext | bool | None" = None,
-    stats: SearchStats | None = None,
     store: Shard | None = None,
 ) -> CampaignResult:
     """Sample attempts under the combined budget until a spec violation
     appears (then shrink it) or the attempt budget is exhausted.
 
-    ``jobs > 1`` streams attempt evaluation through one process pool;
-    the smallest violating attempt index wins, so the result
-    (including the shrunk counterexample and its trace) is identical
-    to the serial scan.  ``cache`` (created fresh when ``memoize`` and
-    not supplied) memoizes every execution by content — pass your own
+    One pipeline serves every ``jobs`` value: attempts are sampled,
+    optionally collapsed onto orbit representatives, executed through
+    one :class:`~repro.analysis.parallel.WorkerPool`, journaled, and
+    merged in index order; the first violating index wins and workers
+    that ran ahead skip their queued attempts.  ``jobs`` only decides
+    whether the pool forks — at ``jobs=1``, or when the runner falls
+    back to serial, attempts execute in-process.  Workers return only
+    ``(attempt, spec ok)`` plus their captured telemetry, which the
+    parent replays in index order, so results, witnesses, traces and
+    ``run.*`` metrics are identical for every ``jobs``.  Shrinking
+    stays in the parent.
+
+    ``cache`` (created fresh when ``memoize`` and not supplied)
+    memoizes every in-process execution by content; forked workers run
+    uncached, so they never hold their own copy.  Pass your own
     :class:`~repro.runtime.memo.BehaviorCache` to read hit/miss
     statistics afterwards, or ``memoize=False`` to measure uncached
-    cost.
+    cost.  When telemetry is on, the cache's and the orbit index's
+    counters are folded into the live registry as ``host.cache.*`` and
+    ``host.orbit.*`` gauges.
 
-    ``orbit_dedup=True`` executes one representative scenario per
-    automorphism orbit and maps the spec's ok-bit back to the orbit's
-    other members (sound for node-symmetric device factories; see the
-    module docstring).  ``incremental`` (``True`` for a fresh context,
-    or a shared :class:`~repro.runtime.incremental.IncrementalContext`)
-    replays shared round prefixes from snapshots.  Neither changes the
-    result.  Pass a :class:`SearchStats` as ``stats`` to receive the
-    cache/orbit/trie objects for counter inspection afterwards.
+    ``orbit_dedup=True`` samples and canonicalizes attempts in the
+    parent, batch by batch, executes one representative per unseen
+    automorphism orbit, and maps its ok-bit back to every member (sound
+    for node-symmetric device factories; see the module docstring).
+    The result is unchanged.
 
     ``store`` (a :class:`~repro.analysis.runstore.Shard`, usually
-    obtained via :func:`campaign_store_key`) journals every completed
+    obtained via :func:`campaign_store_key`) journals every merged
     attempt's verdict — plus its run-scope events when telemetry is on
-    — and skips attempts already journaled by an earlier, interrupted
-    process.  Resumed runs replay the journaled events, so results,
-    witnesses, traces and ``run.*`` metrics are byte-identical to an
-    uninterrupted run (checkpoint reuse facts are host-scope only).
+    — with an fsync every ``max(4 * jobs, 8)`` attempts, at the
+    violation and at the end, and skips attempts already journaled by
+    an earlier, interrupted process.  Resumed runs replay the journaled
+    events, so their output is byte-identical to an uninterrupted run
+    (checkpoint reuse facts are host-scope only).  The journal key is
+    the attempt index, so a run checkpointed at one ``jobs`` value
+    resumes correctly at any other.
     """
     if cache is None and memoize:
         cache = BehaviorCache()
-    if isinstance(incremental, bool):
-        incremental = IncrementalContext() if incremental else None
-    orbit_index = OrbitIndex(config.graph) if orbit_dedup else None
-    if stats is not None:
-        stats.cache = cache
-        stats.orbit_index = orbit_index
-        stats.incremental = incremental
-    if jobs > 1:
-        return _run_campaign_parallel(
-            config, jobs, cache, orbit_index, incremental, store
-        )
-    orbit_ok: dict[str, bool] = {}
-    obs_on = obs.is_enabled()
-
-    def attempt_body(attempt: int) -> bool:
-        """One attempt's deterministic work, emitting its run events."""
-        node_faults, plan, inputs = _sample_attempt(config, attempt)
-        if orbit_index is not None:
-            key = orbit_index.canonical_key(
-                inputs, node_faults, plan, config.value_pool
-            )
-            if orbit_index.record(key):
-                obs.emit(obs.ORBIT_REUSE, attempt=attempt)
-                return orbit_ok[key]
-            _, verdict, _ = execute_attempt(
-                config, inputs, node_faults, plan, cache, incremental
-            )
-            orbit_ok[key] = verdict.ok
-            return verdict.ok
-        _, verdict, _ = execute_attempt(
-            config, inputs, node_faults, plan, cache, incremental
-        )
-        return verdict.ok
-
-    for attempt in range(1, config.attempts + 1):
-        item_key = f"attempt:{attempt}"
-        record = store.get(item_key) if store is not None else None
-        if obs_on:
-            attempt_t0 = perf_counter()
-            obs.emit(obs.ATTEMPT_START, attempt=attempt)
-        if reusable(record):
-            # Journaled by an earlier process: replay its recorded
-            # run-scope events instead of re-executing, and rebuild the
-            # orbit bookkeeping so later *fresh* attempts dedup exactly
-            # as the uninterrupted run would have.
-            ok = _replay_record(item_key, record)
-            if orbit_index is not None:
-                node_faults, plan, inputs = _sample_attempt(config, attempt)
-                key = orbit_index.canonical_key(
-                    inputs, node_faults, plan, config.value_pool
-                )
-                orbit_index.record(key)
-                orbit_ok[key] = ok
-        elif store is not None and obs_on:
-            with obs.capture() as capsule:
-                ok = attempt_body(attempt)
-            payload = capsule.payload()
-            obs.replay(payload)
-            store.append(
-                item_key,
-                {
-                    "ok": ok,
-                    "obs": encode_payload(run_scope_payload(payload)),
-                },
-            )
-        else:
-            ok = attempt_body(attempt)
-            if store is not None:
-                store.append(item_key, {"ok": ok})
-        if obs_on:
-            obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
-            obs.observe_span("campaign.attempt", perf_counter() - attempt_t0)
-        if not ok:
-            if store is not None:
-                store.sync()
-            return _finish_campaign(config, attempt, cache, incremental)
-    if store is not None:
-        store.sync()
-    return CampaignResult(
-        config=config, attempts=config.attempts, found=None, shrunk=None
-    )
-
-
-def _run_campaign_parallel(
-    config: CampaignConfig,
-    jobs: int,
-    cache: BehaviorCache | None,
-    orbit_index: OrbitIndex | None = None,
-    incremental: IncrementalContext | None = None,
-    store: Shard | None = None,
-) -> CampaignResult:
-    """Parallel attempt scan on one fork pool per campaign.  Workers
-    return only ``(attempt, spec ok)`` — small, picklable, and free of
-    the config's (unpicklable) device factory, which the forked
-    children inherit by memory instead.  Shrinking stays in the parent,
-    warmed by the parent-side cache.
-
-    Without orbit dedup every unjournaled attempt streams through the
-    pool in index order; the parent merges as results arrive and stops
-    at the first violation, like the serial scan, terminating workers
-    that ran ahead.  With orbit dedup, sampling and canonicalization
-    happen in the parent, batch by batch: only one representative per
-    unseen orbit is dispatched (to the same pool), and the ok-bits map
-    back to every member in index order — so the first violating index
-    is the same one the serial scan finds.
-
-    A ``store`` shard filters journaled attempts out of the dispatch
-    and journals fresh attempts as they merge (in index order, stopping
-    at the first violation — exactly the set the serial scan would
-    journal), with an fsync every ``max(4 * jobs, 8)`` attempts, at the
-    violation and at the end.  The journal key is the attempt index, so
-    a run checkpointed at one ``--jobs`` value resumes correctly at any
-    other.
-    """
+    runner = ParallelRunner(jobs)
+    probe_cache = None if runner.parallel else cache
 
     def probe(attempt: int) -> tuple[int, bool]:
         node_faults, plan, inputs = _sample_attempt(config, attempt)
-        _, verdict, _ = execute_attempt(config, inputs, node_faults, plan)
+        _, verdict, _ = execute_attempt(
+            config, inputs, node_faults, plan, probe_cache
+        )
         return (attempt, verdict.ok)
 
-    def journal(item_key: str, ok: bool, payload: tuple) -> None:
-        if store is None:
-            return
-        value: dict[str, Any] = {"ok": ok}
-        if obs.is_enabled():
-            value["obs"] = encode_payload(run_scope_payload(payload))
-        store.append(item_key, value)
-
-    runner = ParallelRunner(jobs)
     batch = max(4 * runner.jobs, 8)
-    attempts = range(1, config.attempts + 1)
     records: dict[int, dict] = {}
     if store is not None:
-        for attempt in attempts:
-            rec = store.get(f"attempt:{attempt}")
-            if reusable(rec):
-                records[attempt] = rec  # type: ignore[assignment]
+        for attempt in range(1, config.attempts + 1):
+            record = store.get(f"attempt:{attempt}")
+            if reusable(record):
+                records[attempt] = record  # type: ignore[assignment]
+    orbit_index = OrbitIndex(config.graph) if orbit_dedup else None
+    obs_on = obs.is_enabled()
     first_bad: int | None = None
     with runner.pool(probe) as pool:
         if orbit_index is None:
-            # Workers capture each attempt's telemetry; the parent
-            # replays the payloads in index order and brackets them
-            # with the attempt events.  Results past the first
-            # violation are never consumed, so their events are
-            # discarded with the pool.
-            fresh = pool.imap_captured(a for a in attempts if a not in records)
-            for attempt in attempts:
-                item_key = f"attempt:{attempt}"
-                obs.emit(obs.ATTEMPT_START, attempt=attempt)
-                if attempt in records:
-                    ok = _replay_record(item_key, records[attempt])
-                else:
-                    (_, ok), payload = next(fresh)
-                    obs.replay(payload)
-                    journal(item_key, ok, payload)
-                obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
-                if store is not None and (
-                    not ok or attempt % batch == 0 or attempt == config.attempts
-                ):
-                    store.sync()
-                if not ok:
-                    first_bad = attempt
-                    break
+            verdicts = _plain_verdicts(pool, config, records)
         else:
-            orbit_ok: dict[str, bool] = {}
-            for lo in range(1, config.attempts + 1, batch):
-                indices = range(lo, min(lo + batch, config.attempts + 1))
-                keys: dict[int, str] = {}
-                representatives: list[int] = []
-                dispatched: set[str] = set()
-                for attempt in indices:
-                    node_faults, plan, inputs = _sample_attempt(config, attempt)
-                    key = orbit_index.canonical_key(
-                        inputs, node_faults, plan, config.value_pool
-                    )
-                    keys[attempt] = key
-                    if attempt in records:
-                        # A journaled attempt's verdict seeds its orbit, so
-                        # fresh members of the same orbit are not
-                        # re-dispatched — matching the uninterrupted run.
-                        orbit_ok.setdefault(key, bool(records[attempt]["ok"]))
-                        continue
-                    if key not in orbit_ok and key not in dispatched:
-                        representatives.append(attempt)
-                        dispatched.add(key)
-                rep_payloads: dict[int, tuple] = {}
-                for (attempt, ok), payload in pool.imap_captured(representatives):
-                    orbit_ok[keys[attempt]] = ok
-                    rep_payloads[attempt] = payload
-                for attempt in indices:
-                    item_key = f"attempt:{attempt}"
-                    obs.emit(obs.ATTEMPT_START, attempt=attempt)
-                    if attempt in records:
-                        ok = _replay_record(item_key, records[attempt])
-                        orbit_index.record(keys[attempt])
-                    elif store is not None and obs.is_enabled():
-                        # Capture the merge body so the journal records the
-                        # same run events a serial execution of this attempt
-                        # emits (the representative's payload, or the orbit
-                        # reuse event).
-                        with obs.capture() as capsule:
-                            orbit_index.record(keys[attempt])
-                            if attempt in rep_payloads:
-                                obs.replay(rep_payloads[attempt])
-                            else:
-                                obs.emit(obs.ORBIT_REUSE, attempt=attempt)
-                        payload = capsule.payload()
-                        obs.replay(payload)
-                        ok = orbit_ok[keys[attempt]]
-                        journal(item_key, ok, payload)
-                    else:
-                        orbit_index.record(keys[attempt])
-                        if attempt in rep_payloads:
-                            obs.replay(rep_payloads[attempt])
-                        else:
-                            obs.emit(obs.ORBIT_REUSE, attempt=attempt)
-                        ok = orbit_ok[keys[attempt]]
-                        journal(item_key, ok, ())
-                    obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
-                    if not ok:
-                        first_bad = attempt
-                        break
-                if store is not None:
-                    store.sync()
-                if first_bad is not None:
-                    break
+            verdicts = _orbit_verdicts(pool, config, orbit_index, batch, records)
+        # The span runs merge to merge: in-process it covers the
+        # attempt's execution, with a pool the wait for its result.
+        attempt_t0 = perf_counter()
+        for attempt, ok, payload, journaled in verdicts:
+            item_key = f"attempt:{attempt}"
+            if obs_on:
+                obs.emit(obs.ATTEMPT_START, attempt=attempt)
+                if journaled:
+                    obs.emit(obs.CHECKPOINT_REUSE, item=item_key)
+                obs.replay(payload)
+            if store is not None and not journaled:
+                value: dict[str, Any] = {"ok": ok}
+                if obs_on:
+                    value["obs"] = encode_payload(run_scope_payload(payload))
+                store.append(item_key, value)
+            if obs_on:
+                obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
+                merged_t = perf_counter()
+                obs.observe_span("campaign.attempt", merged_t - attempt_t0)
+                attempt_t0 = merged_t
+            if store is not None and (
+                not ok or attempt % batch == 0 or attempt == config.attempts
+            ):
+                store.sync()
+            if not ok:
+                first_bad = attempt
+                break
     if first_bad is None:
-        return CampaignResult(
+        result = CampaignResult(
             config=config, attempts=config.attempts, found=None, shrunk=None
         )
-    return _finish_campaign(config, first_bad, cache, incremental)
+    else:
+        result = _finish_campaign(config, first_bad, cache)
+    if obs_on:
+        registry = obs.get_registry()
+        if cache is not None:
+            obs.absorb_cache_stats(registry, cache.stats())
+        if orbit_index is not None:
+            obs.absorb_orbit_stats(registry, orbit_index.stats())
+    return result
 
 
-def _replay_record(item_key: str, record: dict) -> bool:
-    """Replay a journaled attempt's recorded run events; its verdict."""
-    obs.emit(obs.CHECKPOINT_REUSE, item=item_key)
-    obs.replay(decode_payload(record.get("obs", ())))
-    return bool(record["ok"])
+def _journaled(attempt: int, record: dict) -> MergedAttempt:
+    """A verdict journaled by an earlier process, with its events."""
+    payload = decode_payload(record.get("obs", ()))
+    return (attempt, bool(record["ok"]), payload, True)
+
+
+def _plain_verdicts(
+    pool: WorkerPool, config: CampaignConfig, records: Mapping[int, dict]
+) -> Iterator[MergedAttempt]:
+    """Every attempt's verdict in index order: journaled attempts from
+    their records, the rest streamed through ``pool``."""
+    attempts = range(1, config.attempts + 1)
+    fresh = pool.imap_captured(a for a in attempts if a not in records)
+    for attempt in attempts:
+        if attempt in records:
+            yield _journaled(attempt, records[attempt])
+        else:
+            (_, ok), payload = next(fresh)
+            yield (attempt, ok, payload, False)
+
+
+def _orbit_verdicts(
+    pool: WorkerPool,
+    config: CampaignConfig,
+    orbit_index: OrbitIndex,
+    batch: int,
+    records: Mapping[int, dict],
+) -> Iterator[MergedAttempt]:
+    """Every attempt's verdict in index order, executing one
+    representative per unseen orbit of each batch.
+
+    Members of an orbit whose verdict is known carry an
+    ``orbit_reuse`` event instead of the representative's run events.
+    A journaled attempt's verdict seeds its orbit, so fresh members of
+    the same orbit are not re-dispatched — matching the uninterrupted
+    run.  Each attempt is recorded in ``orbit_index`` as it is yielded,
+    so the index's counters stop at the first violation.
+    """
+    orbit_ok: dict[str, bool] = {}
+    for lo in range(1, config.attempts + 1, batch):
+        indices = range(lo, min(lo + batch, config.attempts + 1))
+        keys: dict[int, str] = {}
+        representatives: dict[str, int] = {}
+        for attempt in indices:
+            node_faults, plan, inputs = _sample_attempt(config, attempt)
+            key = keys[attempt] = orbit_index.canonical_key(
+                inputs, node_faults, plan, config.value_pool
+            )
+            if attempt in records:
+                orbit_ok.setdefault(key, bool(records[attempt]["ok"]))
+            elif key not in orbit_ok:
+                representatives.setdefault(key, attempt)
+        rep_payloads: dict[int, tuple] = {}
+        for (attempt, ok), payload in pool.imap_captured(
+            representatives.values()
+        ):
+            orbit_ok[keys[attempt]] = ok
+            rep_payloads[attempt] = payload
+        for attempt in indices:
+            orbit_index.record(keys[attempt])
+            if attempt in records:
+                yield _journaled(attempt, records[attempt])
+                continue
+            payload = rep_payloads.get(attempt)
+            if payload is None:
+                with obs.capture() as capsule:
+                    obs.emit(obs.ORBIT_REUSE, attempt=attempt)
+                payload = capsule.payload()
+            yield (attempt, orbit_ok[keys[attempt]], payload, False)
 
 
 # -- graceful degradation --------------------------------------------------
@@ -1055,7 +875,6 @@ def degradation_frontier(
     jobs: int = 1,
     cache: BehaviorCache | None = None,
     orbit_dedup: bool = False,
-    incremental: "IncrementalContext | bool | None" = None,
     store: Shard | None = None,
 ) -> DegradationFrontier:
     """Sweep the link budget 0..max and report, per spec clause, the
@@ -1064,9 +883,9 @@ def degradation_frontier(
     Budget levels are independent campaigns, so ``jobs > 1`` evaluates
     them across a process pool; rows come back in budget order and the
     ``first_break`` fold runs over them exactly as the serial loop
-    did, so the frontier is identical either way.  ``orbit_dedup`` and
-    ``incremental`` are forwarded to every level's campaign (results
-    unchanged; see :func:`run_campaign`).
+    did, so the frontier is identical either way.  ``orbit_dedup`` is
+    forwarded to every level's campaign (results unchanged; see
+    :func:`run_campaign`).
 
     A ``store`` shard (see :func:`frontier_store_key`) journals each
     completed budget level — row, shrunk example, and run-scope events
@@ -1098,7 +917,6 @@ def degradation_frontier(
             level,
             cache=cache,
             orbit_dedup=orbit_dedup,
-            incremental=incremental,
         )
         broken: tuple[str, ...] = ()
         if result.broken:
@@ -1255,7 +1073,6 @@ __all__ = [
     "FRONTIER_HEADERS",
     "FrontierRow",
     "NodeFault",
-    "SearchStats",
     "campaign_store_key",
     "counterexample_from_dict",
     "counterexample_to_dict",

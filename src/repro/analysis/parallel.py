@@ -32,8 +32,12 @@ Design notes
   ``Pool.imap`` (one item per task) and come back in item order, so
   "first violation" style reductions in the caller see the same order
   serial execution produced.  Workers run ahead of the caller's merge;
-  a caller that stops early closes the stream, which terminates the
-  pool and discards the results it never consumed.
+  a caller that stops early closes the stream, which raises the pool's
+  stop flag: workers finish the item in hand, skip the rest, and exit
+  through the pool's own shutdown.  Results the caller never consumed
+  are discarded.  Workers are not killed mid-run, because a worker
+  killed while sending a result leaves the result queue's lock held
+  and ``Pool.terminate`` then waits on it forever.
 * **Per-item fault tolerance.**  A worker exception does not abort the
   whole stream: the trampoline ships failures back as values (with the
   item's partially captured telemetry), and the parent re-executes the
@@ -97,6 +101,11 @@ class ItemError(RuntimeError):
 #: set in the parent, before a pool forks, until that pool is closed.
 _WORK: Callable[[Any], Any] | None = None
 
+#: The current pool's stop flag (a shared byte), inherited by forked
+#: workers alongside :data:`_WORK`; nonzero once the parent closes the
+#: pool, after which workers skip the items still queued.
+_STOP: Any = None
+
 
 def _run_captured(fn: Callable[[T], R], item: T) -> tuple[R, tuple]:
     """``fn(item)`` with the item's telemetry captured into a payload."""
@@ -117,6 +126,8 @@ def _call_captured(item: Any) -> tuple[bool, tuple[Any, tuple], str | None]:
     still rides back — post-mortem traces stay complete.
     """
     assert _WORK is not None, "worker forked before _WORK was set"
+    if _STOP.value:
+        return (True, (None, ()), None)
     with obs.capture() as capsule:
         try:
             result = _WORK(item)
@@ -246,9 +257,11 @@ class WorkerPool:
         self.fn = fn
         self._pool: Any = None
         self._workers: list[multiprocessing.process.BaseProcess] = []
+        self._streams: list[Any] = []
+        self._stop: Any = None
         self._forked = False
         self._merged = 0
-        self._previous_work: Callable[[Any], Any] | None = None
+        self._previous: tuple[Any, Any] = (None, None)
 
     def __enter__(self) -> WorkerPool:
         return self
@@ -257,15 +270,43 @@ class WorkerPool:
         self.close()
 
     def close(self) -> None:
-        """Terminate the pool, killing workers that ran ahead, and
-        report how many results it delivered."""
-        global _WORK
-        pool, self._pool = self._pool, None
-        if pool is None:
+        """Shut the pool down and report how many results it delivered.
+
+        Workers that ran ahead finish the item in hand and skip the
+        rest; once every dispatched item is accounted for, the pool
+        exits through its own sentinels, so no worker is ever killed
+        while it holds a queue lock.  A pool that loses a worker while
+        draining is terminated instead.
+        """
+        if self._pool is None:
             return
-        pool.terminate()
+        self._stop.value = 1
+        try:
+            for results in self._streams:
+                self._drain(results)
+        except _WorkerLost:
+            self._shutdown(terminate=True)
+            return
+        self._shutdown(terminate=False)
+
+    def _drain(self, results: Any) -> None:
+        """Consume and discard a dispatch's undelivered results."""
+        while True:
+            try:
+                self._next(results)
+            except StopIteration:
+                return
+
+    def _shutdown(self, terminate: bool) -> None:
+        global _WORK, _STOP
+        pool, self._pool = self._pool, None
+        if terminate:
+            pool.terminate()
+        else:
+            pool.close()
         pool.join()
-        _WORK = self._previous_work
+        self._streams = []
+        _WORK, _STOP = self._previous
         obs.emit(obs.WORKER_MERGE, items=self._merged)
 
     def imap_captured(self, items: Iterable[Any]) -> Iterator[tuple[Any, tuple]]:
@@ -276,6 +317,7 @@ class WorkerPool:
                 yield _run_captured(self.fn, item)
             return
         results = self._pool.imap(_call_captured, work)
+        self._streams.append(results)
         for index, item in enumerate(work):
             try:
                 ok, value, error = self._next(results)
@@ -284,7 +326,7 @@ class WorkerPool:
                     "a pool worker died; finishing %d item(s) serially",
                     len(work) - index,
                 )
-                self.close()
+                self._shutdown(terminate=True)
                 for rest in range(index, len(work)):
                     yield self._retry(rest, work[rest], "worker died", ())
                 return
@@ -297,24 +339,27 @@ class WorkerPool:
                 index, item, error,
             )
             yield self._retry(index, item, error or "unknown", value[1])
+        self._streams.remove(results)
 
     def _start(self, size: int) -> bool:
         """Fork the pool unless it is running already; ``False`` means
         run this dispatch serially."""
-        global _WORK
+        global _WORK, _STOP
         if self._pool is not None:
             return True
         if not self.runner.parallel or self._forked:
             return False
         self._forked = True
-        self._previous_work = _WORK
-        _WORK = self.fn
+        context = multiprocessing.get_context("fork")
+        self._previous = (_WORK, _STOP)
+        self._stop = context.RawValue("b", 0)
+        _WORK, _STOP = self.fn, self._stop
         processes = min(self.runner.jobs, size)
         before = set(multiprocessing.active_children())
         try:
-            self._pool = multiprocessing.get_context("fork").Pool(processes)
+            self._pool = context.Pool(processes)
         except (OSError, ValueError) as exc:  # pool could not be built
-            _WORK = self._previous_work
+            _WORK, _STOP = self._previous
             logger.info(
                 "ParallelRunner falling back to serial: pool failed (%s)",
                 exc,

@@ -19,9 +19,9 @@ Design rules
   (rounds, deliveries, injections, attempts, spans) and are a pure
   function of the workload — the same campaign emits the same
   ``run``-scope stream whether it executed serially, under ``--jobs
-  N``, through the behavior cache, or through the execution trie.
+  N``, or through the behavior cache.
   ``host``-scope events (:data:`HOST_KINDS`) describe *this process's*
-  optimization luck — cache hits, trie replays, worker pools — and are
+  optimization luck — cache hits, worker pools — and are
   excluded from exported traces, which is what makes trace files
   byte-identical across ``--jobs`` settings.
 * **Logical time.**  Events carry a monotonic sequence number and
@@ -65,7 +65,6 @@ SPAN_END = "span_end"
 # by an earlier process must not change the exported trace.
 CACHE_HIT = "cache_hit"
 CACHE_MISS = "cache_miss"
-TRIE_REPLAY = "trie_replay"
 WORKER_POOL = "worker_pool"
 WORKER_MERGE = "worker_merge"
 WORKER_RETRY = "worker_retry"
@@ -76,7 +75,6 @@ HOST_KINDS = frozenset(
     {
         CACHE_HIT,
         CACHE_MISS,
-        TRIE_REPLAY,
         WORKER_POOL,
         WORKER_MERGE,
         WORKER_RETRY,
@@ -399,7 +397,6 @@ __all__ = [
     "SPAN_START",
     "SWEEP_POINT",
     "TIMED_EVENT",
-    "TRIE_REPLAY",
     "WORKER_MERGE",
     "WORKER_POOL",
     "WORKER_RETRY",

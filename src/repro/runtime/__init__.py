@@ -23,10 +23,9 @@
     Bounded, content-addressed behavior memoization (determinism makes
     re-execution a cache lookup), with hit/miss counters.
 
-:mod:`repro.runtime.incremental`
-    Prefix-sharing incremental execution: a round-level trie of
-    execution deltas, so runs whose fault plans agree on a prefix of
-    rounds replay that prefix as a lookup instead of re-executing it.
+The synchronous round loop lives in exactly one place,
+:func:`repro.runtime.sync.executor.execute_plan`; the interpretive
+:func:`repro.testing.reference_sync_run` is its differential oracle.
 """
 
 from .faults import (
@@ -39,11 +38,6 @@ from .faults import (
     SyncFaultInjector,
     TimedFaultInjector,
     partition_between,
-)
-from .incremental import (
-    ExecutionTrie,
-    IncrementalContext,
-    plan_signatures,
 )
 from .memo import (
     BehaviorCache,
@@ -61,9 +55,7 @@ from .plan import (
 __all__ = [
     "FAULT_KINDS",
     "BehaviorCache",
-    "ExecutionTrie",
     "FaultPlan",
-    "IncrementalContext",
     "InjectionRecord",
     "InjectionTrace",
     "LinkFault",
@@ -78,5 +70,4 @@ __all__ = [
     "graph_fingerprint",
     "partition_between",
     "plan_fingerprint",
-    "plan_signatures",
 ]

@@ -266,74 +266,3 @@ def reference_sync_run(system, rounds, injector=None):
         edge_behaviors=edge_behaviors,
     )
 
-
-def bare_execute_plan(plan, rounds, injector=None):
-    """``execute_plan`` with the telemetry hooks stripped out entirely.
-
-    The instrumented executor's disabled-telemetry cost is supposed to
-    be one hoisted boolean check per call plus one flag test per round;
-    this verbatim-minus-telemetry copy is the baseline that claim is
-    measured against (the ``telemetry_overhead`` section of
-    ``scripts/bench_snapshot.py`` gates the ratio).  Keep it in lockstep
-    with :func:`repro.runtime.sync.executor.execute_plan` — the bench
-    also asserts equal behaviors.
-    """
-    from .runtime.sync.behavior import EdgeBehavior, NodeBehavior, SyncBehavior
-    from .runtime.sync.executor import ExecutionError, _NodeRun
-
-    if rounds < 0:
-        raise ExecutionError("rounds must be non-negative")
-    compiled = plan.nodes
-    runs = []
-    for cn in compiled:
-        state = cn.device.init_state(cn.ctx)
-        node_run = _NodeRun(states=[state])
-        runs.append(node_run)
-        node_run.observe_choice(cn.device, cn.ctx, 0, cn.node)
-
-    edge_messages = {edge: [] for edge in plan.edges}
-
-    for round_index in range(rounds):
-        outboxes = {}
-        for cn, node_run in zip(compiled, runs):
-            out = cn.device.send(cn.ctx, node_run.states[-1], round_index)
-            valid_ports = cn.valid_ports
-            for label in out:
-                if label not in valid_ports:
-                    raise ExecutionError(
-                        f"device at {cn.node!r} sent on unknown port {label!r}"
-                    )
-            for edge, label in cn.out_routes:
-                message = out.get(label)
-                if injector is not None:
-                    message = injector.deliver(edge, round_index, message)
-                outboxes[edge] = message
-                edge_messages[edge].append(message)
-
-        for cn, node_run in zip(compiled, runs):
-            inbox = {
-                label: outboxes[edge] for label, edge in cn.in_routes
-            }
-            state = cn.device.transition(
-                cn.ctx, node_run.states[-1], round_index, inbox
-            )
-            node_run.states.append(state)
-            node_run.observe_choice(cn.device, cn.ctx, round_index + 1, cn.node)
-
-    node_behaviors = {
-        cn.node: NodeBehavior(
-            states=tuple(r.states),
-            decision=r.decision,
-            decided_at=r.decided_at,
-        )
-        for cn, r in zip(compiled, runs)
-    }
-    edge_behaviors = {
-        edge: EdgeBehavior(tuple(msgs)) for edge, msgs in edge_messages.items()
-    }
-    return SyncBehavior(
-        graph=plan.graph,
-        rounds=rounds,
-        node_behaviors=node_behaviors,
-        edge_behaviors=edge_behaviors,
-    )

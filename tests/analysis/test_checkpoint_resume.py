@@ -5,7 +5,7 @@ store, interrupted at any point (journal truncation here, a literal
 SIGKILL of the driver process in ``TestKillAndResume``) and resumed
 against the same store, produces byte-identical results, witness
 files, and exported telemetry traces to an uninterrupted run — for any
-``--jobs`` value and with ``--orbit-dedup --incremental`` on.
+``--jobs`` value and with ``--orbit-dedup`` on.
 """
 
 import json
@@ -95,11 +95,7 @@ class TestCampaignResumeEquivalence:
     @pytest.mark.parametrize("optimized", [False, True])
     def test_resumed_equals_uninterrupted(self, tmp_path, jobs, optimized):
         config = _surviving_config()
-        kwargs = dict(
-            jobs=jobs,
-            orbit_dedup=optimized,
-            incremental=True if optimized else None,
-        )
+        kwargs = dict(jobs=jobs, orbit_dedup=optimized)
         golden, golden_trace = _run_traced(lambda: run_campaign(config))
         key = campaign_store_key(config)
 
@@ -217,6 +213,49 @@ class TestSweepResumeEquivalence:
             )
         assert golden == first == resumed
         assert golden_trace == first_trace == resumed_trace
+
+
+class TestOlderStoreResume:
+    """Stores written before ``--incremental`` and ``--cache-stats``
+    were removed still name them in ``meta.json``; resume ignores
+    them."""
+
+    ARGS = [
+        "--seed", "11", "campaign", "--protocol", "naive",
+        "--graph", "complete:4", "--links", "2", "--rounds", "3",
+        "--attempts", "40",
+    ]
+
+    def test_resume_ignores_removed_flags(self, tmp_path, capsys):
+        from repro.cli import main
+
+        golden_json = tmp_path / "golden.json"
+        golden_trace = tmp_path / "golden.trace"
+        assert main(
+            [*self.ARGS, "--json", str(golden_json),
+             "--trace", str(golden_trace)]
+        ) == 0
+
+        store = tmp_path / "store"
+        out_json = tmp_path / "out.json"
+        out_trace = tmp_path / "out.trace"
+        assert main(
+            [*self.ARGS, "--json", str(out_json), "--trace", str(out_trace),
+             "--checkpoint", str(store)]
+        ) == 0
+        meta_path = store / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["args"].update(incremental=True, cache_stats=True)
+        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
+        (shard,) = (store / "shards").glob("*.jsonl")
+        shard.write_text(shard.read_text().splitlines()[0] + "\n")
+        out_json.unlink()
+        out_trace.unlink()
+        capsys.readouterr()
+
+        assert main(["resume", str(store)]) == 0
+        assert out_json.read_text() == golden_json.read_text()
+        assert out_trace.read_bytes() == golden_trace.read_bytes()
 
 
 class TestKillAndResume:

@@ -225,35 +225,27 @@ class TestOptimizationFlags:
         assert main(
             ["campaign", "--protocol", "eig", "--graph", "complete:4",
              "--faults", "0", "--links", "1", "--attempts", "30",
-             "--orbit-dedup", "--incremental", "--cache-stats"]
+             "--orbit-dedup", "--metrics"]
         ) == 0
         out = capsys.readouterr().out
-        assert "orbit dedup" in out
-        assert "incremental execution" in out
-        assert "cache:" in out
+        assert "host.orbit.scenarios_seen" in out
+        assert "host.cache.hits{cache=behavior}" in out
 
     def test_campaign_flags_do_not_change_output(self, capsys):
         args = ["campaign", "--protocol", "naive", "--graph", "complete:4",
                 "--links", "2", "--attempts", "40"]
         assert main(args) == 0
         plain = capsys.readouterr().out
-        assert main(args + ["--orbit-dedup", "--incremental"]) == 0
+        assert main(args + ["--orbit-dedup"]) == 0
         optimized = capsys.readouterr().out
         assert plain == optimized
-
-    def test_attack_cache_stats(self, capsys):
-        assert main(
-            ["attack", "--protocol", "naive", "--graph", "complete:4",
-             "--faults", "1", "--attempts", "40", "--cache-stats"]
-        ) == 0
-        assert "cache:" in capsys.readouterr().out
 
     def test_frontier_cache_stats(self, capsys):
         assert main(
             ["campaign", "--protocol", "naive", "--graph", "complete:4",
              "--links", "1", "--attempts", "20", "--frontier",
-             "--cache-stats", "--orbit-dedup", "--incremental"]
+             "--metrics", "--orbit-dedup"]
         ) == 0
         out = capsys.readouterr().out
         assert "graceful degradation" in out
-        assert "cache:" in out
+        assert "host.cache.hits{cache=behavior}" in out

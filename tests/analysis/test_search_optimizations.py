@@ -1,18 +1,18 @@
 """The search optimizations must be invisible in results.
 
-Orbit dedup, incremental (prefix-trie) execution, and both combined —
-serially and through the parallel scan — must produce campaign
-reports byte-identical to the plain path, for breaking and surviving
-campaigns alike.  SearchStats and the serial fallback of
-ParallelRunner are covered here too.
+Orbit dedup — serially and through the parallel scan — must produce
+campaign reports byte-identical to the plain path, for breaking and
+surviving campaigns alike.  The campaign's cache and orbit counters in
+the live metrics registry, and the serial fallback of ParallelRunner,
+are covered here too.
 """
 
 import json
 import logging
 
+from repro import obs
 from repro.analysis.campaign import (
     CampaignConfig,
-    SearchStats,
     degradation_frontier,
     run_campaign,
 )
@@ -20,7 +20,7 @@ from repro.analysis.parallel import ParallelRunner
 from repro.analysis.witness_io import campaign_to_dict
 from repro.graphs import complete_graph, ring
 from repro.protocols import MajorityVoteDevice, eig_devices
-from repro.runtime.incremental import IncrementalContext
+from repro.runtime.memo import BehaviorCache
 
 
 def _naive_factory(graph):
@@ -52,15 +52,10 @@ def _config(**overrides):
 class TestOptimizedCampaignEquivalence:
     def _assert_all_equal(self, config, jobs=1):
         plain = _as_json(run_campaign(config, jobs=jobs, memoize=False))
-        for kwargs in (
-            {"orbit_dedup": True},
-            {"incremental": True},
-            {"orbit_dedup": True, "incremental": True},
-        ):
-            optimized = run_campaign(
-                config, jobs=jobs, memoize=False, **kwargs
-            )
-            assert _as_json(optimized) == plain, f"diverged under {kwargs}"
+        optimized = run_campaign(
+            config, jobs=jobs, memoize=False, orbit_dedup=True
+        )
+        assert _as_json(optimized) == plain
 
     def test_breaking_campaign_identical(self):
         self._assert_all_equal(_config())
@@ -95,22 +90,6 @@ class TestOptimizedCampaignEquivalence:
             jobs=2,
         )
 
-    def test_shared_incremental_context_across_campaigns(self):
-        config = _config()
-        plain = _as_json(run_campaign(config, memoize=False))
-        shared = IncrementalContext()
-        first = _as_json(
-            run_campaign(config, memoize=False, incremental=shared)
-        )
-        second = _as_json(
-            run_campaign(config, memoize=False, incremental=shared)
-        )
-        assert first == plain
-        assert second == plain
-        stats = shared.stats()
-        # The second pass replays the first pass's rounds as lookups.
-        assert stats["rounds_replayed"] > 0
-
     def test_frontier_identical_with_optimizations(self):
         config = _config(attempts=15)
         plain = degradation_frontier(
@@ -121,35 +100,41 @@ class TestOptimizedCampaignEquivalence:
             max_link_faults=2,
             attempts_per_level=15,
             orbit_dedup=True,
-            incremental=True,
         )
         assert plain == optimized
 
 
+def _host_gauges(fn):
+    """Run ``fn`` under fresh telemetry; return (its result, the host
+    gauges)."""
+    obs.enable()
+    try:
+        result = fn()
+        return result, obs.get_registry().snapshot(scope="host")["gauges"]
+    finally:
+        obs.reset()
+
+
 class TestSearchStats:
+    """The campaign folds its cache and orbit counters into the live
+    registry (what ``--metrics`` prints)."""
+
     def test_stats_collects_the_machinery(self):
         config = _config(
             device_factory=_eig_factory, rounds=2, max_link_faults=1,
             attempts=30, seed=5,
         )
-        stats = SearchStats()
-        run_campaign(
-            config, orbit_dedup=True, incremental=True, stats=stats
+        _, gauges = _host_gauges(
+            lambda: run_campaign(config, orbit_dedup=True)
         )
-        assert stats.cache is not None
-        assert stats.orbit_index is not None
-        assert stats.incremental is not None
-        text = stats.describe()
-        assert "orbit dedup" in text
-        assert "incremental execution" in text
-        assert stats.orbit_index.stats()["scenarios_seen"] > 0
+        assert "host.cache.hits{cache=behavior}" in gauges
+        assert gauges["host.orbit.scenarios_seen"] == 30
 
     def test_stats_empty_without_optimizations(self):
-        stats = SearchStats()
-        run_campaign(_config(attempts=5), memoize=False, stats=stats)
-        assert stats.orbit_index is None
-        assert stats.incremental is None
-        assert stats.describe() == "no caches in use"
+        _, gauges = _host_gauges(
+            lambda: run_campaign(_config(attempts=5), memoize=False)
+        )
+        assert not any(k.startswith(("host.cache.", "host.orbit.")) for k in gauges)
 
     def test_orbit_dedup_actually_saves_runs(self):
         # Drop-only faults on K4 with uniform-ish inputs collapse hard.
@@ -161,10 +146,11 @@ class TestSearchStats:
             seed=11,
             link_kinds=("drop",),
         )
-        stats = SearchStats()
-        result = run_campaign(config, orbit_dedup=True, stats=stats)
+        result, gauges = _host_gauges(
+            lambda: run_campaign(config, orbit_dedup=True)
+        )
         assert not result.broken
-        assert stats.orbit_index.stats()["runs_saved"] > 0
+        assert gauges["host.orbit.runs_saved"] > 0
 
 
 class TestParallelRunnerFallback:
@@ -202,3 +188,20 @@ class TestParallelRunnerFallback:
         )
         runner = ParallelRunner(8)
         assert runner.map(lambda x: x * 2, [3, 1, 2]) == [6, 2, 4]
+
+    def test_one_core_fallback_campaign_runs_cached(self, monkeypatch):
+        # On one core the runner falls back to in-process execution,
+        # which must use the campaign's memo cache like jobs=1 does.
+        monkeypatch.setattr(
+            "repro.analysis.parallel.available_parallelism", lambda: 1
+        )
+        config = _config(
+            device_factory=_eig_factory, rounds=2, max_link_faults=1,
+            attempts=40, seed=5, link_kinds=("drop",),
+        )
+        serial = run_campaign(config, jobs=1)
+        cache = BehaviorCache()
+        fallback = run_campaign(config, jobs=2, cache=cache)
+        assert not fallback.broken
+        assert _as_json(fallback) == _as_json(serial)
+        assert cache.hits > 0

@@ -82,22 +82,13 @@ class TestProfile:
 
 
 class TestCacheStatsMigration:
-    def test_attack_cache_stats_rendered_from_registry(self, capsys):
-        assert main(
-            [
-                "attack", "--protocol", "naive", "--graph", "complete:4",
-                "--faults", "1", "--attempts", "5", "--cache-stats",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "cache:" in out and "hit rate" in out
-
     def test_campaign_cache_stats_rendered_from_registry(self, capsys):
         assert main(
             [
                 "campaign", "--protocol", "naive", "--graph", "complete:4",
-                "--links", "2", "--attempts", "10", "--cache-stats",
+                "--links", "2", "--attempts", "10", "--metrics",
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert "cache:" in out and "hit rate" in out
+        assert "host.cache.hits{cache=behavior}" in out
+        assert "host.cache.misses{cache=behavior}" in out

@@ -1,6 +1,8 @@
 """Trace export: JSONL round-trip, summaries, executor instrumentation."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +10,17 @@ from repro import obs
 from repro.graphs import complete_graph
 from repro.protocols import MajorityVoteDevice
 from repro.runtime.sync import make_system, run
-from repro.testing import bare_execute_plan
 from repro.runtime.plan import compile_sync_plan
+
+
+def _bare_execute_plan():
+    """The telemetry-free executor copy that ``bench_snapshot.py``
+    gates the disabled-telemetry overhead against."""
+    path = Path(__file__).resolve().parents[2] / "scripts" / "bench_snapshot.py"
+    spec = importlib.util.spec_from_file_location("bench_snapshot", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.bare_execute_plan
 
 
 def _run_workload():
@@ -111,7 +122,7 @@ class TestExecutorInstrumentation:
             {u: i % 2 for i, u in enumerate(graph.nodes)},
         )
         plan = compile_sync_plan(system)
-        assert bare_execute_plan(plan, 3) == run(system, 3)
+        assert _bare_execute_plan()(plan, 3) == run(system, 3)
 
     def test_instrumentation_does_not_change_behavior(self):
         baseline = _run_workload()

@@ -10,7 +10,6 @@ from repro.analysis.campaign import CampaignConfig, run_campaign
 from repro.analysis.sweep import node_bound_sweep
 from repro.graphs import complete_graph
 from repro.protocols import MajorityVoteDevice
-from repro.runtime.incremental import IncrementalContext
 from repro.runtime.memo import BehaviorCache
 
 
@@ -46,17 +45,13 @@ class TestCampaignDeterminism:
         [
             {},
             {"orbit_dedup": True},
-            {"incremental": "fresh"},
             {"memoize": False},
         ],
-        ids=["plain", "orbit", "incremental", "unmemoized"],
+        ids=["plain", "orbit", "unmemoized"],
     )
     def test_jobs_do_not_change_trace_or_metrics(self, options):
         def build(jobs):
-            opts = dict(options)
-            if opts.get("incremental") == "fresh":
-                opts["incremental"] = IncrementalContext()
-            return lambda: run_campaign(_config(), jobs=jobs, **opts)
+            return lambda: run_campaign(_config(), jobs=jobs, **options)
 
         serial_lines, serial_metrics = _traced(build(1))
         par_lines, par_metrics = _traced(build(4))
@@ -68,7 +63,6 @@ class TestCampaignDeterminism:
         for opts in (
             {"cache": BehaviorCache()},
             {"orbit_dedup": True, "memoize": False},
-            {"incremental": IncrementalContext(), "memoize": False},
         ):
             lines, _ = _traced(lambda: run_campaign(_config(), **opts))
             assert lines == plain
