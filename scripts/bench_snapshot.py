@@ -279,10 +279,19 @@ def bare_execute_plan(plan, rounds, injector=None):
         node_run.observe_choice(cn.device, cn.ctx, 0, cn.node)
 
     edge_messages = {edge: [] for edge in plan.edges}
+    faulty = injector.faulty_edges if injector is not None else frozenset()
+    routed = []
+    for cn, node_run in zip(compiled, runs):
+        plain = []
+        faulted = []
+        for edge, label in cn.out_routes:
+            route = (edge, label, edge_messages[edge])
+            (faulted if edge in faulty else plain).append(route)
+        routed.append((cn, node_run, tuple(plain), tuple(faulted)))
 
     for round_index in range(rounds):
         outboxes = {}
-        for cn, node_run in zip(compiled, runs):
+        for cn, node_run, plain, faulted in routed:
             out = cn.device.send(cn.ctx, node_run.states[-1], round_index)
             valid_ports = cn.valid_ports
             for label in out:
@@ -290,12 +299,14 @@ def bare_execute_plan(plan, rounds, injector=None):
                     raise ExecutionError(
                         f"device at {cn.node!r} sent on unknown port {label!r}"
                     )
-            for edge, label in cn.out_routes:
+            for edge, label, sent in plain:
                 message = out.get(label)
-                if injector is not None:
-                    message = injector.deliver(edge, round_index, message)
                 outboxes[edge] = message
-                edge_messages[edge].append(message)
+                sent.append(message)
+            for edge, label, sent in faulted:
+                message = injector.deliver(edge, round_index, out.get(label))
+                outboxes[edge] = message
+                sent.append(message)
 
         for cn, node_run in zip(compiled, runs):
             inbox = {

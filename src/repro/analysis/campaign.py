@@ -69,7 +69,7 @@ from ..runtime.memo import (
 from ..runtime.sync.behavior import SyncBehavior
 from ..runtime.sync.device import SyncDevice
 from ..runtime.sync.executor import run
-from ..runtime.sync.system import make_system
+from ..runtime.sync.system import SyncSystem, make_system
 from .adversary_search import STRATEGIES, build_adversary
 from .parallel import ParallelRunner, WorkerPool
 from .runstore import (
@@ -398,6 +398,7 @@ def execute_attempt(
     node_faults: Sequence[NodeFault],
     plan: FaultPlan,
     cache: BehaviorCache | None = None,
+    system: SyncSystem | None = None,
 ) -> tuple[SyncBehavior, SpecVerdict, InjectionTrace]:
     """Run one fully specified configuration and check the spec.
 
@@ -412,9 +413,17 @@ def execute_attempt(
     repeat execution (the shrinker and replayer produce many) returns
     the cached ``(behavior, verdict, trace)`` without re-running.
     Determinism makes this sound: equal content ⇒ equal results.
+
+    ``system``, when given, must be ``_build_system(config, inputs,
+    node_faults)`` — already built (and compiled) by a caller that runs
+    several plans on the same inputs and node faults, like the
+    shrinker.  Devices are pure, so reusing it is exact; it never
+    enters the memo key.
     """
     if cache is None:
-        return _execute_attempt_uncached(config, inputs, node_faults, plan)
+        return _execute_attempt_uncached(
+            config, inputs, node_faults, plan, system
+        )
     key = _attempt_key(config, inputs, node_faults, plan)
     if obs.is_enabled():
         # Telemetry-transparent caching: traced entries carry the
@@ -431,7 +440,7 @@ def execute_attempt(
         obs.emit(obs.CACHE_MISS, cache="attempt", op="execute")
         with obs.capture() as capsule:
             result = _execute_attempt_uncached(
-                config, inputs, node_faults, plan
+                config, inputs, node_faults, plan, system
             )
         obs.replay(capsule.payload())
         cache.put(okey, (result, capsule.run_payload()))
@@ -439,7 +448,9 @@ def execute_attempt(
     hit = cache.get(key)
     if hit is not None:
         return hit
-    result = _execute_attempt_uncached(config, inputs, node_faults, plan)
+    result = _execute_attempt_uncached(
+        config, inputs, node_faults, plan, system
+    )
     cache.put(key, result)
     return result
 
@@ -449,12 +460,14 @@ def _execute_attempt_uncached(
     inputs: Mapping[NodeId, Any],
     node_faults: Sequence[NodeFault],
     plan: FaultPlan,
+    system: SyncSystem | None = None,
 ) -> tuple[SyncBehavior, SpecVerdict, InjectionTrace]:
     graph = config.graph
     faulty_nodes = {nf.node for nf in node_faults}
     correct = [u for u in graph.nodes if u not in faulty_nodes]
     injector = SyncFaultInjector(plan)
-    system = _build_system(config, inputs, node_faults)
+    if system is None:
+        system = _build_system(config, inputs, node_faults)
     try:
         behavior = run(system, config.rounds, injector)
     except Exception as exc:  # devices choking on injected garbage
@@ -507,18 +520,27 @@ def shrink_counterexample(
     remaining fault makes the violation disappear.  A ``cache`` makes
     the re-executed overlap between shrink iterations (and the final
     replay) free.
+
+    Atom-deletion candidates differ from ``current`` only in their
+    fault plan, so they share one built and compiled system (rebuilt
+    only when a faulty node is deleted), each run with a fresh injector.
     """
     shrink_t0 = perf_counter()
     current = found
     steps = 0
+    system = None  # _build_system of current's inputs and node faults
     progress = True
     while progress:
         progress = False
         for i in range(current.plan.size):
+            if system is None:
+                system = _build_system(
+                    config, current.inputs, current.node_faults
+                )
             candidate_plan = current.plan.without_atoms([i])
             _, verdict, _ = execute_attempt(
                 config, current.inputs, current.node_faults, candidate_plan,
-                cache,
+                cache, system=system,
             )
             if not verdict.ok:
                 current = Counterexample(
@@ -555,6 +577,7 @@ def shrink_counterexample(
                     verdict=verdict,
                     attempt=current.attempt,
                 )
+                system = None
                 steps += 1
                 progress = True
                 obs.emit(

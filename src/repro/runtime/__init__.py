@@ -17,7 +17,8 @@
 
 :mod:`repro.runtime.plan`
     Compiled execution plans: everything the executors used to
-    re-resolve per node per round/event, pre-resolved once per system.
+    re-resolve per node per round/event, pre-resolved once per system
+    (synchronous routes once per graph for its identity labelling).
 
 :mod:`repro.runtime.memo`
     Bounded, content-addressed behavior memoization (determinism makes

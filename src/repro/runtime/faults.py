@@ -11,8 +11,8 @@ campaign run replayable.
 Two injectors interpret a plan:
 
 * :class:`SyncFaultInjector` interposes on the synchronous executor's
-  per-round, per-edge message slots (``start``/``end`` are round
-  indices).
+  per-round message slots of the edges the plan names (``start``/``end``
+  are round indices; delays are whole rounds).
 * :class:`TimedFaultInjector` interposes on the timed executor's sends
   (``start``/``end`` are real times; a delay adds real time to the
   arrival).
@@ -357,9 +357,14 @@ class _PlanIndex:
 class SyncFaultInjector:
     """Interposes on the synchronous executor's per-round message slots.
 
-    The executor calls :meth:`deliver` once per directed edge per round,
-    in a fixed order; the injector returns what the receiver actually
-    sees in that slot.  Semantics, in priority order:
+    A plan can only act on the edges it names: link-fault edges and
+    partition cuts, exposed as :attr:`faulty_edges`.  The executor calls
+    :meth:`deliver` once per round for each of those edges that the
+    graph has, in its routing order (node by node, then route by
+    route), and passes every other slot through untouched — on those
+    edges :meth:`deliver` would return the message unchanged and record
+    nothing.  :meth:`deliver` returns what the receiver actually sees
+    in the slot.  Semantics, in priority order:
 
     1. an active partition drops the slot;
     2. link faults on the edge apply in plan order — the first drop /
@@ -368,14 +373,25 @@ class SyncFaultInjector:
     3. a delayed message due this round preempts the slot (the stale
        packet wins; the fresh one is recorded as ``preempt``-dropped).
 
-    Delays are whole rounds; a message delayed past the run's horizon
-    is silently lost (its ``delay`` record still shows the send).
+    Delays are whole rounds: a plan with a non-integral sync delay is
+    rejected with a :class:`GraphError` at construction.  A message
+    delayed past the run's horizon is silently lost (its ``delay``
+    record still shows the send).  Delayed messages are only ever
+    pending on delay-faulted edges, which is what makes skipping the
+    other edges exact.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
+        for fault in plan.link_faults:
+            if fault.kind == "delay" and not float(fault.delay).is_integer():
+                raise GraphError(
+                    f"synchronous delays are whole rounds, got {fault.delay} "
+                    f"on {fault.edge[0]}->{fault.edge[1]}"
+                )
         self._index = _PlanIndex(plan)
         self._pending: dict[DirectedEdge, dict[int, list[Any]]] = {}
         self.trace = InjectionTrace()
+        self.faulty_edges: frozenset[DirectedEdge] = plan.faulty_edges()
 
     @property
     def plan(self) -> FaultPlan:

@@ -6,15 +6,24 @@ does its ``i``-th port feed? which clock does it read?*  None of the
 answers change between rounds (or events) — they are fixed the moment
 a :class:`~repro.runtime.sync.system.SyncSystem` or
 :class:`~repro.runtime.timed.system.TimedSystem` is built.  This
-module resolves them **once per system** into flat, precomputed
-structures, so the executors' hot loops touch only local tuples and
-dict lookups:
+module resolves them **once per system** (the synchronous routes once
+per graph, see below) into flat, precomputed structures, so the
+executors' hot loops touch only local tuples and dict lookups:
 
 * :func:`compile_sync_plan` → :class:`SyncPlan`: per node, the device,
   its (single, shared) :class:`NodeContext`, the valid-port set for
   send validation, the ``(edge, port label)`` routing table for the
   send phase and the ``(port label, edge)`` inbox template for the
-  receive phase.
+  receive phase.  Compilation is split in two.  The routes, port tuples
+  and valid-port sets depend only on the graph and its port labelling
+  (:class:`NodeRoutes`); for the graph's shared read-only identity
+  labelling (:func:`identity_labelling`, which every
+  :func:`~repro.runtime.sync.system.make_system` system uses) they are
+  computed once per graph and cached in its
+  :meth:`~repro.graphs.graph.CommunicationGraph.analytics_cache`.  Any
+  other labelling — covering installations, hand-built systems —
+  compiles its own.  The per-system part only binds a device and a
+  :class:`NodeContext` to each node.
 * :func:`compile_timed_plan` → :class:`TimedPlan`: per node, the
   context, hardware clock (plus its lazily computed inverse), the
   ``port label → neighbor`` map, and the global ``edge → receiver
@@ -38,9 +47,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Mapping
 
-from ..graphs.graph import DirectedEdge, NodeId
+from ..graphs.graph import CommunicationGraph, DirectedEdge, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .sync.behavior import SyncBehavior
@@ -53,6 +63,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 _SYNC_PLAN_ATTR = "_compiled_sync_plan"
 _TIMED_PLAN_ATTR = "_compiled_timed_plan"
+# Keys in a graph's analytics cache.
+_IDENTITY_PORTS_KEY = "sync_identity_ports"
+_ROUTES_KEY = "sync_routes"
 
 
 # -- synchronous plans -----------------------------------------------------
@@ -99,41 +112,106 @@ class SyncPlan:
         return execute_plan(self, rounds, injector)
 
 
+@dataclass(frozen=True)
+class NodeRoutes:
+    """The part of a compiled node fixed by the graph and the node's
+    port labelling alone: its port tuple (the order of
+    ``NodeContext.ports``), the valid-port set, and both routing
+    tables."""
+
+    ports: tuple
+    valid_ports: frozenset
+    out_routes: tuple[tuple[DirectedEdge, Any], ...]
+    in_routes: tuple[tuple[Any, DirectedEdge], ...]
+
+
+def identity_labelling(
+    graph: CommunicationGraph,
+) -> Mapping[NodeId, Mapping[NodeId, Any]]:
+    """The graph's one read-only identity port labelling (each port
+    named after its neighbor), built on first use and cached on the
+    graph.  Systems that share it share one route table."""
+    cache = graph.analytics_cache()
+    labelling = cache.get(_IDENTITY_PORTS_KEY)
+    if labelling is None:
+        labelling = {
+            u: MappingProxyType({v: v for v in graph.neighbors(u)})
+            for u in graph.nodes
+        }
+        cache[_IDENTITY_PORTS_KEY] = labelling
+    return labelling
+
+
+def _compile_routes(
+    graph: CommunicationGraph, labelling: Mapping[NodeId, Mapping]
+) -> tuple[NodeRoutes, ...]:
+    routes = []
+    for u in graph.nodes:
+        ports = labelling[u]
+        port_tuple = tuple(ports.values())
+        routes.append(
+            NodeRoutes(
+                ports=port_tuple,
+                valid_ports=frozenset(port_tuple),
+                out_routes=tuple(
+                    ((u, v), ports[v]) for v in graph.neighbors(u)
+                ),
+                in_routes=tuple(
+                    (ports[v], (v, u)) for v in graph.in_neighbors(u)
+                ),
+            )
+        )
+    return tuple(routes)
+
+
+def _routes_of(system: "SyncSystem") -> tuple[NodeRoutes, ...]:
+    """The system's per-node routes, in graph node order: the graph's
+    cached table when every node uses the shared identity labelling,
+    otherwise compiled for this system."""
+    graph = system.graph
+    cache = graph.analytics_cache()
+    shared = cache.get(_IDENTITY_PORTS_KEY)
+    assignments = system.assignments
+    if shared is None or any(
+        assignments[u].port_of_neighbor is not shared[u] for u in graph.nodes
+    ):
+        return _compile_routes(
+            graph,
+            {u: assignments[u].port_of_neighbor for u in graph.nodes},
+        )
+    routes = cache.get(_ROUTES_KEY)
+    if routes is None:
+        routes = cache[_ROUTES_KEY] = _compile_routes(graph, shared)
+    return routes
+
+
 def compile_sync_plan(system: "SyncSystem") -> SyncPlan:
     """Compile (and memoize on the system) a :class:`SyncPlan`.
 
     The same system object always returns the same plan object; systems
     derived via ``with_devices`` / ``with_inputs`` are new objects and
-    compile their own plans.
+    compile their own plans, reusing the graph's cached routes when
+    they keep its shared identity labelling.
     """
     cached = system.__dict__.get(_SYNC_PLAN_ATTR)
     if cached is not None:
         return cached
+    from .sync.device import NodeContext  # runtime.sync imports this module
+
     graph = system.graph
-    compiled = []
-    for u in graph.nodes:
-        assignment = system.assignments[u]
-        ctx = assignment.context()
-        ports = assignment.port_of_neighbor
-        out_routes = tuple(
-            ((u, v), ports[v]) for v in graph.neighbors(u)
+    assignments = system.assignments
+    compiled = tuple(
+        CompiledSyncNode(
+            node=u,
+            device=assignments[u].device,
+            ctx=NodeContext(ports=r.ports, input=assignments[u].input),
+            valid_ports=r.valid_ports,
+            out_routes=r.out_routes,
+            in_routes=r.in_routes,
         )
-        in_routes = tuple(
-            (ports[v], (v, u)) for v in graph.in_neighbors(u)
-        )
-        compiled.append(
-            CompiledSyncNode(
-                node=u,
-                device=assignment.device,
-                ctx=ctx,
-                valid_ports=frozenset(ctx.ports),
-                out_routes=out_routes,
-                in_routes=in_routes,
-            )
-        )
-    plan = SyncPlan(
-        system=system, nodes=tuple(compiled), edges=tuple(graph.edges)
+        for u, r in zip(graph.nodes, _routes_of(system))
     )
+    plan = SyncPlan(system=system, nodes=compiled, edges=tuple(graph.edges))
     # Frozen dataclasses forbid setattr; writing through __dict__ is the
     # same trick functools.cached_property uses.
     system.__dict__[_SYNC_PLAN_ATTR] = plan
@@ -210,8 +288,10 @@ def compile_timed_plan(system: "TimedSystem") -> TimedPlan:
 __all__ = [
     "CompiledSyncNode",
     "CompiledTimedNode",
+    "NodeRoutes",
     "SyncPlan",
     "TimedPlan",
     "compile_sync_plan",
     "compile_timed_plan",
+    "identity_labelling",
 ]

@@ -18,8 +18,12 @@ tables, inbox templates — and :func:`execute_plan` is the tight loop
 over those flat structures.  The observable behavior is byte-identical
 to the pre-plan interpretive loop (kept as
 :func:`repro.testing.reference_sync_run` and differentially tested);
-the fault injector still interposes on every per-edge slot between the
-send and receive phases, in the same order.
+with an injector, each round's slots on the edges its plan names
+(:attr:`~repro.runtime.faults.SyncFaultInjector.faulty_edges`) pass
+through :meth:`~repro.runtime.faults.SyncFaultInjector.deliver` between
+the send and receive phases, in the same node-then-route order as
+before; every other slot is delivered as sent, which is exactly what
+``deliver`` would have done there.
 """
 
 from __future__ import annotations
@@ -75,6 +79,11 @@ def execute_plan(
     at compile time, so each round is two flat passes over the compiled
     node tuple.  Executing the same plan twice yields equal behaviors
     (plans carry no per-run state).
+
+    Each node's out-routes are split once per run into plain routes and
+    the routes whose edge the injector's plan names; only the latter
+    reach ``injector.deliver``, so a fault-free run (or an edge no fault
+    touches) pays nothing per slot.
     """
     if rounds < 0:
         raise ExecutionError("rounds must be non-negative")
@@ -89,6 +98,15 @@ def execute_plan(
     edge_messages: dict[DirectedEdge, list[Any]] = {
         edge: [] for edge in plan.edges
     }
+    faulty = injector.faulty_edges if injector is not None else frozenset()
+    routed = []
+    for cn, node_run in zip(compiled, runs):
+        plain = []
+        faulted = []
+        for edge, label in cn.out_routes:
+            route = (edge, label, edge_messages[edge])
+            (faulted if edge in faulty else plain).append(route)
+        routed.append((cn, node_run, tuple(plain), tuple(faulted)))
 
     # Telemetry is hoisted to one boolean per call; when off, the only
     # per-round cost below is this flag check (the per-edge loops are
@@ -105,7 +123,7 @@ def execute_plan(
 
         # Phase 1: every node emits this round's messages.
         outboxes: dict[DirectedEdge, Any] = {}
-        for cn, node_run in zip(compiled, runs):
+        for cn, node_run, plain, faulted in routed:
             out = cn.device.send(cn.ctx, node_run.states[-1], round_index)
             valid_ports = cn.valid_ports
             for label in out:
@@ -113,12 +131,14 @@ def execute_plan(
                     raise ExecutionError(
                         f"device at {cn.node!r} sent on unknown port {label!r}"
                     )
-            for edge, label in cn.out_routes:
+            for edge, label, sent in plain:
                 message = out.get(label)
-                if injector is not None:
-                    message = injector.deliver(edge, round_index, message)
                 outboxes[edge] = message
-                edge_messages[edge].append(message)
+                sent.append(message)
+            for edge, label, sent in faulted:
+                message = injector.deliver(edge, round_index, out.get(label))
+                outboxes[edge] = message
+                sent.append(message)
 
         if obs_on:
             # Delivery/injection events are emitted in sorted-edge
@@ -198,9 +218,11 @@ def run(
     Compiles the system to a :class:`~repro.runtime.plan.SyncPlan`
     (memoized on the system object, so repeated runs compile once) and
     executes it.  With an ``injector`` (see :mod:`repro.runtime.faults`)
-    every per-edge message slot is passed through the injector between
-    the send and receive phases; edge behaviors then record what the
-    channel *delivered*, and the injector's trace records what it did.
+    the message slots of the edges its plan names pass through the
+    injector between the send and receive phases (the rest cannot be
+    touched by the plan and are delivered as sent); edge behaviors then
+    record what the channel *delivered*, and the injector's trace
+    records what it did.
     Without one, the code path is the classic reliable-channel
     executor, byte-for-byte.
     """

@@ -19,6 +19,7 @@ from typing import Any
 
 from ...graphs.coverings import CoveringMap
 from ...graphs.graph import CommunicationGraph, GraphError, NodeId
+from ..plan import identity_labelling
 from .device import NodeContext, PortLabel, SyncDevice
 
 
@@ -129,12 +130,18 @@ def make_system(
     devices: Mapping[NodeId, SyncDevice],
     inputs: Mapping[NodeId, Any],
 ) -> SyncSystem:
-    """A system on ``graph`` with identity port labels."""
+    """A system on ``graph`` with identity port labels.
+
+    Every such system shares the graph's one read-only identity
+    labelling (:func:`repro.runtime.plan.identity_labelling`), so they
+    all compile against one cached route table.
+    """
+    labelling = identity_labelling(graph)
     assignments = {
         u: NodeAssignment(
             device=devices[u],
             input=inputs[u],
-            port_of_neighbor=identity_ports(graph, u),
+            port_of_neighbor=labelling[u],
         )
         for u in graph.nodes
     }

@@ -211,6 +211,42 @@ class TestSyncInjector:
         run(system, 8, other)
         assert other.trace != first.trace
 
+    @pytest.mark.parametrize("delay", [0.5, 1.7])
+    def test_fractional_delay_rejected(self, delay):
+        # Sync delays are whole rounds: 0.5 used to deliver in the same
+        # slot it delayed, and 1.7 was silently truncated to 1.
+        plan = FaultPlan(
+            link_faults=(LinkFault(("a", "b"), "delay", delay=delay),)
+        )
+        with pytest.raises(GraphError, match="whole rounds"):
+            SyncFaultInjector(plan)
+        # The timed model keeps real-valued delays.
+        TimedFaultInjector(plan)
+
+    def test_whole_float_delay_roundtrips_and_applies(self):
+        g = line(2)
+        plan = FaultPlan.from_dict(
+            FaultPlan(
+                link_faults=(
+                    LinkFault(("l0", "l1"), "delay", start=0, end=1, delay=1.0),
+                )
+            ).to_dict(),
+            g,
+        )
+        assert plan.link_faults[0].delay == 1.0
+        system = make_system(
+            g,
+            {u: MajorityVoteDevice(rounds=1) for u in g.nodes},
+            {"l0": 1, "l1": 0},
+        )
+        injector = SyncFaultInjector(plan)
+        behavior = run(system, 3, injector)
+        assert behavior.edge("l0", "l1").messages[:2] == (None, 1)
+        assert [(r.time, r.action) for r in injector.trace.records] == [
+            (0, "delay"),
+            (1, "deliver-delayed"),
+        ]
+
 
 class _Ping(TimedDevice):
     def on_start(self, ctx, api):
