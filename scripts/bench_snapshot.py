@@ -11,10 +11,6 @@ each layer is output-invisible:
 * ``campaign_shrink`` — a shrink-heavy fault campaign, memoized
                       (shared :class:`BehaviorCache`, warm second run)
                       vs unmemoized, identical results required.
-* ``orbit_dedup``   — ``run_campaign(orbit_dedup=True)`` vs the plain
-                      scan on a symmetric graph: one execution per
-                      automorphism orbit, verdicts mapped back,
-                      byte-identical sorted-JSON reports required.
 * ``parallel``      — ``run_campaign(jobs=N)`` vs serial, byte-identical
                       sorted-JSON reports required.  Wall-clock scaling
                       is recorded honestly along with the machine's
@@ -66,7 +62,6 @@ from repro.analysis.parallel import (  # noqa: E402
     fork_available,
 )
 from repro.analysis.witness_io import campaign_to_dict  # noqa: E402
-from repro.graphs.automorphisms import OrbitIndex  # noqa: E402
 from repro.graphs.builders import complete_graph  # noqa: E402
 from repro.protocols.eig import eig_devices  # noqa: E402
 from repro.protocols.naive import MajorityVoteDevice  # noqa: E402
@@ -180,63 +175,6 @@ def bench_campaign_shrink(smoke):
 
 def _eig_factory(graph):
     return dict(eig_devices(graph, 1))
-
-
-def bench_orbit_dedup(smoke):
-    """Plain campaign scan vs. one-execution-per-orbit on K4.
-
-    The workload is a *surviving* EIG campaign with drop-only faults:
-    no early exit, so all attempts are scanned, and the sampled
-    scenario space (one dropped link on K4, binary inputs) has only a
-    few dozen automorphism orbits — attempts past the first few dozen
-    collapse onto already-executed representatives.
-    """
-    attempts = 60 if smoke else 600
-    config = CampaignConfig(
-        graph=complete_graph(4),
-        device_factory=_eig_factory,
-        rounds=2,
-        max_node_faults=0,
-        max_link_faults=1,
-        attempts=attempts,
-        seed=11,
-        link_kinds=("drop",),
-    )
-    repeats = 1 if smoke else 3
-
-    from repro.analysis.campaign import _sample_attempt
-
-    t_plain, plain = _time(
-        lambda: run_campaign(config, memoize=False), repeats
-    )
-    t_dedup, dedup = _time(
-        lambda: run_campaign(config, memoize=False, orbit_dedup=True),
-        repeats,
-    )
-    # The campaign survives, so it canonicalizes every attempt: replay
-    # the same keys into a fresh index for the orbit counters.
-    orbits = OrbitIndex(config.graph)
-    for attempt in range(1, attempts + 1):
-        node_faults, plan, inputs = _sample_attempt(config, attempt)
-        orbits.record(
-            orbits.canonical_key(inputs, node_faults, plan, config.value_pool)
-        )
-    same = json.dumps(campaign_to_dict(plain), sort_keys=True) == json.dumps(
-        campaign_to_dict(dedup), sort_keys=True
-    )
-    return {
-        "workload": (
-            f"surviving EIG campaign on K4, {attempts} attempts, "
-            "k<=1 drop faults"
-        ),
-        "plain_s": t_plain,
-        "plain_ops": attempts / t_plain if t_plain else None,
-        "orbit_dedup_s": t_dedup,
-        "orbit_dedup_ops": attempts / t_dedup if t_dedup else None,
-        "speedup": t_plain / t_dedup if t_dedup else None,
-        "identical_output": same,
-        "orbits": orbits.stats(),
-    }
 
 
 def bench_sweep(smoke):
@@ -544,7 +482,6 @@ def bench_parallel(smoke):
 BENCHES = {
     "executor": bench_executor,
     "campaign_shrink": bench_campaign_shrink,
-    "orbit_dedup": bench_orbit_dedup,
     "sweep": bench_sweep,
     "parallel": bench_parallel,
     "telemetry_overhead": bench_telemetry_overhead,

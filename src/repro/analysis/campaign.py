@@ -22,20 +22,11 @@ replayer's re-executions of identical ``(inputs, node faults, plan)``
 configurations become cache hits.
 
 :func:`run_campaign` is one pipeline for every ``jobs`` value: sample
-each attempt from ``(seed, attempt)``, optionally collapse it onto an
-automorphism-orbit representative, execute through one
+each attempt from ``(seed, attempt)``, execute through one
 :class:`~repro.analysis.parallel.WorkerPool`, journal, and merge
 verdicts in index order, stopping at the first violation.  ``jobs``
 only decides whether the pool forks; at ``jobs=1`` (or on a one-core
 fallback) the same loop runs in-process, with the memo cache.
-
-``orbit_dedup=True`` canonicalizes each sampled scenario under the
-graph's automorphism group (:mod:`repro.graphs.automorphisms`) and
-executes one representative per orbit, reusing only the spec's ok-bit
-for the rest; the violating attempt itself is always re-executed for
-shrinking, so results stay byte-identical.  (Requires a node-symmetric
-device factory: every node gets behaviorally identical, label-
-equivariant devices, as with the bundled majority/EIG factories.)
 """
 
 from __future__ import annotations
@@ -47,7 +38,6 @@ from time import perf_counter
 from typing import Any
 
 from .. import obs
-from ..graphs.automorphisms import OrbitIndex
 from ..graphs.graph import CommunicationGraph, DirectedEdge, NodeId
 from ..problems.byzantine import ByzantineAgreementSpec
 from ..problems.spec import SpecVerdict, Violation
@@ -631,9 +621,9 @@ def _finish_campaign(
 ) -> CampaignResult:
     """Shrink and replay the violation at ``attempt`` (known to break).
 
-    Always re-executes the real attempt — even when orbit dedup only
-    reused a verdict bit for it — so the found/shrunk counterexamples
-    and the trace come from an actual run of *this* configuration.
+    Re-executes the attempt in the parent (a forked worker returned
+    only its verdict bit), so the found/shrunk counterexamples and the
+    trace come from an in-process run of *this* configuration.
     """
     node_faults, plan, inputs = _sample_attempt(config, attempt)
     _, verdict, _ = execute_attempt(config, inputs, node_faults, plan, cache)
@@ -666,38 +656,29 @@ def run_campaign(
     jobs: int = 1,
     cache: BehaviorCache | None = None,
     memoize: bool = True,
-    orbit_dedup: bool = False,
     store: Shard | None = None,
 ) -> CampaignResult:
     """Sample attempts under the combined budget until a spec violation
     appears (then shrink it) or the attempt budget is exhausted.
 
     One pipeline serves every ``jobs`` value: attempts are sampled,
-    optionally collapsed onto orbit representatives, executed through
-    one :class:`~repro.analysis.parallel.WorkerPool`, journaled, and
-    merged in index order; the first violating index wins and workers
-    that ran ahead skip their queued attempts.  ``jobs`` only decides
-    whether the pool forks — at ``jobs=1``, or when the runner falls
-    back to serial, attempts execute in-process.  Workers return only
-    ``(attempt, spec ok)`` plus their captured telemetry, which the
-    parent replays in index order, so results, witnesses, traces and
-    ``run.*`` metrics are identical for every ``jobs``.  Shrinking
-    stays in the parent.
+    executed through one :class:`~repro.analysis.parallel.WorkerPool`,
+    journaled, and merged in index order; the first violating index
+    wins and workers that ran ahead skip their queued attempts.
+    ``jobs`` only decides whether the pool forks — at ``jobs=1``, or
+    when the runner falls back to serial, attempts execute in-process.
+    Workers return only ``(attempt, spec ok)`` plus their captured
+    telemetry, which the parent replays in index order, so results,
+    witnesses, traces and ``run.*`` metrics are identical for every
+    ``jobs``.  Shrinking stays in the parent.
 
     ``cache`` (created fresh when ``memoize`` and not supplied)
     memoizes every in-process execution by content; forked workers run
     uncached, so they never hold their own copy.  Pass your own
     :class:`~repro.runtime.memo.BehaviorCache` to read hit/miss
     statistics afterwards, or ``memoize=False`` to measure uncached
-    cost.  When telemetry is on, the cache's and the orbit index's
-    counters are folded into the live registry as ``host.cache.*`` and
-    ``host.orbit.*`` gauges.
-
-    ``orbit_dedup=True`` samples and canonicalizes attempts in the
-    parent, batch by batch, executes one representative per unseen
-    automorphism orbit, and maps its ok-bit back to every member (sound
-    for node-symmetric device factories; see the module docstring).
-    The result is unchanged.
+    cost.  When telemetry is on, the cache's counters are folded into
+    the live registry as ``host.cache.*`` gauges.
 
     ``store`` (a :class:`~repro.analysis.runstore.Shard`, usually
     obtained via :func:`campaign_store_key`) journals every merged
@@ -729,14 +710,10 @@ def run_campaign(
             record = store.get(f"attempt:{attempt}")
             if reusable(record):
                 records[attempt] = record  # type: ignore[assignment]
-    orbit_index = OrbitIndex(config.graph) if orbit_dedup else None
     obs_on = obs.is_enabled()
     first_bad: int | None = None
     with runner.pool(probe) as pool:
-        if orbit_index is None:
-            verdicts = _plain_verdicts(pool, config, records)
-        else:
-            verdicts = _orbit_verdicts(pool, config, orbit_index, batch, records)
+        verdicts = _plain_verdicts(pool, config, records)
         # The span runs merge to merge: in-process it covers the
         # attempt's execution, with a pool the wait for its result.
         attempt_t0 = perf_counter()
@@ -770,84 +747,27 @@ def run_campaign(
         )
     else:
         result = _finish_campaign(config, first_bad, cache)
-    if obs_on:
-        registry = obs.get_registry()
-        if cache is not None:
-            obs.absorb_cache_stats(registry, cache.stats())
-        if orbit_index is not None:
-            obs.absorb_orbit_stats(registry, orbit_index.stats())
+    if obs_on and cache is not None:
+        obs.absorb_cache_stats(obs.get_registry(), cache.stats())
     return result
-
-
-def _journaled(attempt: int, record: dict) -> MergedAttempt:
-    """A verdict journaled by an earlier process, with its events."""
-    payload = decode_payload(record.get("obs", ()))
-    return (attempt, bool(record["ok"]), payload, True)
 
 
 def _plain_verdicts(
     pool: WorkerPool, config: CampaignConfig, records: Mapping[int, dict]
 ) -> Iterator[MergedAttempt]:
     """Every attempt's verdict in index order: journaled attempts from
-    their records, the rest streamed through ``pool``."""
+    their records (with their events), the rest streamed through
+    ``pool``."""
     attempts = range(1, config.attempts + 1)
     fresh = pool.imap_captured(a for a in attempts if a not in records)
     for attempt in attempts:
-        if attempt in records:
-            yield _journaled(attempt, records[attempt])
+        record = records.get(attempt)
+        if record is not None:
+            payload = decode_payload(record.get("obs", ()))
+            yield (attempt, bool(record["ok"]), payload, True)
         else:
             (_, ok), payload = next(fresh)
             yield (attempt, ok, payload, False)
-
-
-def _orbit_verdicts(
-    pool: WorkerPool,
-    config: CampaignConfig,
-    orbit_index: OrbitIndex,
-    batch: int,
-    records: Mapping[int, dict],
-) -> Iterator[MergedAttempt]:
-    """Every attempt's verdict in index order, executing one
-    representative per unseen orbit of each batch.
-
-    Members of an orbit whose verdict is known carry an
-    ``orbit_reuse`` event instead of the representative's run events.
-    A journaled attempt's verdict seeds its orbit, so fresh members of
-    the same orbit are not re-dispatched — matching the uninterrupted
-    run.  Each attempt is recorded in ``orbit_index`` as it is yielded,
-    so the index's counters stop at the first violation.
-    """
-    orbit_ok: dict[str, bool] = {}
-    for lo in range(1, config.attempts + 1, batch):
-        indices = range(lo, min(lo + batch, config.attempts + 1))
-        keys: dict[int, str] = {}
-        representatives: dict[str, int] = {}
-        for attempt in indices:
-            node_faults, plan, inputs = _sample_attempt(config, attempt)
-            key = keys[attempt] = orbit_index.canonical_key(
-                inputs, node_faults, plan, config.value_pool
-            )
-            if attempt in records:
-                orbit_ok.setdefault(key, bool(records[attempt]["ok"]))
-            elif key not in orbit_ok:
-                representatives.setdefault(key, attempt)
-        rep_payloads: dict[int, tuple] = {}
-        for (attempt, ok), payload in pool.imap_captured(
-            representatives.values()
-        ):
-            orbit_ok[keys[attempt]] = ok
-            rep_payloads[attempt] = payload
-        for attempt in indices:
-            orbit_index.record(keys[attempt])
-            if attempt in records:
-                yield _journaled(attempt, records[attempt])
-                continue
-            payload = rep_payloads.get(attempt)
-            if payload is None:
-                with obs.capture() as capsule:
-                    obs.emit(obs.ORBIT_REUSE, attempt=attempt)
-                payload = capsule.payload()
-            yield (attempt, orbit_ok[keys[attempt]], payload, False)
 
 
 # -- graceful degradation --------------------------------------------------
@@ -897,7 +817,6 @@ def degradation_frontier(
     attempts_per_level: int | None = None,
     jobs: int = 1,
     cache: BehaviorCache | None = None,
-    orbit_dedup: bool = False,
     store: Shard | None = None,
 ) -> DegradationFrontier:
     """Sweep the link budget 0..max and report, per spec clause, the
@@ -906,9 +825,7 @@ def degradation_frontier(
     Budget levels are independent campaigns, so ``jobs > 1`` evaluates
     them across a process pool; rows come back in budget order and the
     ``first_break`` fold runs over them exactly as the serial loop
-    did, so the frontier is identical either way.  ``orbit_dedup`` is
-    forwarded to every level's campaign (results unchanged; see
-    :func:`run_campaign`).
+    did, so the frontier is identical either way.
 
     A ``store`` shard (see :func:`frontier_store_key`) journals each
     completed budget level — row, shrunk example, and run-scope events
@@ -936,11 +853,7 @@ def degradation_frontier(
             link_kinds=config.link_kinds,
             spec=config.spec,
         )
-        result = run_campaign(
-            level,
-            cache=cache,
-            orbit_dedup=orbit_dedup,
-        )
+        result = run_campaign(level, cache=cache)
         broken: tuple[str, ...] = ()
         if result.broken:
             assert result.shrunk is not None

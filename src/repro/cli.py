@@ -356,7 +356,6 @@ def _cmd_campaign(args) -> int:
             frontier = degradation_frontier(
                 config,
                 jobs=args.jobs,
-                orbit_dedup=args.orbit_dedup,
                 store=shard,
             )
         finally:
@@ -379,7 +378,6 @@ def _cmd_campaign(args) -> int:
             config,
             jobs=args.jobs,
             cache=cache,
-            orbit_dedup=args.orbit_dedup,
             store=shard,
         )
     finally:
@@ -412,7 +410,6 @@ def _campaign_meta_args(args) -> dict:
         "attempts": args.attempts,
         "kinds": args.kinds,
         "jobs": args.jobs,
-        "orbit_dedup": args.orbit_dedup,
         "frontier": args.frontier,
         "replay": None,
         "json": args.json,
@@ -488,7 +485,8 @@ def _telemetry_requested(args) -> bool:
 
 
 def _finish_telemetry(args) -> None:
-    """Flush the artifacts a ``--trace``/``--metrics`` run asked for."""
+    """Flush the artifacts a ``--trace``/``--metrics`` run asked for,
+    warning on stderr if the run-event ring overflowed."""
     registry = obs.get_registry()
     if registry is not None:
         obs.absorb_connectivity_stats(registry)
@@ -497,6 +495,13 @@ def _finish_telemetry(args) -> None:
         print(f"trace written to {args.trace} ({events} events)")
     if getattr(args, "metrics", False):
         print(obs.render_live_summary())
+    log = obs.get_log()
+    if log is not None and log.dropped:
+        print(
+            f"warning: {log.dropped} run events dropped from the "
+            f"{log.capacity}-event ring; only the latest are kept",
+            file=sys.stderr,
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,11 +610,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=1,
         help="fan campaign attempts (or frontier levels) across N worker "
         "processes; reports are byte-identical to serial runs",
-    )
-    p.add_argument(
-        "--orbit-dedup", action="store_true",
-        help="execute one scenario per graph-automorphism orbit and map "
-        "verdicts back (results unchanged, fewer executions)",
     )
     p.add_argument(
         "--frontier", action="store_true",

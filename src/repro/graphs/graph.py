@@ -74,8 +74,9 @@ class CommunicationGraph:
             (u, v) for u in node_list for v in self._out[u]
         )
         # Per-instance scratch space for derived analytics (connectivity,
-        # automorphisms, ...).  The graph itself is immutable, so anything
-        # computed from it may be cached here for the instance's lifetime.
+        # compiled port routes, ...).  The graph itself is immutable, so
+        # anything computed from it may be cached here for the instance's
+        # lifetime.
         self._analytics: dict = {}
 
     # -- basic accessors ------------------------------------------------
@@ -161,9 +162,9 @@ class CommunicationGraph:
 
         Immutability makes this sound: everything computable from the
         graph is fixed at construction, so modules like
-        :mod:`repro.graphs.connectivity` and
-        :mod:`repro.graphs.automorphisms` stash their (expensive)
-        results here, keyed by ``(operation, args)`` tuples.
+        :mod:`repro.graphs.connectivity` and :mod:`repro.runtime.plan`
+        stash their (expensive) results here under module-private
+        keys.
         """
         return self._analytics
 

@@ -51,7 +51,6 @@ FAULT_INJECTION = "fault_injection"
 TIMED_EVENT = "timed_event"
 ATTEMPT_START = "attempt_start"
 ATTEMPT_END = "attempt_end"
-ORBIT_REUSE = "orbit_reuse"
 SHRINK_STEP = "shrink_step"
 FRONTIER_LEVEL = "frontier_level"
 SWEEP_POINT = "sweep_point"
@@ -92,7 +91,6 @@ RUN_KINDS = frozenset(
         TIMED_EVENT,
         ATTEMPT_START,
         ATTEMPT_END,
-        ORBIT_REUSE,
         SHRINK_STEP,
         FRONTIER_LEVEL,
         SWEEP_POINT,
@@ -388,7 +386,6 @@ __all__ = [
     "FRONTIER_LEVEL",
     "HOST_KINDS",
     "MESSAGE_DELIVERY",
-    "ORBIT_REUSE",
     "ROUND_END",
     "ROUND_START",
     "RUN_KINDS",

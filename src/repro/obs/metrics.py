@@ -1,9 +1,8 @@
 """Central metrics registry: counters, gauges, histograms.
 
 One interface absorbs the stats that used to be scattered across
-:class:`~repro.runtime.memo.BehaviorCache` (hit/miss), the campaign's
-:class:`~repro.graphs.automorphisms.OrbitIndex`, and the connectivity
-analytics cache — behind labeled metric names with a ``run.`` /
+:class:`~repro.runtime.memo.BehaviorCache` (hit/miss) and the
+connectivity analytics cache — behind labeled metric names with a ``run.`` /
 ``host.`` scope split:
 
 * ``run.*`` metrics are derived exclusively from run-scope events as
@@ -123,8 +122,6 @@ class MetricsRegistry:
                 self.inc("run.attempts.ok")
             else:
                 self.inc("run.attempts.violations")
-        elif kind == ev.ORBIT_REUSE:
-            self.inc("run.orbit.reused")
         elif kind == ev.SHRINK_STEP:
             self.inc("run.shrink.deletions")
         elif kind == ev.TIMED_EVENT:
@@ -175,14 +172,6 @@ def absorb_cache_stats(
     registry.set_gauge("host.cache.maxsize", stats["maxsize"], cache=cache)
 
 
-def absorb_orbit_stats(
-    registry: MetricsRegistry, stats: Mapping[str, int]
-) -> None:
-    """Fold :meth:`OrbitIndex.stats` into ``host.orbit.*`` gauges."""
-    for name, value in stats.items():
-        registry.set_gauge(f"host.orbit.{name}", value)
-
-
 def absorb_connectivity_stats(registry: MetricsRegistry) -> None:
     """Fold the connectivity analytics cache counters into
     ``host.connectivity.*``."""
@@ -199,6 +188,5 @@ __all__ = [
     "RUN_SCOPE",
     "absorb_cache_stats",
     "absorb_connectivity_stats",
-    "absorb_orbit_stats",
     "metric_key",
 ]

@@ -5,7 +5,7 @@ store, interrupted at any point (journal truncation here, a literal
 SIGKILL of the driver process in ``TestKillAndResume``) and resumed
 against the same store, produces byte-identical results, witness
 files, and exported telemetry traces to an uninterrupted run — for any
-``--jobs`` value and with ``--orbit-dedup`` on.
+``--jobs`` value.
 """
 
 import json
@@ -92,22 +92,20 @@ def _truncate_journal(store_dir, key, keep):
 
 class TestCampaignResumeEquivalence:
     @pytest.mark.parametrize("jobs", [1, 4])
-    @pytest.mark.parametrize("optimized", [False, True])
-    def test_resumed_equals_uninterrupted(self, tmp_path, jobs, optimized):
+    def test_resumed_equals_uninterrupted(self, tmp_path, jobs):
         config = _surviving_config()
-        kwargs = dict(jobs=jobs, orbit_dedup=optimized)
         golden, golden_trace = _run_traced(lambda: run_campaign(config))
         key = campaign_store_key(config)
 
         with RunStore(tmp_path).shard(key) as shard:
             first, first_trace = _run_traced(
-                lambda: run_campaign(config, store=shard, **kwargs)
+                lambda: run_campaign(config, store=shard, jobs=jobs)
             )
         total = _truncate_journal(tmp_path, key, keep=3)
         assert total == config.attempts
         with RunStore(tmp_path).shard(key) as shard:
             resumed, resumed_trace = _run_traced(
-                lambda: run_campaign(config, store=shard, **kwargs)
+                lambda: run_campaign(config, store=shard, jobs=jobs)
             )
 
         assert _as_json(golden) == _as_json(first) == _as_json(resumed)
@@ -216,9 +214,9 @@ class TestSweepResumeEquivalence:
 
 
 class TestOlderStoreResume:
-    """Stores written before ``--incremental`` and ``--cache-stats``
-    were removed still name them in ``meta.json``; resume ignores
-    them."""
+    """Stores written before ``--incremental``, ``--cache-stats`` and
+    ``--orbit-dedup`` were removed still name them in ``meta.json``;
+    resume ignores them."""
 
     ARGS = [
         "--seed", "11", "campaign", "--protocol", "naive",
@@ -245,7 +243,9 @@ class TestOlderStoreResume:
         ) == 0
         meta_path = store / "meta.json"
         meta = json.loads(meta_path.read_text())
-        meta["args"].update(incremental=True, cache_stats=True)
+        meta["args"].update(
+            incremental=True, cache_stats=True, orbit_dedup=True
+        )
         meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
         (shard,) = (store / "shards").glob("*.jsonl")
         shard.write_text(shard.read_text().splitlines()[0] + "\n")

@@ -225,10 +225,9 @@ class TestOptimizationFlags:
         assert main(
             ["campaign", "--protocol", "eig", "--graph", "complete:4",
              "--faults", "0", "--links", "1", "--attempts", "30",
-             "--orbit-dedup", "--metrics"]
+             "--metrics"]
         ) == 0
         out = capsys.readouterr().out
-        assert "host.orbit.scenarios_seen" in out
         assert "host.cache.hits{cache=behavior}" in out
 
     def test_campaign_flags_do_not_change_output(self, capsys):
@@ -236,15 +235,15 @@ class TestOptimizationFlags:
                 "--links", "2", "--attempts", "40"]
         assert main(args) == 0
         plain = capsys.readouterr().out
-        assert main(args + ["--orbit-dedup"]) == 0
-        optimized = capsys.readouterr().out
-        assert plain == optimized
+        assert main(args + ["--jobs", "2"]) == 0
+        parallel = capsys.readouterr().out
+        assert plain == parallel
 
     def test_frontier_cache_stats(self, capsys):
         assert main(
             ["campaign", "--protocol", "naive", "--graph", "complete:4",
              "--links", "1", "--attempts", "20", "--frontier",
-             "--metrics", "--orbit-dedup"]
+             "--metrics"]
         ) == 0
         out = capsys.readouterr().out
         assert "graceful degradation" in out

@@ -1,10 +1,10 @@
 """The search optimizations must be invisible in results.
 
-Orbit dedup — serially and through the parallel scan — must produce
-campaign reports byte-identical to the plain path, for breaking and
-surviving campaigns alike.  The campaign's cache and orbit counters in
-the live metrics registry, and the serial fallback of ParallelRunner,
-are covered here too.
+The memoized campaign — serially and through the parallel scan — must
+produce campaign reports byte-identical to the uncached path, for
+breaking and surviving campaigns alike.  The campaign's cache counters
+in the live metrics registry, and the serial fallback of
+ParallelRunner, are covered here too.
 """
 
 import json
@@ -52,9 +52,7 @@ def _config(**overrides):
 class TestOptimizedCampaignEquivalence:
     def _assert_all_equal(self, config, jobs=1):
         plain = _as_json(run_campaign(config, jobs=jobs, memoize=False))
-        optimized = run_campaign(
-            config, jobs=jobs, memoize=False, orbit_dedup=True
-        )
+        optimized = run_campaign(config, jobs=jobs, cache=BehaviorCache())
         assert _as_json(optimized) == plain
 
     def test_breaking_campaign_identical(self):
@@ -69,8 +67,7 @@ class TestOptimizedCampaignEquivalence:
         )
 
     def test_node_fault_campaign_identical(self):
-        # Node faults force the name-sensitivity guard: orbit keys fall
-        # back to identity and must still agree with the plain path.
+        # Node faults put strategy devices into the memo key.
         self._assert_all_equal(
             _config(max_node_faults=1, attempts=25, seed=3)
         )
@@ -92,65 +89,46 @@ class TestOptimizedCampaignEquivalence:
 
     def test_frontier_identical_with_optimizations(self):
         config = _config(attempts=15)
-        plain = degradation_frontier(
+        # Each level memoizes in a fresh cache unless one is shared.
+        fresh = degradation_frontier(
             config, max_link_faults=2, attempts_per_level=15
         )
-        optimized = degradation_frontier(
+        shared = degradation_frontier(
             config,
             max_link_faults=2,
             attempts_per_level=15,
-            orbit_dedup=True,
+            cache=BehaviorCache(),
         )
-        assert plain == optimized
+        assert fresh == shared
 
 
 def _host_gauges(fn):
-    """Run ``fn`` under fresh telemetry; return (its result, the host
-    gauges)."""
+    """Run ``fn`` under fresh telemetry; return the host gauges."""
     obs.enable()
     try:
-        result = fn()
-        return result, obs.get_registry().snapshot(scope="host")["gauges"]
+        fn()
+        return obs.get_registry().snapshot(scope="host")["gauges"]
     finally:
         obs.reset()
 
 
 class TestSearchStats:
-    """The campaign folds its cache and orbit counters into the live
-    registry (what ``--metrics`` prints)."""
+    """The campaign folds its cache counters into the live registry
+    (what ``--metrics`` prints)."""
 
     def test_stats_collects_the_machinery(self):
         config = _config(
             device_factory=_eig_factory, rounds=2, max_link_faults=1,
             attempts=30, seed=5,
         )
-        _, gauges = _host_gauges(
-            lambda: run_campaign(config, orbit_dedup=True)
-        )
+        gauges = _host_gauges(lambda: run_campaign(config))
         assert "host.cache.hits{cache=behavior}" in gauges
-        assert gauges["host.orbit.scenarios_seen"] == 30
 
     def test_stats_empty_without_optimizations(self):
-        _, gauges = _host_gauges(
+        gauges = _host_gauges(
             lambda: run_campaign(_config(attempts=5), memoize=False)
         )
-        assert not any(k.startswith(("host.cache.", "host.orbit.")) for k in gauges)
-
-    def test_orbit_dedup_actually_saves_runs(self):
-        # Drop-only faults on K4 with uniform-ish inputs collapse hard.
-        config = _config(
-            device_factory=_eig_factory,
-            rounds=2,
-            max_link_faults=1,
-            attempts=80,
-            seed=11,
-            link_kinds=("drop",),
-        )
-        result, gauges = _host_gauges(
-            lambda: run_campaign(config, orbit_dedup=True)
-        )
-        assert not result.broken
-        assert gauges["host.orbit.runs_saved"] > 0
+        assert not any(k.startswith("host.cache.") for k in gauges)
 
 
 class TestParallelRunnerFallback:

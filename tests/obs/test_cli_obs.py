@@ -24,6 +24,29 @@ class TestTraceFlag:
         assert not obs.is_enabled()
         assert obs.get_log() is None
 
+    def test_ring_overflow_warns_on_stderr(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        enable = obs.enable
+        monkeypatch.setattr(obs, "enable", lambda: enable(capacity=64))
+        path = str(tmp_path / "t.jsonl")
+        args = [
+            "campaign", "--protocol", "naive", "--graph", "complete:4",
+            "--links", "2", "--attempts", "10", "--trace", path,
+        ]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        dropped = obs.read_trace(path)["meta"]["dropped"]
+        assert dropped > 0
+        assert captured.out.endswith(f"trace written to {path} (64 events)\n")
+        assert "warning" not in captured.out
+        (warning,) = captured.err.splitlines()
+        assert warning.startswith(f"warning: {dropped} run events dropped")
+
+        monkeypatch.setattr(obs, "enable", enable)
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+
     def test_trace_identical_across_jobs(self, tmp_path, capsys):
         paths = []
         for jobs in ("1", "4"):

@@ -44,10 +44,9 @@ class TestCampaignDeterminism:
         "options",
         [
             {},
-            {"orbit_dedup": True},
             {"memoize": False},
         ],
-        ids=["plain", "orbit", "unmemoized"],
+        ids=["plain", "unmemoized"],
     )
     def test_jobs_do_not_change_trace_or_metrics(self, options):
         def build(jobs):
@@ -60,12 +59,10 @@ class TestCampaignDeterminism:
 
     def test_trace_independent_of_optimizations(self):
         plain, _ = _traced(lambda: run_campaign(_config(), memoize=False))
-        for opts in (
-            {"cache": BehaviorCache()},
-            {"orbit_dedup": True, "memoize": False},
-        ):
-            lines, _ = _traced(lambda: run_campaign(_config(), **opts))
-            assert lines == plain
+        cached, _ = _traced(
+            lambda: run_campaign(_config(), cache=BehaviorCache())
+        )
+        assert cached == plain
 
     def test_cache_warmth_does_not_change_trace(self):
         cache = BehaviorCache()

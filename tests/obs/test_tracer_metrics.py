@@ -52,7 +52,6 @@ class TestRegistryDerivation:
         obs.emit(obs.ROUND_END, round=0, messages=6, injected=2)
         obs.emit(obs.ATTEMPT_END, attempt=1, ok=True)
         obs.emit(obs.ATTEMPT_END, attempt=2, ok=False)
-        obs.emit(obs.ORBIT_REUSE, attempt=3)
         obs.emit(obs.SHRINK_STEP, attempt=2, deleted="atom", atoms=1, nodes=0)
         obs.emit(obs.TIMED_EVENT, time=0.5, node="p", event="deliver")
         obs.emit(obs.SWEEP_POINT, sweep="node-bound", n=4)
@@ -64,7 +63,6 @@ class TestRegistryDerivation:
         assert counters["run.attempts.total"] == 2
         assert counters["run.attempts.ok"] == 1
         assert counters["run.attempts.violations"] == 1
-        assert counters["run.orbit.reused"] == 1
         assert counters["run.shrink.deletions"] == 1
         assert counters["run.timed.events"] == 1
         assert counters["run.sweep.points"] == 1
