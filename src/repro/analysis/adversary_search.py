@@ -236,6 +236,9 @@ def search_agreement_attacks(
     afterwards.  The counters only accumulate in-process: a forked
     pool's hits stay in the workers.
     """
+    for name, value in (("rounds", rounds), ("attempts", attempts)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
     spec = spec or ByzantineAgreementSpec()
     if jobs is None:
         rng = random.Random(seed)

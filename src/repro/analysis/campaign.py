@@ -112,7 +112,7 @@ class CampaignConfig:
     spec: ByzantineAgreementSpec = field(default_factory=ByzantineAgreementSpec)
 
     def __post_init__(self) -> None:
-        for name in ("max_node_faults", "max_link_faults", "attempts"):
+        for name in ("rounds", "max_node_faults", "max_link_faults", "attempts"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 

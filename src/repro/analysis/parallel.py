@@ -170,8 +170,8 @@ class ParallelRunner:
     failure) degrades to a plain in-process loop — same results, same
     order.  ``jobs > 1`` on a multi-core machine fans items over a
     fork-based process pool.  On one core the pool is pure overhead
-    (fork + pipe costs with zero concurrency — the recorded bench run
-    measured 0.14x), so it is skipped, with the reason logged once.
+    (fork + pipe costs with zero concurrency), so it is skipped, with
+    the reason logged once.
 
     A worker exception or a dead worker fails only the items it left
     undelivered: the parent re-executes them serially, so one crashed

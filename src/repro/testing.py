@@ -186,8 +186,7 @@ def averaging_device_families():
 
 def reference_sync_run(system, rounds, injector=None):
     """The pre-compilation interpretive executor, kept verbatim as a
-    differential-testing oracle (and as the "before" leg of
-    ``scripts/bench_snapshot.py``).
+    differential-testing oracle.
 
     Re-resolves devices, contexts and port labels through the system on
     every round, exactly as ``repro.runtime.sync.executor.run`` did

@@ -113,8 +113,15 @@ class TestCLI:
         assert "IMPOSSIBLE" in out and "SOLVED" in out
 
     def test_error_exit_code(self, capsys):
-        assert main(["classify", "--graph", "nope"]) == 2
-        assert "error" in capsys.readouterr().err
+        for argv in (
+            ["classify", "--graph", "nope"],
+            ["campaign", "--rounds", "-1"],
+            ["campaign", "--frontier", "--rounds", "-1"],
+            ["attack", "--attempts", "-5"],
+            ["attack", "--rounds", "-1"],
+        ):
+            assert main(argv) == 2, argv
+            assert "error: " in capsys.readouterr().err, argv
 
     def test_parser_help_mentions_problems(self):
         parser = build_parser()

@@ -14,10 +14,10 @@ from repro.runtime.plan import compile_sync_plan
 
 
 def _bare_execute_plan():
-    """The telemetry-free executor copy that ``bench_snapshot.py``
+    """The telemetry-free executor copy that ``overhead_gates.py``
     gates the disabled-telemetry overhead against."""
-    path = Path(__file__).resolve().parents[2] / "scripts" / "bench_snapshot.py"
-    spec = importlib.util.spec_from_file_location("bench_snapshot", path)
+    path = Path(__file__).resolve().parents[2] / "scripts" / "overhead_gates.py"
+    spec = importlib.util.spec_from_file_location("overhead_gates", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.bare_execute_plan

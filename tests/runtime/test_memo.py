@@ -134,6 +134,11 @@ class TestCampaignMemoization:
         with_memo = run_campaign(config, memoize=True)
         without = run_campaign(config, memoize=False)
         assert with_memo == without
+        # Repeated passes over one shared cache read warm entries.
+        cache = BehaviorCache()
+        for _ in range(4):
+            assert run_campaign(config, cache=cache) == without
+        assert cache.stats()["hits"] > 0
 
     def test_shrink_and_replay_hit_the_cache(self):
         # MajorityVote breaks under link faults; the shrinker's

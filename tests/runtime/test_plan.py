@@ -55,10 +55,10 @@ class TestSyncPlanEquivalence:
         system = _majority_system()
         assert run(system, 0) == reference_sync_run(system, 0)
 
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
     def test_matches_reference_across_sizes(self, n):
         system = _majority_system(n)
-        assert run(system, 3) == reference_sync_run(system, 3)
+        assert run(system, 10) == reference_sync_run(system, 10)
 
     def test_ring_matches_reference(self):
         g = ring(5)
