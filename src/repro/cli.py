@@ -694,6 +694,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if telemetry:
         obs.enable()
     try:
+        jobs = getattr(args, "jobs", None)
+        if jobs is not None and jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {jobs}")
         code = args.func(args)
         if telemetry:
             _finish_telemetry(args)

@@ -112,16 +112,25 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "IMPOSSIBLE" in out and "SOLVED" in out
 
-    def test_error_exit_code(self, capsys):
+    def test_error_exit_code(self, capsys, tmp_path):
+        store = str(tmp_path / "store")
+        assert main(["campaign", "--attempts", "3", "--checkpoint", store]) == 0
+        capsys.readouterr()
         for argv in (
             ["classify", "--graph", "nope"],
             ["campaign", "--rounds", "-1"],
             ["campaign", "--frontier", "--rounds", "-1"],
             ["attack", "--attempts", "-5"],
             ["attack", "--rounds", "-1"],
+            ["campaign", "--jobs", "-3", "--checkpoint", str(tmp_path / "c")],
+            ["campaign", "--frontier", "--jobs", "0"],
+            ["sweep", "nodes", "--jobs", "0"],
+            ["attack", "--jobs", "0"],
+            ["resume", store, "--jobs", "0"],
         ):
             assert main(argv) == 2, argv
             assert "error: " in capsys.readouterr().err, argv
+        assert not (tmp_path / "c").exists()
 
     def test_parser_help_mentions_problems(self):
         parser = build_parser()

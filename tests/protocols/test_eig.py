@@ -97,16 +97,28 @@ class TestOneByzantineFault:
     def test_equality_majority_matches_tally_and_takes_unhashables(self):
         from itertools import product
 
-        from repro.protocols.eig import _equality_majority, _strict_majority
+        from repro.protocols.eig import _majority
 
-        for n in range(1, 6):
+        from .test_eig_equivalence import _strict_majority
+
+        def agree(values):
+            got = _majority(list(values), "d")
+            want = _strict_majority(values, "d")
+            assert got is want, (values, got, want)
+
+        for n in range(1, 8):
             for values in product((0, 1, 2), repeat=n):
-                assert _equality_majority(values, "d") == _strict_majority(
-                    values, "d"
-                )
-        assert _equality_majority([[1], 0, [1]], "d") == [1]
-        assert _equality_majority([0, [1], 0], "d") == 0
-        assert _equality_majority([[1], [2], 0], "d") == "d"
+                agree(values)
+        # 1 == True == 1.0: one class, and the first occurrence wins.
+        for values in product((1, True, 1.0, 0), repeat=4):
+            agree(values)
+        nan = float("nan")
+        agree((nan, nan, 0))  # one object: counted by identity
+        agree((float("nan"), float("nan"), 0))  # distinct NaNs never match
+        agree((nan, float("nan"), nan, 0))
+        assert _majority([[1], 0, [1]], "d") == [1]
+        assert _majority([0, [1], 0], "d") == 0
+        assert _majority([[1], [2], 0], "d") == "d"
 
 
 class TestTwoByzantineFaults:

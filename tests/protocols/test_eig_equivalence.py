@@ -1,11 +1,14 @@
-"""Golden equivalence for the EIG device's receive and decide paths.
+"""Golden equivalence for the EIG device's send, receive and decide
+paths.
 
-:class:`EIGDevice` expands each broadcast payload once (memoized on the
-payload object's identity) and resolves decisions level by level from a
-shared path table.  Both must be observationally invisible: the
-pre-optimisation device, kept here as :class:`ReferenceEIGDevice`, must
-produce the same states (down to the insertion order of every tree
-dict), edge messages, decisions and injection traces.
+:class:`EIGDevice` broadcasts in a precomputed roster order, expands
+each broadcast payload once (memoized on the payload object's identity,
+read off interned relay paths when it can) and resolves decisions level
+by level from a shared path table with a counting majority.  All of it
+must be observationally invisible: the pre-optimisation device, kept
+here as :class:`ReferenceEIGDevice`, must produce the same states (down
+to the insertion order of every tree dict), edge messages, decisions
+and injection traces.
 """
 
 from __future__ import annotations
@@ -21,20 +24,43 @@ from repro.analysis.campaign import (
     _build_system,
     _sample_attempt,
 )
-from repro.graphs import complete_graph
-from repro.protocols.eig import (
-    EIGDevice,
-    _relays,
-    _strict_majority,
-    eig_devices,
-)
+from repro.graphs import CommunicationGraph, complete_graph
+from repro.protocols.eig import EIGDevice, _relays, _roster_table, eig_devices
 from repro.runtime.faults import FaultPlan, LinkFault, SyncFaultInjector
-from repro.runtime.sync import SyncDevice, make_system, run
+from repro.runtime.sync import ReplayDevice, SyncDevice, make_system, run
+
+
+def _strict_majority(values, default):
+    """The dict-tally majority the device used before the counting one."""
+    tally = {}
+    for v in values:
+        tally[v] = tally.get(v, 0) + 1
+    for value, count in tally.items():
+        if count * 2 > len(values):
+            return value
+    return default
 
 
 class ReferenceEIGDevice(EIGDevice):
-    """EIG before the fast path: every receiver validates every payload
-    itself, and the decision recurses over the tree from the root."""
+    """EIG before the fast path: every sender sorts its level on
+    ``str`` keys, every receiver validates every payload itself, and
+    the decision recurses over the tree from the root with a dict-tally
+    majority."""
+
+    def _level_entries(self, tree, level):
+        return {path: v for path, v in tree.items() if len(path) == level}
+
+    def send(self, ctx, state, round_index):
+        tree, _decided = state
+        if round_index >= self.rounds:
+            return {}
+        payload = tuple(
+            sorted(
+                self._level_entries(tree, round_index).items(),
+                key=lambda kv: tuple(map(str, kv[0])),
+            )
+        )
+        return {port: payload for port in ctx.ports}
 
     def transition(self, ctx, state, round_index, inbox):
         tree, decided = state
@@ -120,6 +146,8 @@ def _assert_equivalent(build, rounds, plan):
     assert fast[1] == reference[1], "edge messages differ"
     assert fast[2] == reference[2], "decisions differ"
     assert fast[3] == reference[3], "injection traces differ"
+    # ``==`` takes ``(True,)`` for ``(1,)``; the reprs tell them apart.
+    assert repr(fast[:2]) == repr(reference[:2]), "states or messages differ"
 
 
 def _config(n, f, links=0, kinds=("drop",), seed=0):
@@ -263,6 +291,135 @@ class TestRelayMemoMissPaths:
         _assert_equivalent(build, 2, delayed)
 
 
+class _Pair(tuple):
+    """A plain tuple subclass: well formed, but never an interned entry."""
+
+
+class _Rewrite(SyncDevice):
+    """Runs an EIG device, but at round ``at`` sends
+    ``rewrite(payload)`` in place of its payload."""
+
+    def __init__(self, inner, at, rewrite):
+        self._inner = inner
+        self._at = at
+        self._rewrite = rewrite
+
+    def init_state(self, ctx):
+        return self._inner.init_state(ctx)
+
+    def send(self, ctx, state, round_index):
+        out = self._inner.send(ctx, state, round_index)
+        if round_index == self._at:
+            out = {port: self._rewrite(m) for port, m in out.items()}
+        return out
+
+    def transition(self, ctx, state, round_index, inbox):
+        return self._inner.transition(ctx, state, round_index, inbox)
+
+
+class _Resend(SyncDevice):
+    """Runs an EIG device, but at round ``again`` resends the payload
+    objects it sent at round ``first``."""
+
+    def __init__(self, inner, first, again):
+        self._inner = inner
+        self._first = first
+        self._again = again
+
+    def init_state(self, ctx):
+        return (self._inner.init_state(ctx), {})
+
+    def send(self, ctx, state, round_index):
+        inner, sent = state
+        if round_index == self._again:
+            return sent
+        return self._inner.send(ctx, inner, round_index)
+
+    def transition(self, ctx, state, round_index, inbox):
+        inner, sent = state
+        if round_index == self._first:
+            sent = self._inner.send(ctx, inner, round_index)
+        return (self._inner.transition(ctx, inner, round_index, inbox), sent)
+
+
+def _system_on(nodes, f, inputs, faulty):
+    """:func:`_system_with` on the complete graph over ``nodes``; the
+    last node is the faulty one."""
+
+    def build(factory):
+        nodes_ = list(nodes)
+        g = CommunicationGraph(
+            nodes_,
+            [(u, v) for i, u in enumerate(nodes_) for v in nodes_[i + 1:]],
+        )
+        devices = dict(factory(g, f))
+        devices[nodes_[-1]] = faulty(nodes_[-1], devices[nodes_[-1]])
+        return make_system(g, devices, dict(zip(g.nodes, inputs)))
+
+    return build
+
+
+K7_INPUTS = (1, 0, 1, 1, 0, 0, 1)
+
+
+class TestPayloadsOffTheRoster:
+    """Payloads a faulty sender can build that are well formed but do
+    not carry the roster's own path objects: receivers must relay them
+    exactly as full validation does, and the senders of the next level
+    must order them exactly as the ``str``-key sort does.  The same
+    holds for a roster whose precomputed order cannot stand in for the
+    sort."""
+
+    def test_forged_path_is_relayed_at_the_next_level(self):
+        forged = ((("zz",), 1),)
+        build = _system_with(
+            7, 2, K7_INPUTS,
+            lambda bad, dev: ReplayDevice(
+                {f"n{i}": [None, forged] for i in range(6)}
+            ),
+        )
+        _assert_equivalent(build, 3, FaultPlan())
+        _, edges, _, _ = _observe(build(eig_devices), 3, FaultPlan())
+        assert (("zz", "n6"), 1) in edges[("n0", "n1")].messages[2]
+
+    def test_level_one_payload_resent_at_level_two(self):
+        build = _system_with(
+            7, 2, K7_INPUTS, lambda bad, dev: _Resend(dev, 1, 2)
+        )
+        _assert_equivalent(build, 3, FaultPlan())
+
+    def test_tuple_subclass_entry(self):
+        def rewrite(payload):
+            return (_Pair(payload[0]),) + payload[1:]
+
+        build = _system_with(
+            7, 2, K7_INPUTS, lambda bad, dev: _Rewrite(dev, 1, rewrite)
+        )
+        _assert_equivalent(build, 3, FaultPlan())
+
+    @pytest.mark.parametrize(
+        "twin", [(True,), (1.0,), None], ids=["True", "float", "copy"]
+    )
+    def test_path_equal_to_a_roster_path_but_not_identical(self, twin):
+        def rewrite(payload):
+            return tuple(
+                ((path[0],) if twin is None else twin, value)
+                if path == (1,) else (path, value)
+                for path, value in payload
+            )
+
+        build = _system_on(
+            range(7), 2, K7_INPUTS, lambda bad, dev: _Rewrite(dev, 1, rewrite)
+        )
+        _assert_equivalent(build, 3, FaultPlan())
+
+    def test_roster_ids_that_share_a_str(self):
+        # 0 and "0" both sort as "0": the sort then keeps tree insertion
+        # order, which differs between nodes.
+        build = _system_on((0, "0", 1, 2), 1, (1, 0, 1, 0), lambda b, d: d)
+        _assert_equivalent(build, 2, FaultPlan())
+
+
 class TestRelays:
     PAYLOAD = ((("n0",), 1), (("n1",), 0), (("n2",), 1))
 
@@ -287,6 +444,25 @@ class TestRelays:
         assert _relays(self.PAYLOAD, "n3", 1)[0] == (("n0", "n3"), 1)
         # The same object is malformed one level down.
         assert _relays(self.PAYLOAD, "n3", 2) == ()
+
+    def test_honest_runs_keep_to_the_interned_paths(self):
+        # Each new graph brings new node objects and so its own table;
+        # an honest run's tree keys must all be that table's paths, or
+        # every broadcast would silently take the slow path.
+        for _ in range(2):
+            g = complete_graph(4)
+            devices = eig_devices(g, 1)
+            behavior = run(make_system(g, devices, dict.fromkeys(g.nodes, 1)), 2)
+            table = _roster_table(*devices["n0"]._table_key)
+            interned = {
+                id(child)
+                for level in table.relays
+                for children in level.values()
+                for child in children.values()
+            }
+            for u in g.nodes:
+                tree, _ = behavior.node(u).states[-1]
+                assert all(id(path) in interned for path in tree if path)
 
     @pytest.mark.parametrize(
         "payload, level",
