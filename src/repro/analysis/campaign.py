@@ -115,6 +115,11 @@ class CampaignConfig:
         for name in ("rounds", "max_node_faults", "max_link_faults", "attempts"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        if self.max_node_faults > len(self.graph):
+            raise ValueError(
+                f"max_node_faults {self.max_node_faults} exceeds the node "
+                f"count {len(self.graph)}"
+            )
 
 
 @dataclass(frozen=True)

@@ -580,9 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rounds", type=int, default=None)
     p.add_argument("--attempts", type=int, default=200)
     p.add_argument(
-        "--jobs", type=int, default=None,
-        help="parallel attack search with per-attempt seeding "
-        "(same results for any N; omit for the legacy serial stream)",
+        "--jobs", type=int, default=1,
+        help="fan attempts across N worker processes; each attempt has "
+        "its own seeded stream, so results are identical for any N",
     )
     _add_telemetry_flags(p)
     p.set_defaults(func=_cmd_attack)

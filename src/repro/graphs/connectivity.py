@@ -8,84 +8,49 @@ vertex-disjoint ``s``–``t`` paths, found by unit-capacity max-flow on
 the split-node digraph.  Global connectivity uses Even's reduction,
 which needs only ``O(n)`` pairwise computations instead of all pairs.
 
-Every public function here is **memoized** at two levels: on the graph
-instance (graphs are immutable, so a flow result is valid forever) and
-in a small content-keyed global table, so sweep drivers that rebuild
-``complete_graph(n)`` fresh at every point still reuse the max-flow
-work of earlier points.  Mutable results (cut sets, path lists) are
-copied on every return, so callers can scribble on them without
-corrupting the cache.  :func:`analytics_stats` exposes hit/miss
-counters; :func:`clear_analytics` resets the global table (tests).
+Every public function here is **memoized on the graph instance**
+(:meth:`CommunicationGraph.analytics_cache`): graphs are immutable, so
+a flow result is valid for the instance's lifetime.  An equal graph
+built afresh recomputes: a content-keyed table shared across instances
+hit too rarely on any measured workload to pay for itself.  Mutable
+results (cut sets, path lists) are copied on every return, so callers
+can scribble on them without corrupting the cache.
+:func:`analytics_stats` exposes hit/miss counters and
+:func:`clear_analytics` resets them.
 
 Cross-checked against ``networkx.node_connectivity`` in the test suite.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Any, Callable
 
 from .graph import CommunicationGraph, GraphError, NodeId
 
-#: Content-keyed results shared across equal-but-distinct graph
-#: instances.  Bounded LRU; entries are tiny (ints, frozensets).
-_GLOBAL_ANALYTICS: OrderedDict[tuple, Any] = OrderedDict()
-_GLOBAL_ANALYTICS_MAX = 1024
 _STATS = {"hits": 0, "misses": 0}
-
-
-def _graph_content_key(graph: CommunicationGraph) -> tuple:
-    """A canonical, hashable key for the graph's shape (cached on the
-    instance — computing it is O(n + m), trivial next to a max-flow)."""
-    cache = graph.analytics_cache()
-    key = cache.get("content_key")
-    if key is None:
-        key = (
-            tuple(graph.nodes),
-            tuple(sorted(graph.edges, key=repr)),
-        )
-        cache["content_key"] = key
-    return key
 
 
 def _cached(
     graph: CommunicationGraph, op: tuple, compute: Callable[[], Any]
 ) -> Any:
-    """Two-level memo: per-instance dict first, then the global
-    content-keyed LRU, then compute."""
+    """Memoize ``compute()`` under ``op`` in the graph's own cache."""
     local = graph.analytics_cache()
     if op in local:
         _STATS["hits"] += 1
         return local[op]
-    global_key = (_graph_content_key(graph), op)
-    if global_key in _GLOBAL_ANALYTICS:
-        _STATS["hits"] += 1
-        _GLOBAL_ANALYTICS.move_to_end(global_key)
-        value = _GLOBAL_ANALYTICS[global_key]
-        local[op] = value
-        return value
     _STATS["misses"] += 1
-    value = compute()
-    local[op] = value
-    _GLOBAL_ANALYTICS[global_key] = value
-    while len(_GLOBAL_ANALYTICS) > _GLOBAL_ANALYTICS_MAX:
-        _GLOBAL_ANALYTICS.popitem(last=False)
-    return value
+    local[op] = compute()
+    return local[op]
 
 
 def analytics_stats() -> dict[str, int]:
-    """Hit/miss counters of the connectivity analytics caches."""
-    return {
-        "hits": _STATS["hits"],
-        "misses": _STATS["misses"],
-        "global_entries": len(_GLOBAL_ANALYTICS),
-    }
+    """Hit/miss counters of the per-instance connectivity caches."""
+    return dict(_STATS)
 
 
 def clear_analytics() -> None:
-    """Drop the global table and reset counters (per-instance caches
-    die with their graphs)."""
-    _GLOBAL_ANALYTICS.clear()
+    """Reset the counters (per-instance caches die with their graphs)."""
     _STATS["hits"] = 0
     _STATS["misses"] = 0
 

@@ -193,6 +193,9 @@ def format_events(
 ) -> str:
     """The ``repro profile events`` view: a filtered window of the
     event timeline."""
+    for name, value in (("limit", limit), ("offset", offset)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     trace = read_trace(path)
     events = trace["events"]
     if kind is not None:

@@ -131,6 +131,33 @@ class TestCLI:
             assert main(argv) == 2, argv
             assert "error: " in capsys.readouterr().err, argv
         assert not (tmp_path / "c").exists()
+        # Impossible node-fault budgets on K4 are rejected up front for
+        # every seed, naming the budget and the node count.
+        budget = str(tmp_path / "budget")
+        for argv, message in (
+            (
+                ["--seed", "0", "campaign", "--graph", "complete:4",
+                 "--faults", "5", "--links", "1", "--attempts", "50",
+                 "--checkpoint", budget],
+                "max_node_faults 5 exceeds the node count 4",
+            ),
+            (
+                ["--seed", "1", "campaign", "--graph", "complete:4",
+                 "--faults", "5", "--links", "1", "--attempts", "50"],
+                "max_node_faults 5 exceeds the node count 4",
+            ),
+            (
+                ["attack", "--graph", "complete:4", "--faults", "5"],
+                "max_faults 5 is outside 0..4 (the node count)",
+            ),
+            (
+                ["attack", "--graph", "complete:4", "--faults", "-1"],
+                "max_faults -1 is outside 0..4 (the node count)",
+            ),
+        ):
+            assert main(argv) == 2, argv
+            assert f"error: {message}" in capsys.readouterr().err, argv
+        assert not (tmp_path / "budget").exists()
 
     def test_parser_help_mentions_problems(self):
         parser = build_parser()

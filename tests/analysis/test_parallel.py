@@ -1,7 +1,7 @@
 """Parallel drivers must be invisible: identical results at any jobs.
 
 Every parallel entry point (``run_campaign``, ``degradation_frontier``,
-the sweeps, and indexed ``search_agreement_attacks``) merges worker
+the sweeps, and ``search_agreement_attacks``) merges worker
 results deterministically, so ``jobs=N`` output is byte-identical to
 the serial scan.  These tests pin that contract, serializing results
 to sorted JSON where a serializer exists.
@@ -118,17 +118,17 @@ class TestAdversarySearchParallelEquivalence:
         assert serial == parallel
         assert serial.broken  # majority vote falls quickly
 
-    def test_legacy_stream_untouched_by_default(self):
-        # jobs=None keeps the historical single-stream sampling; its
-        # draws differ from indexed mode but remain self-consistent.
+    def test_default_is_the_indexed_stream(self):
+        # There is one sampling stream: omitting jobs runs the same
+        # per-attempt draws as any explicit jobs value.
         g = complete_graph(4)
-        first = search_agreement_attacks(
+        default = search_agreement_attacks(
             g, _naive_factory, 1, 3, attempts=30, seed=2
         )
-        second = search_agreement_attacks(
-            g, _naive_factory, 1, 3, attempts=30, seed=2
-        )
-        assert first == second
+        for jobs in (1, 2):
+            assert default == search_agreement_attacks(
+                g, _naive_factory, 1, 3, attempts=30, seed=2, jobs=jobs
+            )
 
 
 class TestAvailableParallelism:

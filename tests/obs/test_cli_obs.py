@@ -99,6 +99,16 @@ class TestProfile:
         assert main(["profile", "metrics", path]) == 0
         assert "run.rounds.total" in capsys.readouterr().out
 
+    def test_negative_event_window_is_a_cli_error(self, tmp_path, capsys):
+        path = self._write_trace(tmp_path, capsys)
+        for name in ("limit", "offset"):
+            assert main(["profile", "events", path, f"--{name}", "-2"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"error: {name} must be non-negative, got -2" in (
+                captured.err
+            )
+
     def test_missing_file_is_a_cli_error(self, tmp_path, capsys):
         assert main(["profile", "summary", str(tmp_path / "no.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
