@@ -28,7 +28,8 @@ from ..runtime.sync.adversary import ReplayDevice
 from ..runtime.sync.behavior import SyncBehavior
 from ..runtime.sync.device import SyncDevice
 from ..runtime.sync.executor import run
-from ..runtime.sync.system import NodeAssignment, SyncSystem, identity_ports
+from ..runtime.plan import identity_labelling
+from ..runtime.sync.system import NodeAssignment, SyncSystem
 
 
 class CoveringArgumentError(RuntimeError):
@@ -96,6 +97,9 @@ def build_base_behavior(
     representative = {covering(u): u for u in scenario}
     correct = frozenset(representative)
     faulty = frozenset(base.nodes) - correct
+    # The base graph's shared identity labelling: every base system of a
+    # chain then runs on one cached route table.
+    ports = identity_labelling(base)
 
     assignments: dict[NodeId, NodeAssignment] = {}
     inputs: dict[NodeId, Any] = {}
@@ -104,7 +108,7 @@ def build_base_behavior(
         assignments[g] = NodeAssignment(
             device=base_devices[g],
             input=inputs[g],
-            port_of_neighbor=identity_ports(base, g),
+            port_of_neighbor=ports[g],
         )
     for w in faulty:
         scripts = {}
@@ -117,7 +121,7 @@ def build_base_behavior(
         assignments[w] = NodeAssignment(
             device=ReplayDevice(scripts),
             input=None,
-            port_of_neighbor=identity_ports(base, w),
+            port_of_neighbor=ports[w],
         )
 
     system = SyncSystem(base, assignments)

@@ -17,7 +17,7 @@ from typing import Any
 
 from ..graphs.coverings import CoveringMap
 from ..graphs.graph import NodeId
-from ..runtime.timed.adversary import TimedReplayDevice, TimedSilentDevice
+from ..runtime.timed.adversary import TimedReplayDevice
 from ..runtime.timed.behavior import TimedBehavior
 from ..runtime.timed.clocks import ClockFunction, identity
 from ..runtime.timed.device import DeviceFactory
@@ -168,13 +168,12 @@ def _verify_timed_locality(
     from ..runtime.timed.behavior import payloads_close
 
     payload_tolerance = max(time_tolerance, 0.0)
+    limit = through + 1e-12
+    slack = time_tolerance + 1e-12
     for g, u in representative.items():
-        expected = [
-            e.shifted(time_map)
-            for e in cover_behavior.node(u).events
-            if time_map(e.time) <= through + 1e-12
-        ]
-        got = list(base_behavior.node(g).prefix(through))
+        mapped = [(time_map(e.time), e) for e in cover_behavior.node(u).events]
+        expected = [(t, e) for t, e in mapped if t <= limit]
+        got = base_behavior.node(g).prefix(through)
         if len(expected) != len(got) or not all(
             a.kind == b.kind
             and (
@@ -182,15 +181,10 @@ def _verify_timed_locality(
                 if payload_tolerance == 0.0
                 else payloads_close(a.payload, b.payload, payload_tolerance)
             )
-            and abs(a.time - b.time) <= time_tolerance + 1e-12
-            for a, b in zip(expected, got)
+            and abs(t - b.time) <= slack
+            for (t, a), b in zip(expected, got)
         ):
             raise TimedArgumentError(
                 f"{label}: timed Locality identification failed at base "
                 f"node {g!r} (covering node {u!r})"
             )
-
-
-def silent_factory() -> TimedSilentDevice:
-    """Factory for a device that does nothing (a degenerate fault)."""
-    return TimedSilentDevice()

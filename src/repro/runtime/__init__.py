@@ -10,9 +10,10 @@
     axioms.  Hosts Theorems 2, 4, 8.
 
 :mod:`repro.runtime.faults`
-    Link-level fault injection shared by both runtimes: declarative
+    Link-level fault injection for the synchronous runtime: declarative
     :class:`~repro.runtime.faults.FaultPlan` schedules (drop, corrupt,
-    delay, omission bursts, partitions), deterministic injectors, and
+    delay, omission bursts, partitions), the one deterministic
+    injector :class:`~repro.runtime.faults.SyncFaultInjector`, and
     replayable injection traces.
 
 :mod:`repro.runtime.plan`
@@ -37,7 +38,6 @@ from .faults import (
     LinkFault,
     Partition,
     SyncFaultInjector,
-    TimedFaultInjector,
     partition_between,
 )
 from .memo import (
@@ -63,7 +63,6 @@ __all__ = [
     "Partition",
     "SyncFaultInjector",
     "SyncPlan",
-    "TimedFaultInjector",
     "TimedPlan",
     "compile_sync_plan",
     "compile_timed_plan",

@@ -1,23 +1,20 @@
-"""Link-level fault injection, shared by both runtimes.
+"""Link-level fault injection for the synchronous runtime.
 
 The paper's Fault axiom bottles *node* misbehavior; this module bottles
 *channel* misbehavior.  A :class:`FaultPlan` is a declarative list of
 per-edge faults — drops, corruption, delivery delays, periodic omission
-bursts — plus timed partitions (an edge set cut over an interval).
+bursts — plus partitions (an edge set cut over an interval).
 Everything is deterministic given the plan (including its ``seed``), so
 a system-plus-plan still has exactly one behavior, which keeps every
 campaign run replayable.
 
-Two injectors interpret a plan:
+One injector interprets a plan: :class:`SyncFaultInjector` interposes
+on the synchronous executor's per-round message slots of the edges the
+plan names (``start``/``end`` are round indices; delays are whole
+rounds).  Campaigns are synchronous; the timed executor has no link
+faults — its channels are reliable by construction.
 
-* :class:`SyncFaultInjector` interposes on the synchronous executor's
-  per-round message slots of the edges the plan names (``start``/``end``
-  are round indices; delays are whole rounds).
-* :class:`TimedFaultInjector` interposes on the timed executor's sends
-  (``start``/``end`` are real times; a delay adds real time to the
-  arrival).
-
-Every action an injector takes is appended to an
+Every action the injector takes is appended to an
 :class:`InjectionTrace`; two runs of the same system under the same
 plan produce identical traces, and the campaign engine
 (:mod:`repro.analysis.campaign`) leans on that for counterexample
@@ -49,12 +46,10 @@ class LinkFault:
         Every message is replaced by a different value drawn
         deterministically from the plan's ``corrupt_pool``.
     ``delay``
-        Delivery is postponed by ``delay`` (rounds in the synchronous
-        model, real time in the timed model).
+        Delivery is postponed by ``delay`` rounds.
     ``omit``
         Periodic omission burst: within the window, the first ``burst``
-        of every ``period`` slots are dropped (``period``/``burst``
-        are measured in rounds / in units of ``period`` real time).
+        of every ``period`` rounds are dropped.
 
     ``probability < 1`` makes the fault fire on a per-slot seeded coin
     (still deterministic given the plan seed).
@@ -322,38 +317,6 @@ class InjectionTrace:
         ]
 
 
-class _PlanIndex:
-    """Per-edge view of a plan, shared by the two injectors."""
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self.faults_by_edge: dict[DirectedEdge, list[LinkFault]] = {}
-        for fault in plan.link_faults:
-            self.faults_by_edge.setdefault(fault.edge, []).append(fault)
-
-    def partition_active(self, edge: DirectedEdge, t: float) -> bool:
-        return any(p.active_at(edge, t) for p in self.plan.partitions)
-
-    def coin(self, fault: LinkFault, edge: DirectedEdge, t: float) -> bool:
-        """Does a probabilistic fault fire on this slot?  Deterministic
-        in (plan seed, fault, edge, time)."""
-        if fault.probability >= 1.0:
-            return True
-        rng = random.Random(
-            f"{self.plan.seed}:{fault.kind}:{edge!r}:{t}:{fault.start}"
-        )
-        return rng.random() < fault.probability
-
-    def corrupted(self, message: Any, edge: DirectedEdge, t: float) -> Any:
-        """A deterministic replacement value different from ``message``
-        whenever the pool allows one."""
-        rng = random.Random(f"{self.plan.seed}:corrupt:{edge!r}:{t}")
-        choices = [v for v in self.plan.corrupt_pool if v != message]
-        if not choices:
-            return ("corrupted", message)
-        return rng.choice(choices)
-
-
 class SyncFaultInjector:
     """Interposes on the synchronous executor's per-round message slots.
 
@@ -388,21 +351,41 @@ class SyncFaultInjector:
                     f"synchronous delays are whole rounds, got {fault.delay} "
                     f"on {fault.edge[0]}->{fault.edge[1]}"
                 )
-        self._index = _PlanIndex(plan)
+        self.plan = plan
+        self._faults_by_edge: dict[DirectedEdge, list[LinkFault]] = {}
+        for fault in plan.link_faults:
+            self._faults_by_edge.setdefault(fault.edge, []).append(fault)
         self._pending: dict[DirectedEdge, dict[int, list[Any]]] = {}
         self.trace = InjectionTrace()
         self.faulty_edges: frozenset[DirectedEdge] = plan.faulty_edges()
 
-    @property
-    def plan(self) -> FaultPlan:
-        return self._index.plan
+    def _coin(self, fault: LinkFault, edge: DirectedEdge, t: float) -> bool:
+        """Does a probabilistic fault fire on this slot?  Deterministic
+        in (plan seed, fault, edge, round)."""
+        if fault.probability >= 1.0:
+            return True
+        rng = random.Random(
+            f"{self.plan.seed}:{fault.kind}:{edge!r}:{t}:{fault.start}"
+        )
+        return rng.random() < fault.probability
+
+    def _corrupted(self, message: Any, edge: DirectedEdge, t: float) -> Any:
+        """A deterministic replacement value different from ``message``
+        whenever the pool allows one."""
+        rng = random.Random(f"{self.plan.seed}:corrupt:{edge!r}:{t}")
+        choices = [v for v in self.plan.corrupt_pool if v != message]
+        if not choices:
+            return ("corrupted", message)
+        return rng.choice(choices)
 
     def deliver(
         self, edge: DirectedEdge, round_index: int, message: Any
     ) -> Any:
         candidate = message
         if candidate is not None:
-            if self._index.partition_active(edge, round_index):
+            if any(
+                p.active_at(edge, round_index) for p in self.plan.partitions
+            ):
                 self.trace.append(
                     InjectionRecord(
                         round_index, edge, "partition", candidate, None
@@ -410,10 +393,10 @@ class SyncFaultInjector:
                 )
                 candidate = None
             else:
-                for fault in self._index.faults_by_edge.get(edge, ()):
+                for fault in self._faults_by_edge.get(edge, ()):
                     if not fault.active_at(round_index):
                         continue
-                    if not self._index.coin(fault, edge, round_index):
+                    if not self._coin(fault, edge, round_index):
                         continue
                     if fault.kind in ("drop", "omit"):
                         self.trace.append(
@@ -436,7 +419,7 @@ class SyncFaultInjector:
                         candidate = None
                         break
                     if fault.kind == "corrupt":
-                        replacement = self._index.corrupted(
+                        replacement = self._corrupted(
                             candidate, edge, round_index
                         )
                         self.trace.append(
@@ -471,55 +454,6 @@ class SyncFaultInjector:
         return candidate
 
 
-class TimedFaultInjector:
-    """Interposes on the timed executor's sends.
-
-    :meth:`on_send` is consulted once per send (scripted or live) and
-    returns ``(deliver, message, arrival)``; a dropped send never
-    schedules a delivery.  Windows are real-time intervals on the
-    *send* time; delays add real time to the arrival.
-    """
-
-    def __init__(self, plan: FaultPlan) -> None:
-        self._index = _PlanIndex(plan)
-        self.trace = InjectionTrace()
-
-    @property
-    def plan(self) -> FaultPlan:
-        return self._index.plan
-
-    def on_send(
-        self, edge: DirectedEdge, time: float, message: Any, arrival: float
-    ) -> tuple[bool, Any, float]:
-        if self._index.partition_active(edge, time):
-            self.trace.append(
-                InjectionRecord(time, edge, "partition", message, None)
-            )
-            return (False, message, arrival)
-        for fault in self._index.faults_by_edge.get(edge, ()):
-            if not fault.active_at(time):
-                continue
-            if not self._index.coin(fault, edge, time):
-                continue
-            if fault.kind in ("drop", "omit"):
-                self.trace.append(
-                    InjectionRecord(time, edge, "drop", message, None)
-                )
-                return (False, message, arrival)
-            if fault.kind == "delay":
-                arrival = arrival + fault.delay
-                self.trace.append(
-                    InjectionRecord(time, edge, "delay", message, arrival)
-                )
-            elif fault.kind == "corrupt":
-                replacement = self._index.corrupted(message, edge, time)
-                self.trace.append(
-                    InjectionRecord(time, edge, "corrupt", message, replacement)
-                )
-                message = replacement
-        return (True, message, arrival)
-
-
 __all__ = [
     "FAULT_KINDS",
     "FaultPlan",
@@ -528,6 +462,5 @@ __all__ = [
     "LinkFault",
     "Partition",
     "SyncFaultInjector",
-    "TimedFaultInjector",
     "partition_between",
 ]

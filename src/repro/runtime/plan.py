@@ -24,23 +24,26 @@ executors' hot loops touch only local tuples and dict lookups:
   other labelling — covering installations, hand-built systems —
   compiles its own.  The per-system part only binds a device and a
   :class:`NodeContext` to each node.
-* :func:`compile_timed_plan` → :class:`TimedPlan`: per node, the
-  context, hardware clock (plus its lazily computed inverse), the
-  ``port label → neighbor`` map, and the global ``edge → receiver
-  port`` table.
+* :func:`compile_timed_plan` → :class:`TimedPlan`: per node, its rank,
+  context, hardware clock (plus its lazily computed inverse) and its
+  compiled sends (``port label → (edge, neighbor rank, receiver
+  port)``).
 
 Plans are pure *data*; execution stays in the executors
 (:func:`repro.runtime.sync.executor.execute_plan` runs a
-:class:`SyncPlan`, and the timed ``_Run`` reads a :class:`TimedPlan`).
-A plan never caches per-run state — timed device *instances* in
-particular are still created fresh for every run — so executing the
-same plan twice yields the same behavior, byte for byte, exactly as
-re-running the system did before compilation existed.
+:class:`SyncPlan`, and :func:`repro.runtime.timed.executor.run_timed`
+reads a :class:`TimedPlan`).  A plan never caches per-run state — timed
+device *instances* in particular are still created fresh for every run
+— so executing the same plan twice yields the same behavior, byte for
+byte, exactly as re-running the system did before compilation existed.
 
 Compilation is memoized on the system instance itself (systems are
 frozen; the plan is stashed in ``__dict__`` the same way
 ``functools.cached_property`` does), so repeated ``run()`` calls on
 one system — the campaign shrinker's bread and butter — compile once.
+A plan holds the system's graph, never the system, so the memo is not
+a reference cycle: a system, its plan and every run of it are freed by
+reference counting alone.
 """
 
 from __future__ import annotations
@@ -55,11 +58,11 @@ from ..graphs.graph import CommunicationGraph, DirectedEdge, NodeId
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .sync.behavior import SyncBehavior
     from .sync.device import NodeContext, PortLabel, SyncDevice
+    from .faults import SyncFaultInjector
     from .sync.system import SyncSystem
     from .timed.clocks import ClockFunction
     from .timed.device import TimedContext
     from .timed.system import TimedSystem
-    from .faults import SyncFaultInjector
 
 _SYNC_PLAN_ATTR = "_compiled_sync_plan"
 _TIMED_PLAN_ATTR = "_compiled_timed_plan"
@@ -95,13 +98,9 @@ class SyncPlan:
     """A compiled synchronous system: flat per-node tables plus the
     edge list, ready for the tight loop in ``execute_plan``."""
 
-    system: "SyncSystem"
+    graph: CommunicationGraph
     nodes: tuple[CompiledSyncNode, ...]
     edges: tuple[DirectedEdge, ...]
-
-    @property
-    def graph(self):
-        return self.system.graph
 
     def run(
         self, rounds: int, injector: "SyncFaultInjector | None" = None
@@ -211,7 +210,7 @@ def compile_sync_plan(system: "SyncSystem") -> SyncPlan:
         )
         for u, r in zip(graph.nodes, _routes_of(system))
     )
-    plan = SyncPlan(system=system, nodes=compiled, edges=tuple(graph.edges))
+    plan = SyncPlan(graph=graph, nodes=compiled, edges=tuple(graph.edges))
     # Frozen dataclasses forbid setattr; writing through __dict__ is the
     # same trick functools.cached_property uses.
     system.__dict__[_SYNC_PLAN_ATTR] = plan
@@ -224,13 +223,15 @@ def compile_sync_plan(system: "SyncSystem") -> SyncPlan:
 @dataclass(frozen=True)
 class CompiledTimedNode:
     """Per-node tables for the discrete-event loop: the context and
-    clock are resolved once instead of once per event."""
+    clock are resolved once instead of once per event, and ``sends``
+    maps each port label to ``(edge, neighbor rank, receiver port)`` —
+    everything a send needs except the run's edge record."""
 
     node: NodeId
     rank: int
     ctx: "TimedContext"
     clock: "ClockFunction"
-    neighbor_of_port: Mapping
+    sends: Mapping[Any, tuple[DirectedEdge, int, Any]]
 
     @cached_property
     def clock_inverse(self) -> "ClockFunction":
@@ -242,17 +243,10 @@ class CompiledTimedNode:
 
 @dataclass(frozen=True)
 class TimedPlan:
-    """A compiled timed system: per-node tables plus the global
-    ``directed edge → receiver port`` map (``(u, v) → v``'s label for
-    ``u``), which the interpretive executor re-derived on every send."""
+    """A compiled timed system: per-node tables, in rank order."""
 
-    system: "TimedSystem"
+    graph: CommunicationGraph
     by_node: Mapping[NodeId, CompiledTimedNode]
-    receiver_port: Mapping[DirectedEdge, Any]
-
-    @property
-    def graph(self):
-        return self.system.graph
 
 
 def compile_timed_plan(system: "TimedSystem") -> TimedPlan:
@@ -265,22 +259,22 @@ def compile_timed_plan(system: "TimedSystem") -> TimedPlan:
     if cached is not None:
         return cached
     graph = system.graph
+    assignments = system.assignments
+    rank_of = {u: rank for rank, u in enumerate(graph.nodes)}
     by_node = {}
-    receiver_port: dict[DirectedEdge, Any] = {}
-    for rank, u in enumerate(graph.nodes):
-        assignment = system.assignments[u]
+    for u, rank in rank_of.items():
+        assignment = assignments[u]
         by_node[u] = CompiledTimedNode(
             node=u,
             rank=rank,
             ctx=assignment.context(),
             clock=assignment.clock,
-            neighbor_of_port=dict(assignment.neighbor_of_port),
+            sends={
+                port: ((u, v), rank_of[v], assignments[v].port_of_neighbor[u])
+                for v, port in assignment.port_of_neighbor.items()
+            },
         )
-        for v in graph.in_neighbors(u):
-            receiver_port[(v, u)] = assignment.port_of_neighbor[v]
-    plan = TimedPlan(
-        system=system, by_node=by_node, receiver_port=receiver_port
-    )
+    plan = TimedPlan(graph=graph, by_node=by_node)
     system.__dict__[_TIMED_PLAN_ATTR] = plan
     return plan
 

@@ -64,6 +64,40 @@ class TimedSilentDevice(TimedDevice):
     """Never sends, never decides, never fires."""
 
 
+class _Gated:
+    """A device API whose sends stop at ``crash_time``; everything else
+    is forwarded to the real API unchanged."""
+
+    __slots__ = ("_api", "_crash_time")
+
+    def __init__(self, api, crash_time: float) -> None:
+        self._api = api
+        self._crash_time = crash_time
+
+    @property
+    def now(self) -> float:
+        return self._api.now
+
+    def clock(self) -> float:
+        return self._api.clock()
+
+    def send(self, port, message) -> None:
+        if self._api.now < self._crash_time:
+            self._api.send(port, message)
+
+    def set_timer(self, name, clock_value: float) -> None:
+        self._api.set_timer(name, clock_value)
+
+    def decide(self, value) -> None:
+        self._api.decide(value)
+
+    def fire(self) -> None:
+        self._api.fire()
+
+    def set_logical(self, fn) -> None:
+        self._api.set_logical(fn)
+
+
 class TimedCrashDevice(TimedDevice):
     """Runs an inner device until ``crash_time``, then goes silent.
 
@@ -75,28 +109,15 @@ class TimedCrashDevice(TimedDevice):
         self._inner = inner
         self._crash_time = crash_time
 
-    def _gate(self, api):
-        outer = self
-
-        class _Gated:
-            def __getattr__(self, name):
-                return getattr(api, name)
-
-            def send(self, port, message):
-                if api.now < outer._crash_time:
-                    api.send(port, message)
-
-        return _Gated()
-
     def on_start(self, ctx, api):
-        self._inner.on_start(ctx, self._gate(api))
+        self._inner.on_start(ctx, _Gated(api, self._crash_time))
 
     def on_message(self, ctx, api, port, message):
         if api.now >= self._crash_time:
             return
-        self._inner.on_message(ctx, self._gate(api), port, message)
+        self._inner.on_message(ctx, _Gated(api, self._crash_time), port, message)
 
     def on_timer(self, ctx, api, name):
         if api.now >= self._crash_time:
             return
-        self._inner.on_timer(ctx, self._gate(api), name)
+        self._inner.on_timer(ctx, _Gated(api, self._crash_time), name)

@@ -7,6 +7,12 @@ timers, sends, decisions, FIRE, and logical-clock updates, each
 timestamped with real time.  Two behaviors are identical through time
 ``t`` iff their event prefixes up to ``t`` are equal — the form in
 which the Bounded-Delay Locality axiom and Lemma 3 are checked.
+
+Every record class here is a frozen slotted dataclass.  The executor
+builds events through :func:`_event`, which fills a
+:class:`TimedEvent`'s slots directly instead of going through the
+frozen ``__init__``; the result is indistinguishable from the
+constructor's.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .clocks import ClockFunction
 from .device import LogicalClockFn
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedEvent:
     """One observable event at a node."""
 
@@ -31,7 +37,25 @@ class TimedEvent:
 
     def shifted(self, fn) -> "TimedEvent":
         """The same event at time ``fn(time)`` (used for scaling)."""
-        return TimedEvent(time=fn(self.time), kind=self.kind, payload=self.payload)
+        return _event(fn(self.time), self.kind, self.payload)
+
+
+def _event(
+    time: float,
+    kind: str,
+    payload: Any,
+    _new=object.__new__,
+    _time=TimedEvent.time.__set__,
+    _kind=TimedEvent.kind.__set__,
+    _payload=TimedEvent.payload.__set__,
+) -> TimedEvent:
+    """``TimedEvent(time, kind, payload)`` without the frozen
+    ``__init__``: the slot descriptors are written directly."""
+    event = _new(TimedEvent)
+    _time(event, time)
+    _kind(event, kind)
+    _payload(event, payload)
+    return event
 
 
 def events_equal(
@@ -73,7 +97,7 @@ def payloads_close(first: Any, second: Any, tolerance: float) -> bool:
     return bool(first == second)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedNodeBehavior:
     """Event trace of one node over a run, plus derived observables."""
 
@@ -122,7 +146,7 @@ class TimedNodeBehavior:
         return active(self.clock(t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedEdgeBehavior:
     """All messages sent over one directed edge: (send_time, message,
     arrival_time) triples in send order."""
@@ -138,7 +162,7 @@ class TimedEdgeBehavior:
         return tuple(m for _, m, _ in self.sends)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimedBehavior:
     """The full recorded behavior of a timed system."""
 

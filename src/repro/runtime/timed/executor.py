@@ -14,38 +14,45 @@ timed axioms hold by construction:
   by ``h`` rescales the one behavior by ``h``.  The test suite checks
   this by re-running scaled systems.
 
-Determinism: simultaneous events are ordered canonically (by target
-node, event kind, then port/timer identity), so a system has exactly
-one behavior — the model's standing assumption.
+Determinism: simultaneous events are ordered canonically — by time,
+target node rank, event kind, then ``repr`` of the payload (port and
+message, or timer name), then scheduling order — so a system has
+exactly one behavior, the model's standing assumption.  The heap is
+keyed on (time, rank, kind, scheduling order) alone; ``repr`` is taken
+only when the two smallest entries tie on (time, rank, kind), and the
+tied group is then resolved by ``(repr, scheduling order)``, which
+dispatches in exactly the canonical order.
 
 Hot path: the event loop reads a compiled
-:class:`~repro.runtime.plan.TimedPlan` — contexts, clocks (and their
-inverses), port→neighbor and edge→receiver-port tables are resolved
-once per system instead of once per event.  Device *instances* remain
-per-run (factories are called inside ``execute``), so behaviors are
-unchanged.
+:class:`~repro.runtime.plan.TimedPlan`.  Each node's sends are resolved
+once per run into ``port → (neighbor rank, receiver port, edge
+record)``, so :meth:`_Api.send` records the send and pushes the
+delivery itself.  Device *instances* remain per-run (factories are
+called inside :func:`run_timed`), so behaviors are unchanged.  A run
+builds no reference cycle: its device APIs live only for the call, and
+everything it leaves behind is freed by reference counting.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any
 
 from ... import obs
-from ...graphs.graph import DirectedEdge, GraphError, NodeId
-from ..faults import TimedFaultInjector
-from ..plan import compile_timed_plan
+from ...graphs.graph import GraphError, NodeId
+from ..plan import CompiledTimedNode, compile_timed_plan
 from .adversary import TimedReplayDevice
 from .behavior import (
     TimedBehavior,
     TimedEdgeBehavior,
     TimedEvent,
     TimedNodeBehavior,
+    _event,
 )
 from .device import DeviceApi, LogicalClockFn, Message, PortLabel, TimedDevice
 from .system import TimedSystem
@@ -56,10 +63,13 @@ class TimedExecutionError(RuntimeError):
     decisions, ...)."""
 
 
-_KIND_RANK = {"start": 0, "scripted": 1, "timer": 2, "deliver": 3}
+# Heap entries are ``(time, rank, kind, seq, payload)``; ``kind`` is the
+# index of its name in ``_KINDS`` (the canonical kind order).
+_KINDS = ("start", "scripted", "timer", "deliver")
+_START, _SCRIPTED, _TIMER, _DELIVER = range(4)
 
 
-@dataclass
+@dataclass(slots=True)
 class _NodeRecord:
     events: list[TimedEvent] = field(default_factory=list)
     decision: Any | None = None
@@ -70,270 +80,218 @@ class _NodeRecord:
     )
 
 
-class _Api(DeviceApi):
-    """Device-facing API bound to one node; ``now`` is maintained by
-    the executor.  The node's clock (and its inverse) come from the
-    compiled plan, so neither is re-resolved per call."""
+def _no_port(node: NodeId, port: PortLabel) -> GraphError:
+    return GraphError(f"node {node!r} has no port labeled {port!r}")
 
-    def __init__(self, executor: "_Run", node: NodeId, compiled) -> None:
-        self._executor = executor
-        self._node = node
-        self._compiled = compiled
+
+class _Api(DeviceApi):
+    """Device-facing API bound to one node for one run; ``now`` is
+    maintained by the event loop.  It holds the node's record, the
+    run's queue and its compiled sends, never the loop itself."""
+
+    def __init__(
+        self,
+        compiled: CompiledTimedNode,
+        routes: dict[PortLabel, tuple[int, PortLabel, list]],
+        queue: list,
+        seq: itertools.count,
+        delay: float,
+        clocked: bool,
+    ) -> None:
         self.now = 0.0
+        self.node = compiled.node
+        self.ctx = compiled.ctx
+        self.record = _NodeRecord()
+        self.events = self.record.events
+        self.routes = routes
+        self._compiled = compiled
+        self._rank = compiled.rank
+        self._queue = queue
+        self._seq = seq
+        self._delay = delay
+        self._clocked = clocked
 
     def clock(self) -> float:
         return self._compiled.clock(self.now)
 
     def send(self, port: PortLabel, message: Message) -> None:
-        self._executor.send_from(self._node, port, message, self.now)
+        try:
+            rank, receiver_port, sends = self.routes[port]
+        except KeyError:
+            raise _no_port(self.node, port) from None
+        now = self.now
+        if self._clocked:
+            compiled = self._compiled
+            arrival = compiled.clock_inverse(compiled.clock(now) + self._delay)
+        else:
+            arrival = now + self._delay
+        self.events.append(_event(now, "send", (port, message)))
+        sends.append((now, message, arrival))
+        heappush(
+            self._queue,
+            (arrival, rank, _DELIVER, next(self._seq), (receiver_port, message)),
+        )
 
     def set_timer(self, name: Hashable, clock_value: float) -> None:
         real = self._compiled.clock_inverse(clock_value)
         if real <= self.now + 1e-15:
             raise TimedExecutionError(
-                f"timer {name!r} at node {self._node!r} set for clock value "
+                f"timer {name!r} at node {self.node!r} set for clock value "
                 f"{clock_value} which is not in the future"
             )
-        self._executor.schedule(real, self._node, "timer", name)
+        heappush(self._queue, (real, self._rank, _TIMER, next(self._seq), name))
 
     def decide(self, value: Any) -> None:
-        self._executor.record_decision(self._node, value, self.now)
-
-    def fire(self) -> None:
-        self._executor.record_fire(self._node, self.now)
-
-    def set_logical(self, fn: LogicalClockFn) -> None:
-        self._executor.record_logical(self._node, fn, self.now)
-
-
-class _Run:
-    def __init__(
-        self,
-        system: TimedSystem,
-        horizon: float,
-        injector: TimedFaultInjector | None = None,
-    ) -> None:
-        self.system = system
-        self.horizon = horizon
-        self.injector = injector
-        self.plan = compile_timed_plan(system)
-        graph = system.graph
-        by_node = self.plan.by_node
-        self._node_rank = {u: c.rank for u, c in by_node.items()}
-        self._queue: list[tuple] = []
-        self._seq = itertools.count()
-        self.records: dict[NodeId, _NodeRecord] = {
-            u: _NodeRecord() for u in graph.nodes
-        }
-        self.edge_sends: dict[DirectedEdge, list[tuple[float, Any, float]]] = {
-            e: [] for e in graph.edges
-        }
-        self.devices: dict[NodeId, TimedDevice] = {}
-        self.apis: dict[NodeId, _Api] = {
-            u: _Api(self, u, by_node[u]) for u in graph.nodes
-        }
-
-    # -- scheduling ------------------------------------------------------
-
-    def schedule(
-        self, time: float, node: NodeId, kind: str, payload: Any
-    ) -> None:
-        key = (
-            time,
-            self._node_rank[node],
-            _KIND_RANK[kind],
-            repr(payload),
-            next(self._seq),
-        )
-        heapq.heappush(self._queue, (key, node, kind, payload))
-
-    def _resolve_port(self, node: NodeId, port: PortLabel) -> NodeId:
-        try:
-            return self.plan.by_node[node].neighbor_of_port[port]
-        except KeyError:
-            raise GraphError(
-                f"node {node!r} has no port labeled {port!r}"
-            ) from None
-
-    def send_from(
-        self, node: NodeId, port: PortLabel, message: Message, now: float
-    ) -> None:
-        neighbor = self._resolve_port(node, port)
-        if self.system.delay_mode == "clock":
-            compiled = self.plan.by_node[node]
-            clock = compiled.clock
-            arrival = compiled.clock_inverse(clock(now) + self.system.delay)
-        else:
-            arrival = now + self.system.delay
-        self._transmit(node, neighbor, port, message, now, arrival)
-
-    def send_scripted(
-        self,
-        node: NodeId,
-        port: PortLabel,
-        message: Message,
-        now: float,
-        arrival: float,
-    ) -> None:
-        """Replay a recorded send: the arrival time is part of the
-        recorded edge behavior and is reproduced verbatim rather than
-        recomputed from the (faulty) sender's clock."""
-        neighbor = self._resolve_port(node, port)
-        self._transmit(node, neighbor, port, message, now, arrival)
-
-    def _transmit(
-        self,
-        node: NodeId,
-        neighbor: NodeId,
-        port: PortLabel,
-        message: Message,
-        now: float,
-        arrival: float,
-    ) -> None:
-        """Common channel half of a send: the sender's event records the
-        message it emitted; the fault injector (if any) then decides
-        what, if anything, the edge actually carries."""
-        self.records[node].events.append(
-            TimedEvent(now, "send", (port, message))
-        )
-        if self.injector is not None:
-            delivered, message, arrival = self.injector.on_send(
-                (node, neighbor), now, message, arrival
-            )
-            if not delivered:
-                return
-        self.edge_sends[(node, neighbor)].append((now, message, arrival))
-        receiver_port = self.plan.receiver_port[(node, neighbor)]
-        self.schedule(arrival, neighbor, "deliver", (receiver_port, message))
-
-    # -- recording ---------------------------------------------------------
-
-    def record_decision(self, node: NodeId, value: Any, now: float) -> None:
-        record = self.records[node]
+        record = self.record
         if record.decision is not None:
             if record.decision != value:
                 raise TimedExecutionError(
-                    f"node {node!r} changed its decision from "
+                    f"node {self.node!r} changed its decision from "
                     f"{record.decision!r} to {value!r}"
                 )
             return
         record.decision = value
-        record.decision_time = now
-        record.events.append(TimedEvent(now, "decide", value))
+        record.decision_time = self.now
+        self.events.append(_event(self.now, "decide", value))
 
-    def record_fire(self, node: NodeId, now: float) -> None:
-        record = self.records[node]
+    def fire(self) -> None:
+        record = self.record
         if record.fire_time is not None:
             return
-        record.fire_time = now
-        record.events.append(TimedEvent(now, "fire"))
+        record.fire_time = self.now
+        self.events.append(_event(self.now, "fire", None))
 
-    def record_logical(
-        self, node: NodeId, fn: LogicalClockFn, now: float
-    ) -> None:
-        record = self.records[node]
-        record.logical_segments.append((now, fn))
-        record.events.append(TimedEvent(now, "logical", fn))
-
-    # -- main loop ---------------------------------------------------------
-
-    def execute(self) -> TimedBehavior:
-        system = self.system
-        graph = system.graph
-        by_node = self.plan.by_node
-        for u in graph.nodes:
-            factory = system.assignments[u].factory
-            device = factory()
-            self.devices[u] = device
-            if isinstance(device, TimedReplayDevice):
-                for time, port, message, arrival in device.script:
-                    if time < 0:
-                        raise TimedExecutionError(
-                            "replay scripts cannot send before time 0"
-                        )
-                    self.schedule(time, u, "scripted", (port, message, arrival))
-            self.schedule(0.0, u, "start", None)
-
-        # One flag for the whole event loop; when telemetry is off the
-        # per-event cost is a single boolean check.
-        obs_on = obs.is_enabled()
-        if obs_on:
-            loop_t0 = perf_counter()
-
-        while self._queue:
-            (key, node, kind, payload) = heapq.heappop(self._queue)
-            time = key[0]
-            if time > self.horizon:
-                break
-            if obs_on:
-                # Simulated time only — the dispatch order is already
-                # canonical, so this stream is deterministic.  The
-                # dispatch kind is carried as ``event`` ("kind" is the
-                # telemetry-level discriminator).
-                obs.emit(obs.TIMED_EVENT, time=time, node=str(node), event=kind)
-            api = self.apis[node]
-            api.now = time
-            device = self.devices[node]
-            ctx = by_node[node].ctx
-            if kind == "start":
-                self.records[node].events.append(TimedEvent(time, "start"))
-                device.on_start(ctx, api)
-            elif kind == "scripted":
-                port, message, arrival = payload
-                self.send_scripted(node, port, message, time, arrival)
-            elif kind == "timer":
-                self.records[node].events.append(
-                    TimedEvent(time, "timer", payload)
-                )
-                device.on_timer(ctx, api, payload)
-            elif kind == "deliver":
-                port, message = payload
-                self.records[node].events.append(
-                    TimedEvent(time, "receive", (port, message))
-                )
-                device.on_message(ctx, api, port, message)
-            else:  # pragma: no cover
-                raise TimedExecutionError(f"unknown event kind {kind!r}")
-
-        if obs_on:
-            obs.observe_span("executor.timed", perf_counter() - loop_t0)
-
-        node_behaviors = {
-            u: TimedNodeBehavior(
-                events=tuple(r.events),
-                decision=r.decision,
-                decision_time=r.decision_time,
-                fire_time=r.fire_time,
-                clock=system.clock(u),
-                logical_segments=tuple(r.logical_segments),
-            )
-            for u, r in self.records.items()
-        }
-        edge_behaviors = {
-            e: TimedEdgeBehavior(tuple(sends))
-            for e, sends in self.edge_sends.items()
-        }
-        return TimedBehavior(
-            graph=graph,
-            horizon=self.horizon,
-            node_behaviors=node_behaviors,
-            edge_behaviors=edge_behaviors,
-        )
+    def set_logical(self, fn: LogicalClockFn) -> None:
+        self.record.logical_segments.append((self.now, fn))
+        self.events.append(_event(self.now, "logical", fn))
 
 
-def run_timed(
-    system: TimedSystem,
-    horizon: float,
-    injector: TimedFaultInjector | None = None,
-) -> TimedBehavior:
+def _pop_tied(queue: list, entry: tuple) -> tuple:
+    """``entry`` was just popped and the heap top ties with it on
+    (time, rank, kind): pop the whole tied group, return its canonical
+    first (least ``(repr(payload), seq)``) and push the rest back."""
+    group = [entry]
+    while queue and queue[0][:3] == entry[:3]:
+        group.append(heappop(queue))
+    first = min(group, key=lambda e: (repr(e[4]), e[3]))
+    for other in group:
+        if other is not first:
+            heappush(queue, other)
+    return first
+
+
+def run_timed(system: TimedSystem, horizon: float) -> TimedBehavior:
     """Execute ``system`` through real time ``horizon``.
 
     ``horizon`` is validated exactly like ``rounds`` in the synchronous
     executor's ``run`` — negative (or NaN) horizons raise
-    :class:`TimedExecutionError` before any device code runs.  An
-    optional ``injector`` (see :mod:`repro.runtime.faults`) interposes
-    on every send; without one the executor is unchanged.
+    :class:`TimedExecutionError` before any device code runs.
     """
     if math.isnan(horizon) or horizon < 0:
         raise TimedExecutionError("horizon must be non-negative")
-    return _Run(system, horizon, injector).execute()
+    plan = compile_timed_plan(system)
+    graph = system.graph
+    queue: list[tuple] = []
+    seq = itertools.count()
+    edge_sends: dict = {e: [] for e in graph.edges}
+    clocked = system.delay_mode == "clock"
+    apis = [
+        _Api(
+            cn,
+            {
+                port: (rank, receiver_port, edge_sends[edge])
+                for port, (edge, rank, receiver_port) in cn.sends.items()
+            },
+            queue,
+            seq,
+            system.delay,
+            clocked,
+        )
+        for cn in plan.by_node.values()
+    ]
+    devices: list[TimedDevice] = []
+    for rank, api in enumerate(apis):
+        device = system.assignments[api.node].factory()
+        devices.append(device)
+        if isinstance(device, TimedReplayDevice):
+            for time, port, message, arrival in device.script:
+                if time < 0:
+                    raise TimedExecutionError(
+                        "replay scripts cannot send before time 0"
+                    )
+                heappush(
+                    queue,
+                    (time, rank, _SCRIPTED, next(seq), (port, message, arrival)),
+                )
+        heappush(queue, (0.0, rank, _START, next(seq), None))
+
+    # One flag for the whole event loop; when telemetry is off the
+    # per-event cost is a single boolean check.
+    obs_on = obs.is_enabled()
+    if obs_on:
+        loop_t0 = perf_counter()
+
+    while queue:
+        entry = heappop(queue)
+        if queue and queue[0][:3] == entry[:3]:
+            entry = _pop_tied(queue, entry)
+        time, rank, kind, _, payload = entry
+        if time > horizon:
+            break
+        api = apis[rank]
+        if obs_on:
+            # Simulated time only — the dispatch order is already
+            # canonical, so this stream is deterministic.  The
+            # dispatch kind is carried as ``event`` ("kind" is the
+            # telemetry-level discriminator).
+            obs.emit(
+                obs.TIMED_EVENT, time=time, node=str(api.node), event=_KINDS[kind]
+            )
+        api.now = time
+        if kind == _DELIVER:
+            api.events.append(_event(time, "receive", payload))
+            devices[rank].on_message(api.ctx, api, payload[0], payload[1])
+        elif kind == _TIMER:
+            api.events.append(_event(time, "timer", payload))
+            devices[rank].on_timer(api.ctx, api, payload)
+        elif kind == _START:
+            api.events.append(_event(time, "start", None))
+            devices[rank].on_start(api.ctx, api)
+        else:
+            # A replayed send: its arrival is part of the recorded edge
+            # behavior and is reproduced verbatim rather than recomputed
+            # from the (faulty) sender's clock.
+            port, message, arrival = payload
+            try:
+                to_rank, receiver_port, sends = api.routes[port]
+            except KeyError:
+                raise _no_port(api.node, port) from None
+            api.events.append(_event(time, "send", (port, message)))
+            sends.append((time, message, arrival))
+            heappush(
+                queue,
+                (arrival, to_rank, _DELIVER, next(seq), (receiver_port, message)),
+            )
+
+    if obs_on:
+        obs.observe_span("executor.timed", perf_counter() - loop_t0)
+
+    node_behaviors = {}
+    for api in apis:
+        r = api.record
+        node_behaviors[api.node] = TimedNodeBehavior(
+            events=tuple(r.events),
+            decision=r.decision,
+            decision_time=r.decision_time,
+            fire_time=r.fire_time,
+            clock=system.clock(api.node),
+            logical_segments=tuple(r.logical_segments),
+        )
+    return TimedBehavior(
+        graph=graph,
+        horizon=horizon,
+        node_behaviors=node_behaviors,
+        edge_behaviors={
+            e: TimedEdgeBehavior(tuple(sends)) for e, sends in edge_sends.items()
+        },
+    )

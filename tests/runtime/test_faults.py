@@ -1,8 +1,7 @@
-"""Link-level fault injection: plan semantics, both injectors, and the
-determinism / non-interference contracts the campaign engine relies on.
+"""Link-level fault injection: plan semantics, the synchronous
+injector, and the determinism / non-interference contracts the campaign
+engine relies on.
 """
-
-import math
 
 import pytest
 
@@ -13,12 +12,9 @@ from repro.runtime.faults import (
     LinkFault,
     Partition,
     SyncFaultInjector,
-    TimedFaultInjector,
     partition_between,
 )
 from repro.runtime.sync import make_system, run, uniform_system
-from repro.runtime.timed import make_timed_system, run_timed
-from repro.runtime.timed.device import TimedDevice
 
 
 def majority_system(inputs=None):
@@ -220,8 +216,6 @@ class TestSyncInjector:
         )
         with pytest.raises(GraphError, match="whole rounds"):
             SyncFaultInjector(plan)
-        # The timed model keeps real-valued delays.
-        TimedFaultInjector(plan)
 
     def test_whole_float_delay_roundtrips_and_applies(self):
         g = line(2)
@@ -247,87 +241,3 @@ class TestSyncInjector:
             (1, "deliver-delayed"),
         ]
 
-
-class _Ping(TimedDevice):
-    def on_start(self, ctx, api):
-        for port in ctx.ports:
-            api.send(port, ("ping", ctx.input))
-
-
-class TestTimedInjector:
-    def _system(self):
-        g = triangle()
-        return make_timed_system(
-            g, {u: _Ping for u in g.nodes}, {u: u for u in g.nodes},
-            delay=0.5,
-        )
-
-    def test_fault_free_plan_changes_nothing(self):
-        system = self._system()
-        plain = run_timed(system, 2.0)
-        injector = TimedFaultInjector(FaultPlan())
-        injected = run_timed(system, 2.0, injector)
-        assert dict(plain.node_behaviors) == dict(injected.node_behaviors)
-        assert dict(plain.edge_behaviors) == dict(injected.edge_behaviors)
-        assert len(injector.trace) == 0
-
-    def test_drop_suppresses_delivery(self):
-        plan = FaultPlan(link_faults=(LinkFault(("a", "b"), "drop"),))
-        injector = TimedFaultInjector(plan)
-        behavior = run_timed(self._system(), 2.0, injector)
-        assert behavior.edge("a", "b").sends == ()
-        receives = [
-            e for e in behavior.node("b").events
-            if e.kind == "receive" and e.payload[0] == "a"
-        ]
-        assert receives == []
-        # The sender still believes it sent.
-        sends = [e for e in behavior.node("a").events if e.kind == "send"]
-        assert len(sends) == 2
-
-    def test_delay_postpones_arrival(self):
-        plan = FaultPlan(
-            link_faults=(LinkFault(("a", "b"), "delay", delay=0.75),)
-        )
-        injector = TimedFaultInjector(plan)
-        behavior = run_timed(self._system(), 2.0, injector)
-        (send,) = behavior.edge("a", "b").sends
-        assert send[0] == 0.0 and send[2] == pytest.approx(1.25)
-
-    def test_partition_window_on_send_time(self):
-        plan = FaultPlan(
-            partitions=(
-                partition_between(triangle(), ["a"], 0.0, 0.25),
-            )
-        )
-        injector = TimedFaultInjector(plan)
-        behavior = run_timed(self._system(), 2.0, injector)
-        # a's time-0 sends fall inside the cut window, both directions
-        # out of a; traffic between b and c is unaffected.
-        assert behavior.edge("a", "b").sends == ()
-        assert behavior.edge("a", "c").sends == ()
-        assert len(behavior.edge("b", "c").sends) == 1
-
-    def test_corrupt_rewrites_message(self):
-        plan = FaultPlan(
-            link_faults=(LinkFault(("a", "b"), "corrupt"),),
-            corrupt_pool=("garbage",),
-        )
-        injector = TimedFaultInjector(plan)
-        behavior = run_timed(self._system(), 2.0, injector)
-        (send,) = behavior.edge("a", "b").sends
-        assert send[1] == "garbage"
-
-    def test_timed_trace_is_deterministic(self):
-        plan = FaultPlan(
-            link_faults=(
-                LinkFault(("a", "b"), "drop", probability=0.5, end=math.inf),
-                LinkFault(("b", "c"), "delay", delay=0.5),
-            ),
-            seed=3,
-        )
-        i1, i2 = TimedFaultInjector(plan), TimedFaultInjector(plan)
-        b1 = run_timed(self._system(), 2.0, i1)
-        b2 = run_timed(self._system(), 2.0, i2)
-        assert i1.trace == i2.trace
-        assert dict(b1.edge_behaviors) == dict(b2.edge_behaviors)

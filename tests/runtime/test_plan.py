@@ -182,7 +182,8 @@ class TestTimedPlan:
         plan = compile_timed_plan(system)
         g = system.graph
         for u, v in g.edges:
-            assert (
-                plan.receiver_port[(u, v)]
-                == system.assignments[v].port_of_neighbor[u]
+            assert plan.by_node[u].sends[system.port(u, v)] == (
+                (u, v),
+                plan.by_node[v].rank,
+                system.assignments[v].port_of_neighbor[u],
             )
