@@ -4,11 +4,14 @@
 The paper's engines give *constructive* impossibility — they build the
 adversary.  On the possible side, we can only search: this example
 throws hundreds of randomized Byzantine strategies at protocols and
-reads the results next to the theory.
+reads the results next to the theory.  The search is a node-fault
+campaign (``repro campaign --links 0``): up to f faulty nodes, each
+running a randomized Byzantine strategy.
 
   1. Randomized search cannot break EIG at n = 3f + 1 (theory says the
      bounds are tight; the search agrees).
-  2. The same search demolishes naive majority voting in seconds.
+  2. The same search demolishes naive majority voting in seconds, and
+     shrinks what it found to a minimal counterexample.
   3. The engine then does what no random search can: it *derives* the
      adversary for the triangle, and we print the traitor's complete
      message transcript — the masquerade the Fault axiom bottles.
@@ -19,7 +22,7 @@ Run:  python examples/adversary_lab.py
 """
 
 from repro.analysis import format_table
-from repro.analysis.adversary_search import search_agreement_attacks
+from repro.analysis.campaign import CampaignConfig, run_campaign
 from repro.analysis.metrics import COMPARE_HEADERS, compare, measure
 from repro.core import refute_node_bound
 from repro.graphs import complete_graph, triangle
@@ -36,27 +39,25 @@ def search_both_sides() -> None:
     print("=" * 72)
     print("1 & 2. Randomized adversary search: EIG vs naive majority")
     print("=" * 72)
-    eig_result = search_agreement_attacks(
-        complete_graph(4),
-        lambda g: eig_devices(g, 1),
-        max_faults=1,
-        rounds=2,
-        attempts=200,
-        seed=42,
+    def search(factory, rounds):
+        return run_campaign(
+            CampaignConfig(
+                graph=complete_graph(4),
+                device_factory=factory,
+                rounds=rounds,
+                max_node_faults=1,
+                max_link_faults=0,
+                attempts=200,
+                seed=42,
+            )
+        )
+
+    eig_result = search(lambda g: eig_devices(g, 1), rounds=2)
+    naive_result = search(
+        lambda g: {u: MajorityVoteDevice() for u in g.nodes}, rounds=1
     )
-    naive_result = search_agreement_attacks(
-        complete_graph(4),
-        lambda g: {u: MajorityVoteDevice() for u in g.nodes},
-        max_faults=1,
-        rounds=1,
-        attempts=200,
-        seed=42,
-    )
-    rows = [
-        ("EIG (n=4, f=1)", eig_result.describe()),
-        ("1-round majority (n=4)", naive_result.describe()),
-    ]
-    print(format_table(("protocol", "search outcome"), rows))
+    print(f"EIG (n=4, f=1): {eig_result.describe()}")
+    print(f"1-round majority (n=4): {naive_result.describe()}")
     assert not eig_result.broken and naive_result.broken
     print()
 

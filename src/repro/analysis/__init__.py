@@ -15,7 +15,6 @@ from .sweep import (
     node_bound_sweep,
     sweep_store_key,
 )
-from .adversary_search import SearchResult, search_agreement_attacks
 from .parallel import (
     ItemError,
     ParallelRunner,
@@ -97,7 +96,6 @@ __all__ = [
     "ReportLine",
     "measure_convergence",
     "theoretical_dlpsw_factor",
-    "SearchResult",
     "available_parallelism",
     "fork_available",
     "full_report",
@@ -113,7 +111,6 @@ __all__ = [
     "render_sync_decisions",
     "render_sync_messages",
     "render_timed_events",
-    "search_agreement_attacks",
     "hexagon_figure",
     "node_bound_sweep",
     "ring_figure",

@@ -991,20 +991,6 @@ def _frontier_row_from_jsonable(
     )
 
 
-def _frontier_to_jsonable(frontier: DegradationFrontier) -> dict[str, Any]:
-    return {
-        "first_break": dict(frontier.first_break),
-        "rows": [
-            {
-                "links": row.link_budget,
-                "attempts": row.attempts,
-                "broken": list(row.broken_conditions),
-            }
-            for row in frontier.rows
-        ],
-    }
-
-
 __all__ = [
     "CampaignConfig",
     "CampaignResult",

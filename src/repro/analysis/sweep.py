@@ -28,7 +28,7 @@ from .parallel import ParallelRunner
 from .runstore import Shard, journaled_map
 
 from ..core.byzantine import refute_connectivity, refute_node_bound
-from ..graphs.adequacy import classify
+from ..graphs.adequacy import classify, required_nodes
 from ..graphs.builders import circulant, complete_graph
 from ..graphs.connectivity import node_connectivity
 from ..graphs.graph import CommunicationGraph
@@ -182,7 +182,7 @@ def node_bound_sweep(
     points = [
         (f, n)
         for f in max_faults_values
-        for n in range(3, 3 * f + 3)
+        for n in range(3, required_nodes(f) + 2)
     ]
     return journaled_map(
         ParallelRunner(jobs),

@@ -15,7 +15,6 @@ Examples
     python -m repro sweep connectivity --faults 1
     python -m repro demo eig --graph complete:7 --faults 2
     python -m repro demo sparse --graph circulant:7:1,2 --faults 1
-    python -m repro attack --protocol naive --graph complete:4 --faults 1
     python -m repro campaign --protocol naive --graph complete:4 --links 2
     python -m repro campaign --protocol eig --graph complete:4 --faults 1
     python -m repro --seed 7 campaign --protocol naive --frontier
@@ -32,12 +31,12 @@ Graph specs: ``triangle``, ``diamond``, ``complete:N``, ``ring:N``,
 ``wheel:N``, ``star:N``, ``circulant:N:o1,o2,...``.
 
 The global ``--seed`` (before the subcommand) drives every randomized
-search — adversary attacks and fault campaigns alike — so any run is
+run — fault campaigns and the ``demo`` liars alike — so any run is
 reproducible from the command line.  ``--jobs N`` on ``campaign`` /
-``sweep`` / ``attack`` fans the independent work units across worker
-processes; results (and ``--json`` files) are identical to serial runs.
+``sweep`` fans the independent work units across worker processes;
+results (and ``--json`` files) are identical to serial runs.
 
-Observability: ``--trace FILE`` on ``attack`` / ``campaign`` / ``sweep``
+Observability: ``--trace FILE`` on ``campaign`` / ``sweep``
 records a JSONL telemetry trace of the run (byte-identical for any
 ``--jobs`` value), ``--metrics`` prints the run summary, and ``repro
 profile {summary,events,metrics} FILE`` inspects a recorded trace.
@@ -242,6 +241,8 @@ def _cmd_report(args) -> int:
 def _cmd_demo(args) -> int:
     graph = parse_graph(args.graph)
     f = args.faults
+    if f < 0:
+        raise ValueError(f"--faults must be non-negative, got {f}")
     if args.protocol == "eig":
         devices = dict(eig_devices(graph, f))
         rounds = f + 1
@@ -249,11 +250,12 @@ def _cmd_demo(args) -> int:
         devices, rounds = sparse_agreement_devices(graph, f)
         devices = dict(devices)
     nodes = list(graph.nodes)
-    for i, node in enumerate(nodes[-f:]):
+    split = len(nodes) - f
+    for i, node in enumerate(nodes[split:]):
         devices[node] = RandomLiarDevice(seed=args.seed + i)
     inputs = {u: i % 2 for i, u in enumerate(nodes)}
     behavior = run(make_system(graph, devices, inputs), rounds)
-    correct = nodes[: len(nodes) - f]
+    correct = nodes[:split]
     verdict = ByzantineAgreementSpec().check(
         inputs, behavior.decisions(), correct
     )
@@ -265,7 +267,7 @@ def _cmd_demo(args) -> int:
 
 
 def _campaign_factory(protocol: str, faults: int):
-    """(device_factory, default_rounds) for a campaign/attack protocol."""
+    """(device_factory, default_rounds) for a campaign protocol."""
     if protocol == "naive":
         return (
             lambda graph: {u: MajorityVoteDevice() for u in graph.nodes},
@@ -274,25 +276,6 @@ def _campaign_factory(protocol: str, faults: int):
     if protocol == "eig":
         return (lambda graph: eig_devices(graph, faults), faults + 1)
     raise GraphError(f"unknown protocol {protocol!r}")
-
-
-def _cmd_attack(args) -> int:
-    from .analysis.adversary_search import search_agreement_attacks
-
-    graph = parse_graph(args.graph)
-    factory, default_rounds = _campaign_factory(args.protocol, args.faults)
-    rounds = args.rounds if args.rounds is not None else default_rounds
-    result = search_agreement_attacks(
-        graph,
-        factory,
-        max_faults=args.faults,
-        rounds=rounds,
-        attempts=args.attempts,
-        seed=args.seed,
-        jobs=args.jobs,
-    )
-    print(result.describe())
-    return 0
 
 
 def _cmd_campaign(args) -> int:
@@ -514,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed", type=int, default=0,
-        help="seed for every randomized search (attack, campaign, demo)",
+        help="seed for every randomized search (campaign, demo)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -570,22 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default="complete:4")
     p.add_argument("--faults", type=int, default=1)
     p.set_defaults(func=_cmd_demo)
-
-    p = sub.add_parser(
-        "attack", help="randomized Byzantine-node adversary search"
-    )
-    p.add_argument("--protocol", choices=["naive", "eig"], default="naive")
-    p.add_argument("--graph", default="complete:4")
-    p.add_argument("--faults", type=int, default=1)
-    p.add_argument("--rounds", type=int, default=None)
-    p.add_argument("--attempts", type=int, default=200)
-    p.add_argument(
-        "--jobs", type=int, default=1,
-        help="fan attempts across N worker processes; each attempt has "
-        "its own seeded stream, so results are identical for any N",
-    )
-    _add_telemetry_flags(p)
-    p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser(
         "campaign",

@@ -290,6 +290,8 @@ def refute_epsilon_delta(
     trace in ``extra["lemma7"]``: for each ring node, the value its
     device chose and the inductive upper bound ``δ + γ + iε``.
     """
+    if rounds < 0:
+        raise ValueError("rounds must be non-negative")
     base = base or triangle()
     k = ring_size_for_epsilon_delta(epsilon, delta, gamma)
     covering = ring_cover_of_triangle(k + 2, base)

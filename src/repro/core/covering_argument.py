@@ -229,6 +229,8 @@ def run_scenario_chain(
 ) -> ChainResult:
     """Run the covering system once and realize each scenario set as a
     correct behavior of the base graph."""
+    if rounds < 0:
+        raise ValueError("rounds must be non-negative")
     cover_behavior = run(cover_system, rounds)
     constructed: list[ConstructedBehavior] = []
     for index, nodes in enumerate(scenario_sets, start=1):

@@ -4,6 +4,7 @@ graceful-degradation frontier."""
 
 import json
 
+import pytest
 
 from repro.analysis.campaign import (
     CampaignConfig,
@@ -86,9 +87,23 @@ class TestCampaign:
         assert r1.attempts == r2.attempts
         assert r1.injection_trace == r2.injection_trace
 
-    def test_eig_survives_within_its_fault_budget(self):
-        result = run_campaign(eig_config())
-        assert not result.broken
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            dict(
+                graph=complete_graph(7),
+                device_factory=lambda g: eig_devices(g, 2),
+                rounds=3,
+                max_node_faults=2,
+                attempts=25,
+            ),
+        ],
+        ids=["k4-f1", "k7-f2"],
+    )
+    def test_eig_survives_within_its_fault_budget(self, overrides):
+        result = run_campaign(eig_config(**overrides))
+        assert not result.broken, result.describe()
 
     def test_node_faults_alone_break_naive(self):
         config = naive_config(max_node_faults=1, max_link_faults=0)

@@ -1,5 +1,7 @@
 """CLI and analysis-layer tests."""
 
+import ast
+
 import pytest
 
 from repro.analysis import (
@@ -101,6 +103,13 @@ class TestCLI:
         assert main(["demo", "eig", "--graph", "complete:4"]) == 0
         assert "all conditions satisfied" in capsys.readouterr().out
 
+    def test_demo_without_faults(self, capsys):
+        # f = 0 means no liars: every node is correct and they agree.
+        assert main(["demo", "eig", "--graph", "complete:4", "--faults", "0"]) == 0
+        out = capsys.readouterr().out
+        decisions = ast.literal_eval(out.split("decisions: ")[1].splitlines()[0])
+        assert len(decisions) == 4 and len(set(decisions.values())) == 1
+
     def test_demo_sparse_command(self, capsys):
         code = main(
             ["demo", "sparse", "--graph", "circulant:7:1,2", "--faults", "1"]
@@ -120,13 +129,16 @@ class TestCLI:
             ["classify", "--graph", "nope"],
             ["campaign", "--rounds", "-1"],
             ["campaign", "--frontier", "--rounds", "-1"],
-            ["attack", "--attempts", "-5"],
-            ["attack", "--rounds", "-1"],
             ["campaign", "--jobs", "-3", "--checkpoint", str(tmp_path / "c")],
             ["campaign", "--frontier", "--jobs", "0"],
             ["sweep", "nodes", "--jobs", "0"],
-            ["attack", "--jobs", "0"],
             ["resume", store, "--jobs", "0"],
+            ["refute", "byzantine", "--rounds", "-1"],
+            ["refute", "connectivity", "--graph", "diamond", "--rounds", "-1"],
+            ["refute", "eps-delta", "--rounds", "-1"],
+            ["sweep", "nodes", "--faults", "0"],
+            ["sweep", "nodes", "--faults", "1", "-1"],
+            ["demo", "eig", "--faults", "-1"],
         ):
             assert main(argv) == 2, argv
             assert "error: " in capsys.readouterr().err, argv
@@ -146,18 +158,16 @@ class TestCLI:
                  "--faults", "5", "--links", "1", "--attempts", "50"],
                 "max_node_faults 5 exceeds the node count 4",
             ),
-            (
-                ["attack", "--graph", "complete:4", "--faults", "5"],
-                "max_faults 5 is outside 0..4 (the node count)",
-            ),
-            (
-                ["attack", "--graph", "complete:4", "--faults", "-1"],
-                "max_faults -1 is outside 0..4 (the node count)",
-            ),
         ):
             assert main(argv) == 2, argv
             assert f"error: {message}" in capsys.readouterr().err, argv
         assert not (tmp_path / "budget").exists()
+        # The node-fault search is `campaign --links 0`; there is no
+        # separate `attack` command.
+        with pytest.raises(SystemExit) as exc:
+            main(["attack"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'attack'" in capsys.readouterr().err
 
     def test_parser_help_mentions_problems(self):
         parser = build_parser()
@@ -208,19 +218,22 @@ class TestCLIWitnessOptions:
 
 
 class TestAttackAndCampaignCommands:
+    # The randomized node-fault attack search is `campaign --links 0`.
+    NODE_ATTACK = ["campaign", "--links", "0", "--faults", "1"]
+
     def test_attack_command_breaks_naive(self, capsys):
         assert main(
-            ["attack", "--protocol", "naive", "--graph", "complete:4",
-             "--faults", "1", "--attempts", "50"]
+            [*self.NODE_ATTACK, "--protocol", "naive", "--graph",
+             "complete:4", "--attempts", "50"]
         ) == 0
         assert "broken" in capsys.readouterr().out
 
     def test_attack_seed_changes_search(self, capsys):
-        main(["attack", "--attempts", "50"])
+        main([*self.NODE_ATTACK, "--attempts", "50"])
         first = capsys.readouterr().out
-        main(["--seed", "1", "attack", "--attempts", "50"])
+        main(["--seed", "1", *self.NODE_ATTACK, "--attempts", "50"])
         second = capsys.readouterr().out
-        main(["attack", "--attempts", "50"])
+        main([*self.NODE_ATTACK, "--attempts", "50"])
         again = capsys.readouterr().out
         assert first == again  # same seed reproduces exactly
         assert first != second

@@ -1,17 +1,15 @@
 """Parallel drivers must be invisible: identical results at any jobs.
 
-Every parallel entry point (``run_campaign``, ``degradation_frontier``,
-the sweeps, and ``search_agreement_attacks``) merges worker
-results deterministically, so ``jobs=N`` output is byte-identical to
-the serial scan.  These tests pin that contract, serializing results
-to sorted JSON where a serializer exists.
+Every parallel entry point (``run_campaign``, ``degradation_frontier``
+and the sweeps) merges worker results deterministically, so ``jobs=N``
+output is byte-identical to the serial scan.  These tests pin that
+contract, serializing results to sorted JSON where a serializer exists.
 """
 
 import json
 
 import pytest
 
-from repro.analysis.adversary_search import search_agreement_attacks
 from repro.analysis.campaign import (
     CampaignConfig,
     degradation_frontier,
@@ -104,31 +102,6 @@ class TestSweepParallelEquivalence:
 
     def test_connectivity_sweep(self):
         assert connectivity_sweep() == connectivity_sweep(jobs=2)
-
-
-class TestAdversarySearchParallelEquivalence:
-    def test_indexed_results_identical_across_jobs(self):
-        g = complete_graph(4)
-        serial = search_agreement_attacks(
-            g, _naive_factory, 1, 3, attempts=30, seed=2, jobs=1
-        )
-        parallel = search_agreement_attacks(
-            g, _naive_factory, 1, 3, attempts=30, seed=2, jobs=2
-        )
-        assert serial == parallel
-        assert serial.broken  # majority vote falls quickly
-
-    def test_default_is_the_indexed_stream(self):
-        # There is one sampling stream: omitting jobs runs the same
-        # per-attempt draws as any explicit jobs value.
-        g = complete_graph(4)
-        default = search_agreement_attacks(
-            g, _naive_factory, 1, 3, attempts=30, seed=2
-        )
-        for jobs in (1, 2):
-            assert default == search_agreement_attacks(
-                g, _naive_factory, 1, 3, attempts=30, seed=2, jobs=jobs
-            )
 
 
 class TestAvailableParallelism:
@@ -342,18 +315,6 @@ class TestOnePoolPerCall:
 
         result = run_campaign(_k4_config(*BREAKING), jobs=2)
         assert result.broken
-        assert not multiprocessing.active_children()
-
-    def test_no_workers_outlive_an_attack_scan_that_exits_early(
-        self, forced_pool
-    ):
-        import multiprocessing
-
-        result = search_agreement_attacks(
-            complete_graph(4), _naive_factory, 1, 3, attempts=30, seed=2,
-            jobs=2,
-        )
-        assert result.broken and result.attempts < 30
         assert not multiprocessing.active_children()
 
     @pytest.mark.parametrize(

@@ -66,8 +66,9 @@ class TestTraceFlag:
         trace = str(tmp_path / "a.jsonl")
         assert main(
             [
-                "attack", "--protocol", "naive", "--graph", "complete:4",
-                "--faults", "1", "--attempts", "5", "--trace", trace,
+                "campaign", "--protocol", "naive", "--graph", "complete:4",
+                "--links", "0", "--faults", "1", "--attempts", "5",
+                "--trace", trace,
             ]
         ) == 0
         assert obs.read_trace(trace)["meta"]["events"] > 0

@@ -5,7 +5,6 @@ run-scope stream is a pure function of the workload."""
 import pytest
 
 from repro import obs
-from repro.analysis.adversary_search import search_agreement_attacks
 from repro.analysis.campaign import CampaignConfig, run_campaign
 from repro.analysis.sweep import node_bound_sweep
 from repro.graphs import complete_graph
@@ -73,24 +72,6 @@ class TestCampaignDeterminism:
 
 
 class TestAttackAndSweepDeterminism:
-    def test_attack_indexed_jobs(self):
-        def build(jobs):
-            graph = complete_graph(4)
-            return lambda: search_agreement_attacks(
-                graph,
-                lambda g: {u: MajorityVoteDevice() for u in g.nodes},
-                max_faults=1,
-                rounds=2,
-                attempts=20,
-                seed=3,
-                jobs=jobs,
-            )
-
-        serial_lines, serial_metrics = _traced(build(1))
-        par_lines, par_metrics = _traced(build(4))
-        assert par_lines == serial_lines
-        assert par_metrics == serial_metrics
-
     def test_sweep_jobs(self):
         serial_lines, serial_metrics = _traced(
             lambda: node_bound_sweep((1,), jobs=1)
