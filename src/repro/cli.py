@@ -191,6 +191,11 @@ def _cmd_refute(args) -> int:
 def _cmd_sweep(args) -> int:
     from .analysis.sweep import sweep_store_key
 
+    # Reject a bad fault bound before a run store is created for it.
+    swept = args.faults if args.dimension == "nodes" else args.faults[:1]
+    for f in swept:
+        if f < 1:
+            raise ValueError(f"the fault bound f must be at least 1, got {f}")
     shard = None
     if getattr(args, "checkpoint", None):
         from .analysis.runstore import RunStore

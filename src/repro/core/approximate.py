@@ -197,6 +197,8 @@ def refute_epsilon_delta_connectivity(
         cut_partition_for_connectivity,
     )
 
+    if rounds < 0:
+        raise ValueError("rounds must be non-negative")
     if epsilon >= delta / 2:
         raise ValueError(
             "the cyclic-cover chain drifts 2ε per copy; this engine needs "

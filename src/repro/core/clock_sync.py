@@ -127,8 +127,8 @@ def refute_clock_sync(
     ring_nodes = covering.cover.nodes
 
     clocks = {
-        node: compose(setting.q, h.iterate(-i))
-        for i, node in enumerate(ring_nodes)
+        node: compose(setting.q, h_back)
+        for node, h_back in zip(ring_nodes, h.inverse().powers(len(ring_nodes)))
     }
     cover_inputs = {node: None for node in ring_nodes}
     cover_system = install_in_covering_timed(

@@ -83,6 +83,8 @@ def refute_epsilon_delta_general(
     the supernode triangle, checking the spec on unwrapped member
     decisions.
     """
+    if rounds < 0:
+        raise ValueError("rounds must be non-negative")
     if len(graph) == 3:
         name_map = dict(zip(graph.nodes, ("a", "b", "c")))
         renamed = {name_map[u]: devices[u] for u in graph.nodes}

@@ -340,7 +340,9 @@ def refute_clock_sync_connectivity(
     cover = connectivity_cyclic_cover(
         graph, cut_b, cut_d, side_a, side_c, copies=copies
     )
-    copy_clock = [compose(setting.q, h.iterate(-i)) for i in range(copies)]
+    copy_clock = [
+        compose(setting.q, h_back) for h_back in h.inverse().powers(copies)
+    ]
     cover_clocks = {}
     for i in range(copies):
         for v in graph.nodes:

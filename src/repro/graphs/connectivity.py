@@ -10,7 +10,9 @@ which needs only ``O(n)`` pairwise computations instead of all pairs.
 
 Every public function here is **memoized on the graph instance**
 (:meth:`CommunicationGraph.analytics_cache`): graphs are immutable, so
-a flow result is valid for the instance's lifetime.  An equal graph
+a flow result is valid for the instance's lifetime.  Each ``s``–``t``
+pair runs one flow, cached as ``(value, cut)`` and shared by the
+value queries and the cut queries.  An equal graph
 built afresh recomputes: a content-keyed table shared across instances
 hit too rarely on any measured workload to pay for itself.  Mutable
 results (cut sets, path lists) are copied on every return, so callers
@@ -55,6 +57,23 @@ def clear_analytics() -> None:
     _STATS["misses"] = 0
 
 
+def _pair_flow(
+    graph: CommunicationGraph, source: NodeId, target: NodeId
+) -> tuple[int, frozenset[NodeId]]:
+    """One max-flow between two distinct non-adjacent nodes, cached as
+    ``(value, minimum vertex cut)``: the connectivity queries and the
+    cut queries of a pair share it."""
+    if source == target:
+        raise GraphError("source and target must differ")
+
+    def compute() -> tuple[int, frozenset[NodeId]]:
+        flow = _SplitNodeFlow(graph, source, target)
+        value = flow.run()
+        return value, frozenset(flow.min_cut_nodes())
+
+    return _cached(graph, ("pair_flow", source, target), compute)
+
+
 def min_vertex_cut(
     graph: CommunicationGraph, source: NodeId, target: NodeId
 ) -> set[NodeId]:
@@ -63,35 +82,42 @@ def min_vertex_cut(
     Raises :class:`GraphError` if the nodes are adjacent or identical
     (no vertex cut exists in those cases).
     """
-    if source == target:
-        raise GraphError("source and target must differ")
-    if graph.has_edge(source, target):
+    if source != target and graph.has_edge(source, target):
         raise GraphError("no vertex cut separates adjacent nodes")
-
-    def compute() -> frozenset[NodeId]:
-        flow = _SplitNodeFlow(graph, source, target)
-        flow.run()
-        return frozenset(flow.min_cut_nodes())
-
-    return set(_cached(graph, ("min_vertex_cut", source, target), compute))
+    return set(_pair_flow(graph, source, target)[1])
 
 
 def local_connectivity(
     graph: CommunicationGraph, source: NodeId, target: NodeId
 ) -> int:
     """Maximum number of internally vertex-disjoint ``s``–``t`` paths."""
-    if source == target:
-        raise GraphError("source and target must differ")
-    if graph.has_edge(source, target):
+    if source != target and graph.has_edge(source, target):
         # Adjacent nodes: one direct path plus disjoint paths avoiding
         # the direct edge; by convention (and to match networkx) this is
         # unbounded for the cut formulation, so callers skip this case.
         raise GraphError("local connectivity of adjacent nodes is unbounded")
-    return _cached(
-        graph,
-        ("local_connectivity", source, target),
-        lambda: _SplitNodeFlow(graph, source, target).run(),
+    return _pair_flow(graph, source, target)[0]
+
+
+def _even_pairs(graph: CommunicationGraph) -> list[tuple[NodeId, NodeId]]:
+    """Even's candidate pairs for a connected, non-complete graph: a
+    minimum-degree pivot with each non-neighbor, then each non-adjacent
+    pair of the pivot's neighbors."""
+    pivot = min(graph.nodes, key=graph.degree)
+    pivot_neighbors = graph.neighbors(pivot)
+    neighbor_set = set(pivot_neighbors)
+    pairs = [
+        (pivot, w)
+        for w in graph.nodes
+        if w != pivot and w not in neighbor_set
+    ]
+    pairs.extend(
+        (x, y)
+        for i, x in enumerate(pivot_neighbors)
+        for y in pivot_neighbors[i + 1 :]
+        if not graph.has_edge(x, y)
     )
+    return pairs
 
 
 def node_connectivity(graph: CommunicationGraph) -> int:
@@ -119,29 +145,18 @@ def _node_connectivity(graph: CommunicationGraph) -> int:
         return 0
     if graph.is_complete():
         return n - 1
-
-    pivot = min(graph.nodes, key=graph.degree)
-    best = graph.degree(pivot)
-    pivot_neighbors = graph.neighbors(pivot)
-    neighbor_set = set(pivot_neighbors)
-
-    for w in graph.nodes:
-        if w == pivot or w in neighbor_set:
-            continue
-        best = min(best, local_connectivity(graph, pivot, w))
-        if best == 0:
-            return 0
-    for i, x in enumerate(pivot_neighbors):
-        for y in pivot_neighbors[i + 1 :]:
-            if not graph.has_edge(x, y):
-                best = min(best, local_connectivity(graph, x, y))
-                if best == 0:
-                    return 0
-    return best
+    # Non-adjacent nodes of a connected graph have connectivity >= 1,
+    # so the minimum is never 0 here.
+    return min(
+        [graph.min_degree()]
+        + [_pair_flow(graph, s, t)[0] for s, t in _even_pairs(graph)]
+    )
 
 
 def global_min_cut(graph: CommunicationGraph) -> set[NodeId]:
-    """A minimum vertex cut of the whole graph.
+    """A minimum vertex cut of the whole graph: the first smallest cut
+    among Even's candidate pairs, from the same cached flows that
+    :func:`node_connectivity` runs.
 
     Returns an empty set for disconnected graphs.  Raises
     :class:`GraphError` for complete graphs, which have no vertex cut.
@@ -150,27 +165,8 @@ def global_min_cut(graph: CommunicationGraph) -> set[NodeId]:
         return set()
     if graph.is_complete():
         raise GraphError("complete graphs have no vertex cut")
-    best_cut: set[NodeId] | None = None
-    pivot = min(graph.nodes, key=graph.degree)
-    neighbor_set = set(graph.neighbors(pivot))
-    candidates: list[tuple[NodeId, NodeId]] = [
-        (pivot, w)
-        for w in graph.nodes
-        if w != pivot and w not in neighbor_set
-    ]
-    pivot_neighbors = graph.neighbors(pivot)
-    candidates.extend(
-        (x, y)
-        for i, x in enumerate(pivot_neighbors)
-        for y in pivot_neighbors[i + 1 :]
-        if not graph.has_edge(x, y)
-    )
-    for s, t in candidates:
-        cut = min_vertex_cut(graph, s, t)
-        if best_cut is None or len(cut) < len(best_cut):
-            best_cut = cut
-    assert best_cut is not None  # non-complete connected graph has a cut
-    return best_cut
+    flows = [_pair_flow(graph, s, t) for s, t in _even_pairs(graph)]
+    return set(min(flows, key=lambda flow: len(flow[1]))[1])
 
 
 def vertex_disjoint_paths(

@@ -77,13 +77,14 @@ class CoveringMap:
         be literally the same wiring as the covering scenario.
         """
         nodes = list(cover_nodes)
+        node_set = set(nodes)
         images = [self.phi[u] for u in nodes]
         if len(set(images)) != len(nodes):
             return False
         image_set = set(images)
         for u in nodes:
             mapped = {
-                self.phi[v] for v in self.cover.neighbors(u) if v in set(nodes)
+                self.phi[v] for v in self.cover.neighbors(u) if v in node_set
             }
             expected = {
                 w

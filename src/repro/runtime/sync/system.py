@@ -181,10 +181,9 @@ def install_in_covering(
         # i-th port of the covering node corresponds to the i-th port
         # of its image — the paper's "S looks locally like G" includes
         # the port ordering the Fault axiom speaks of.
-        ports = {
-            covering.lift_neighbor(u, w): w
-            for w in base.neighbors(covering(u))
-        }
+        # Each base neighbor's lift (one-to-one: verified covering).
+        lifts = {covering(s): s for s in cover.neighbors(u)}
+        ports = {lifts[w]: w for w in base.neighbors(covering(u))}
         assignments[u] = NodeAssignment(
             device=base_devices[covering(u)],
             input=cover_inputs[u],

@@ -46,12 +46,22 @@ class ClockFunction(abc.ABC):
 
         Negative ``times`` iterates the inverse; zero is the identity.
         """
-        if times == 0:
-            return identity()
-        base = self if times > 0 else self.inverse()
-        result = base
-        for _ in range(abs(times) - 1):
-            result = compose(base, result)
+        base = self if times >= 0 else self.inverse()
+        return base.powers(abs(times) + 1)[-1]
+
+    def powers(self, count: int) -> list["ClockFunction"]:
+        """``[self⁰, self¹, …, self^(count-1)]`` in ``O(count)``
+        compositions, each power composed onto the previous one.
+
+        ``powers(n)[i]`` is built exactly as ``iterate(i)`` builds it,
+        so the two agree bit for bit (Theorem 8's ring of clocks
+        ``q ∘ h⁻ⁱ`` takes its ``h⁻ⁱ`` from ``h.inverse().powers(n)``).
+        """
+        result = [identity()]
+        if count > 1:
+            result.append(self)
+        while len(result) < count:
+            result.append(compose(self, result[-1]))
         return result
 
 

@@ -21,6 +21,7 @@ from typing import Any, Literal
 
 from ...graphs.coverings import CoveringMap
 from ...graphs.graph import CommunicationGraph, GraphError, NodeId
+from ..plan import identity_labelling
 from .clocks import ClockFunction, identity
 from .device import DeviceFactory, PortLabel, TimedContext
 
@@ -134,13 +135,16 @@ def make_timed_system(
     delay_mode: Literal["real", "clock"] = "real",
     clocks: Mapping[NodeId, ClockFunction] | None = None,
 ) -> TimedSystem:
-    """A timed system with identity port labels."""
+    """A timed system with identity port labels (the graph's shared
+    :func:`~repro.runtime.plan.identity_labelling`, so every such
+    system compiles against one cached sends table)."""
     clocks = clocks or {}
+    labelling = identity_labelling(graph)
     assignments = {
         u: TimedNodeAssignment(
             factory=factories[u],
             input=inputs[u],
-            port_of_neighbor={v: v for v in graph.neighbors(u)},
+            port_of_neighbor=labelling[u],
             clock=clocks.get(u, identity()),
         )
         for u in graph.nodes
@@ -165,10 +169,9 @@ def install_in_covering_timed(
     for u in cover.nodes:
         if u not in cover_inputs:
             raise GraphError(f"no input supplied for covering node {u!r}")
-        ports = {
-            covering.lift_neighbor(u, w): w
-            for w in base.neighbors(covering(u))
-        }
+        # Each base neighbor's lift (one-to-one: verified covering).
+        lifts = {covering(s): s for s in cover.neighbors(u)}
+        ports = {lifts[w]: w for w in base.neighbors(covering(u))}
         assignments[u] = TimedNodeAssignment(
             factory=base_factories[covering(u)],
             input=cover_inputs[u],

@@ -143,6 +143,15 @@ class TestCLI:
             assert main(argv) == 2, argv
             assert "error: " in capsys.readouterr().err, argv
         assert not (tmp_path / "c").exists()
+        # A sweep's fault bound is checked before its run store exists.
+        for argv in (
+            ["sweep", "nodes", "--faults", "0"],
+            ["sweep", "connectivity", "--faults", "-1"],
+        ):
+            sweep_store = tmp_path / f"sweep-{argv[1]}"
+            assert main(argv + ["--checkpoint", str(sweep_store)]) == 2, argv
+            assert "error: " in capsys.readouterr().err, argv
+            assert not (sweep_store / "meta.json").exists(), argv
         # Impossible node-fault budgets on K4 are rejected up front for
         # every seed, naming the budget and the node count.
         budget = str(tmp_path / "budget")

@@ -72,6 +72,24 @@ class TestEpsilonDeltaConnectivity:
                 rounds=3,
             )
 
+    def test_negative_rounds_rejected_before_any_device_runs(self):
+        g = diamond()
+
+        class Tripwire(MedianDevice):
+            def send(self, *args, **kwargs):
+                raise AssertionError("a device ran")
+
+        with pytest.raises(ValueError, match="rounds must be non-negative"):
+            refute_epsilon_delta_connectivity(
+                g,
+                {u: Tripwire() for u in g.nodes},
+                max_faults=1,
+                epsilon=0.25,
+                delta=1.0,
+                gamma=1.0,
+                rounds=-1,
+            )
+
     def test_adequate_graph_rejected(self):
         g = complete_graph(4)
         with pytest.raises(CoveringError):

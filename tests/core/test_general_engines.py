@@ -90,3 +90,16 @@ class TestGeneralEpsilonDelta:
         }
         # The violations speak about ORIGINAL graph nodes, not groups.
         assert named <= set(g.nodes)
+
+    def test_negative_rounds_rejected_before_any_device_runs(self):
+        g = complete_graph(6)
+
+        class Tripwire(MedianDevice):
+            def send(self, *args, **kwargs):
+                raise AssertionError("a device ran")
+
+        with pytest.raises(ValueError, match="rounds must be non-negative"):
+            refute_epsilon_delta_general(
+                g, {u: Tripwire() for u in g.nodes}, max_faults=2,
+                epsilon=0.25, delta=1.0, gamma=1.0, rounds=-1,
+            )

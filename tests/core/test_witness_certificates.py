@@ -1,0 +1,214 @@
+"""Witness certificates for the timed engines, checked from outside.
+
+Every engine re-verifies its own Locality identification, but with
+engine code.  This file checks only what the paper says a constructed
+behavior of ``G`` *is*, for every ``TimedConstructedBehavior`` of the
+Theorem 2 and Theorem 4 witnesses (node and connectivity bounds) and of
+Theorem 8's scaled-scenario reconstructions (Lemma 9):
+
+* (a) at most ``f`` faulty nodes, and correct ∪ faulty = V(G);
+* (b) every correct node runs the caller's own device factory, with the
+  input the behavior records;
+* (c) every faulty node runs a ``TimedReplayDevice`` (the Fault axiom:
+  a faulty node may send anything, here exactly what it recorded);
+* (d) re-executing the system reproduces the recorded behavior.
+
+A mutant engine that installs a constant device at one correct node
+(and skips its own Locality check, so it gets that far) must fail (b).
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import pytest
+
+import repro.core.clock_sync as clock_sync
+import repro.core.timed_argument as timed_argument
+from repro.core import (
+    SynchronizationSetting,
+    refute_clock_sync,
+    refute_firing_squad,
+    refute_firing_squad_connectivity,
+    refute_weak_agreement,
+    refute_weak_agreement_connectivity,
+)
+from repro.core.timed_argument import TimedConstructedBehavior
+from repro.graphs import diamond, ring, triangle
+from repro.protocols import (
+    ExchangeOnceWeakDevice,
+    LowerEnvelopeClockDevice,
+    RelayFireDevice,
+)
+from repro.runtime.timed import LinearClock
+from repro.runtime.timed.adversary import TimedReplayDevice
+from repro.runtime.timed.device import TimedDevice
+from repro.runtime.timed.executor import run_timed
+
+LOWER = LinearClock(1.0, 0.0)
+SETTING = SynchronizationSetting(
+    p=LinearClock(1.0, 0.0),
+    q=LinearClock(1.2, 0.0),
+    lower=LOWER,
+    upper=LinearClock(1.0, 2.0),
+    alpha=0.1,
+    t_prime=1.0,
+)
+
+
+def _factories(graph, make):
+    return {u: make for u in graph.nodes}
+
+
+def _weak():
+    return ExchangeOnceWeakDevice(decide_at=2.0)
+
+
+def _clock():
+    return LowerEnvelopeClockDevice(LOWER)
+
+
+def certify(c: TimedConstructedBehavior, graph, max_faults, factories) -> None:
+    """Assert (a)–(d) for one constructed behavior."""
+    nodes = frozenset(graph.nodes)
+    assert len(c.faulty_nodes) <= max_faults, f"(a) {c.label}: too many faulty"
+    assert not c.correct_nodes & c.faulty_nodes, f"(a) {c.label}: overlap"
+    assert c.correct_nodes | c.faulty_nodes == nodes, f"(a) {c.label}: not V(G)"
+    assert c.system.graph is graph, f"(a) {c.label}: not a system of G"
+    for u in c.correct_nodes:
+        assignment = c.system.assignments[u]
+        assert assignment.factory is factories[u], (
+            f"(b) {c.label}: correct node {u!r} does not run the caller's device"
+        )
+        assert assignment.input == c.inputs[u], (
+            f"(b) {c.label}: correct node {u!r} has the wrong input"
+        )
+    for w in c.faulty_nodes:
+        device = c.system.assignments[w].factory()
+        assert isinstance(device, TimedReplayDevice), (
+            f"(c) {c.label}: faulty node {w!r} runs {type(device).__name__}"
+        )
+    assert run_timed(c.system, c.behavior.horizon) == c.behavior, (
+        f"(d) {c.label}: re-execution differs from the recorded behavior"
+    )
+
+
+def _constructed(witness) -> list[TimedConstructedBehavior]:
+    found = [
+        c.constructed
+        for c in witness.checked
+        if isinstance(c.constructed, TimedConstructedBehavior)
+    ]
+    assert found, "the witness holds no constructed behavior"
+    return found
+
+
+WEAK_AND_FIRING = [
+    (
+        "thm2-nodes",
+        triangle,
+        lambda g, fac: refute_weak_agreement(fac, 1.0, 3.0),
+        _weak,
+    ),
+    (
+        "thm2-connectivity",
+        diamond,
+        lambda g, fac: refute_weak_agreement_connectivity(g, fac, 1, 1.0, 3.0),
+        _weak,
+    ),
+    (
+        "thm2-connectivity-ring6",
+        lambda: ring(6),
+        lambda g, fac: refute_weak_agreement_connectivity(g, fac, 1, 1.0, 3.0),
+        _weak,
+    ),
+    (
+        "thm4-nodes",
+        triangle,
+        lambda g, fac: refute_firing_squad(fac, 1.0, 3.0),
+        lambda: RelayFireDevice(fire_at=2.5),
+    ),
+    (
+        "thm4-connectivity",
+        diamond,
+        lambda g, fac: refute_firing_squad_connectivity(g, fac, 1, 1.0, 4.0),
+        lambda: RelayFireDevice(fire_at=3.5),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, engine, make",
+    [case[1:] for case in WEAK_AND_FIRING],
+    ids=[case[0] for case in WEAK_AND_FIRING],
+)
+def test_weak_agreement_and_firing_squad_witnesses(build, engine, make):
+    graph = build()
+    factories = _factories(graph, make)
+    witness = engine(graph, factories)
+    assert witness.found
+    for c in _constructed(witness):
+        certify(c, witness.graph, witness.max_faults, factories)
+
+
+def _recording(monkeypatch, module):
+    """Record every behavior ``module`` builds through
+    ``build_base_behavior_timed``."""
+    built: list[TimedConstructedBehavior] = []
+    original = module.build_base_behavior_timed
+
+    def recorded(*args, **kwargs):
+        c = original(*args, **kwargs)
+        built.append(c)
+        return c
+
+    monkeypatch.setattr(module, "build_base_behavior_timed", recorded)
+    return built
+
+
+def test_clock_sync_scaled_reconstructions(monkeypatch):
+    built = _recording(monkeypatch, clock_sync)
+    graph = triangle()
+    factories = _factories(graph, _clock)
+    witness = refute_clock_sync(factories, SETTING, base=graph)
+    assert witness.found
+    checks = witness.extra["scaling_checks"]
+    assert [check["index"] for check in checks] == [0, 1]
+    assert len(built) == len(checks)
+    for c, check in zip(built, checks):
+        assert sorted(map(str, c.correct_nodes)) == check["correct"]
+        certify(c, graph, witness.max_faults, factories)
+
+
+class _Constant(TimedDevice):
+    """Decides 0 at once, whatever it hears."""
+
+    def on_start(self, ctx, api):
+        api.decide(0)
+
+
+def test_constant_device_mutant_fails_b(monkeypatch):
+    """A mutant engine: the first correct node of every constructed
+    behavior runs a constant device, and the engine's own Locality
+    check is switched off so the witness comes back."""
+    real_system = timed_argument.TimedSystem
+
+    def mutant_system(graph, assignments, *args):
+        first = next(iter(assignments))  # correct nodes are assigned first
+        assignments = dict(assignments)
+        assignments[first] = replace(assignments[first], factory=_Constant)
+        return real_system(graph, assignments, *args)
+
+    monkeypatch.setattr(timed_argument, "TimedSystem", mutant_system)
+    monkeypatch.setattr(
+        timed_argument, "_verify_timed_locality", lambda *args: None
+    )
+    graph = triangle()
+    factories = _factories(graph, _weak)
+    witness = refute_weak_agreement(
+        factories, 1.0, 3.0, base=graph, require_violation=False
+    )
+    monkeypatch.undo()
+    for c in _constructed(witness):
+        with pytest.raises(AssertionError, match=r"^\(b\)"):
+            certify(c, graph, witness.max_faults, factories)

@@ -1,12 +1,14 @@
 """Connectivity tests, including a cross-check against networkx."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 
 from repro.graphs import (
     CommunicationGraph,
     GraphError,
+    circulant,
     complete_bipartite,
     complete_graph,
     diamond,
@@ -22,6 +24,8 @@ from repro.graphs import (
     vertex_disjoint_paths,
     wheel,
 )
+from repro.graphs.connectivity import _SplitNodeFlow
+from repro.graphs.coverings import cut_partition_for_connectivity
 
 
 class TestKnownConnectivities:
@@ -227,3 +231,94 @@ class TestAgainstNetworkx:
         survivors = [u for u in g.nodes if u not in cut]
         reach = g.reachable_from(survivors[0], removed=cut)
         assert reach != set(survivors)
+
+
+def _two_pass_min_cut(graph):
+    """The two-pass routine the shared flows replaced, kept as an
+    oracle: Even's candidate pairs (minimum-degree pivot with each
+    non-neighbor, then each non-adjacent pair of its neighbors), a
+    fresh flow per pair, and the first smallest cut.  Returns the cut
+    and the pairs in order."""
+    pivot = min(graph.nodes, key=graph.degree)
+    neighbors = graph.neighbors(pivot)
+    pairs = [
+        (pivot, w)
+        for w in graph.nodes
+        if w != pivot and w not in set(neighbors)
+    ]
+    pairs += [
+        (x, y)
+        for i, x in enumerate(neighbors)
+        for y in neighbors[i + 1 :]
+        if not graph.has_edge(x, y)
+    ]
+    best = None
+    for s, t in pairs:
+        flow = _SplitNodeFlow(graph, s, t)
+        flow.run()
+        cut = flow.min_cut_nodes()
+        if best is None or len(cut) < len(best):
+            best = cut
+    return best, pairs
+
+
+def _labelled_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for bits in product((False, True), repeat=len(pairs)):
+        yield CommunicationGraph(
+            range(n), [pair for pair, keep in zip(pairs, bits) if keep]
+        )
+
+
+SWEEP_CIRCULANTS = [
+    circulant(8, [1]),
+    circulant(8, [1, 2]),
+    circulant(8, [1, 2, 3]),
+    circulant(10, [1, 2]),
+    circulant(12, [1, 2, 3]),
+]
+
+
+class TestOneFlowPerPair:
+    @pytest.mark.parametrize(
+        "build, f",
+        [(lambda: circulant(12, [1, 2, 3]), 3), (diamond, 1)],
+        ids=["C12{1,2,3}", "diamond"],
+    )
+    def test_cut_partition_runs_one_flow_per_even_pair(
+        self, monkeypatch, build, f
+    ):
+        graph = build()  # a fresh instance: nothing cached yet
+        _, pairs = _two_pass_min_cut(graph)
+        runs = []
+        original = _SplitNodeFlow.run
+
+        def counted(flow):
+            runs.append((flow.source, flow.target))
+            return original(flow)
+
+        monkeypatch.setattr(_SplitNodeFlow, "run", counted)
+        cut_partition_for_connectivity(graph, f)
+        assert runs == pairs
+
+    def test_global_min_cut_matches_the_two_pass_routine(self):
+        graphs = [g for n in (3, 4, 5) for g in _labelled_graphs(n)]
+        assert len(graphs) == 1096
+        compared = 0
+        for graph in graphs + SWEEP_CIRCULANTS:
+            if not graph.is_connected():
+                assert global_min_cut(graph) == set()
+                continue
+            if graph.is_complete():
+                with pytest.raises(GraphError):
+                    global_min_cut(graph)
+                continue
+            expected, _ = _two_pass_min_cut(graph)
+            cut = global_min_cut(graph)
+            assert cut == expected, graph.edges
+            assert len(cut) == node_connectivity(graph), graph.edges
+            survivors = [u for u in graph.nodes if u not in cut]
+            reach = graph.reachable_from(survivors[0], removed=cut)
+            assert reach != set(survivors), graph.edges
+            compared += 1
+        assert compared > 500
