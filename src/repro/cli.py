@@ -72,6 +72,8 @@ from .graphs import (
     classify,
     complete_graph,
     diamond,
+    required_connectivity,
+    required_nodes,
     ring,
     star,
     triangle,
@@ -191,11 +193,13 @@ def _cmd_refute(args) -> int:
 def _cmd_sweep(args) -> int:
     from .analysis.sweep import sweep_store_key
 
-    # Reject a bad fault bound before a run store is created for it.
-    swept = args.faults if args.dimension == "nodes" else args.faults[:1]
-    for f in swept:
-        if f < 1:
-            raise ValueError(f"the fault bound f must be at least 1, got {f}")
+    # Reject a bad fault bound, with the sweep's own GraphError, before
+    # a run store is created for it.
+    if args.dimension == "nodes":
+        for f in args.faults:
+            required_nodes(f)
+    else:
+        required_connectivity(args.faults[0])
     shard = None
     if getattr(args, "checkpoint", None):
         from .analysis.runstore import RunStore

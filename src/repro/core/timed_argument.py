@@ -17,7 +17,6 @@ from typing import Any
 
 from ..graphs.coverings import CoveringMap
 from ..graphs.graph import NodeId
-from ..runtime.plan import identity_labelling
 from ..runtime.timed.adversary import TimedReplayDevice
 from ..runtime.timed.behavior import TimedBehavior
 from ..runtime.timed.clocks import ClockFunction, identity
@@ -90,7 +89,6 @@ def build_base_behavior_timed(
             f"{label}: phi is not an isomorphism on scenario nodes"
         )
     mapping = time_map or _identity_time
-    ports = identity_labelling(base)
     representative = {covering(u): u for u in scenario}
     correct = frozenset(representative)
     faulty = frozenset(base.nodes) - correct
@@ -103,7 +101,7 @@ def build_base_behavior_timed(
         assignments[g] = TimedNodeAssignment(
             factory=base_factories[g],
             input=inputs[g],
-            port_of_neighbor=ports[g],
+            port_of_neighbor={v: v for v in base.neighbors(g)},
             clock=base_clocks.get(g, cover_system.clock(u)),
         )
     for w in faulty:
@@ -123,7 +121,7 @@ def build_base_behavior_timed(
         assignments[w] = TimedNodeAssignment(
             factory=(lambda r=replay: r),
             input=None,
-            port_of_neighbor=ports[w],
+            port_of_neighbor={v: v for v in base.neighbors(w)},
             clock=identity(),
         )
 

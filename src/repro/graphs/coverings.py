@@ -52,21 +52,25 @@ class CoveringMap:
             raise GraphError(f"{base_node!r} not in base graph")
         return tuple(u for u in self.cover.nodes if self.phi[u] == base_node)
 
+    def lifts(self, cover_node: NodeId) -> dict[NodeId, NodeId]:
+        """``base neighbor → its lift`` for every neighbor of ``cover_node``.
+
+        One pass over the neighbors; one-to-one because construction
+        verified that ``phi`` is injective on every neighborhood.
+        """
+        return {self.phi[s]: s for s in self.cover.neighbors(cover_node)}
+
     def lift_neighbor(self, cover_node: NodeId, base_neighbor: NodeId) -> NodeId:
         """The unique neighbor of ``cover_node`` mapping to ``base_neighbor``.
 
         Well-defined exactly because ``phi`` preserves neighbors.
         """
-        matches = [
-            s
-            for s in self.cover.neighbors(cover_node)
-            if self.phi[s] == base_neighbor
-        ]
-        if len(matches) != 1:  # pragma: no cover - excluded by verification
+        try:
+            return self.lifts(cover_node)[base_neighbor]
+        except KeyError:
             raise CoveringError(
                 f"covering property broken at {cover_node!r}/{base_neighbor!r}"
-            )
-        return matches[0]
+            ) from None
 
     def is_isomorphism_on(self, cover_nodes: Iterable[NodeId]) -> bool:
         """True if ``phi`` restricted to ``cover_nodes`` is a graph

@@ -27,8 +27,7 @@ executors' hot loops touch only local tuples and dict lookups:
 * :func:`compile_timed_plan` → :class:`TimedPlan`: per node, its rank,
   context, hardware clock (plus its lazily computed inverse) and its
   compiled sends (``port label → (edge, neighbor rank, receiver
-  port)``).  The sends depend only on the graph and the labelling, so
-  they are shared per graph exactly like the synchronous routes.
+  port)``).
 
 Plans are pure *data*; execution stays in the executors
 (:func:`repro.runtime.sync.executor.execute_plan` runs a
@@ -52,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..graphs.graph import CommunicationGraph, DirectedEdge, NodeId
 
@@ -70,7 +69,6 @@ _TIMED_PLAN_ATTR = "_compiled_timed_plan"
 # Keys in a graph's analytics cache.
 _IDENTITY_PORTS_KEY = "sync_identity_ports"
 _ROUTES_KEY = "sync_routes"
-_TIMED_SENDS_KEY = "timed_sends"
 
 
 # -- synchronous plans -----------------------------------------------------
@@ -165,11 +163,10 @@ def _compile_routes(
     return tuple(routes)
 
 
-def _per_graph(system, key: str, compile_table: Callable) -> tuple:
-    """``compile_table(graph, labelling)`` for the system's port
-    labelling: the graph's cached table under ``key`` when every node
-    uses the shared identity labelling, otherwise compiled for this
-    system."""
+def _routes_of(system: "SyncSystem") -> tuple[NodeRoutes, ...]:
+    """The system's per-node routes, in graph node order: the graph's
+    cached table when every node uses the shared identity labelling,
+    otherwise compiled for this system."""
     graph = system.graph
     cache = graph.analytics_cache()
     shared = cache.get(_IDENTITY_PORTS_KEY)
@@ -177,14 +174,14 @@ def _per_graph(system, key: str, compile_table: Callable) -> tuple:
     if shared is None or any(
         assignments[u].port_of_neighbor is not shared[u] for u in graph.nodes
     ):
-        return compile_table(
+        return _compile_routes(
             graph,
             {u: assignments[u].port_of_neighbor for u in graph.nodes},
         )
-    table = cache.get(key)
-    if table is None:
-        table = cache[key] = compile_table(graph, shared)
-    return table
+    routes = cache.get(_ROUTES_KEY)
+    if routes is None:
+        routes = cache[_ROUTES_KEY] = _compile_routes(graph, shared)
+    return routes
 
 
 def compile_sync_plan(system: "SyncSystem") -> SyncPlan:
@@ -211,9 +208,7 @@ def compile_sync_plan(system: "SyncSystem") -> SyncPlan:
             out_routes=r.out_routes,
             in_routes=r.in_routes,
         )
-        for u, r in zip(
-            graph.nodes, _per_graph(system, _ROUTES_KEY, _compile_routes)
-        )
+        for u, r in zip(graph.nodes, _routes_of(system))
     )
     plan = SyncPlan(graph=graph, nodes=compiled, edges=tuple(graph.edges))
     # Frozen dataclasses forbid setattr; writing through __dict__ is the
@@ -254,21 +249,6 @@ class TimedPlan:
     by_node: Mapping[NodeId, CompiledTimedNode]
 
 
-def _compile_sends(
-    graph: CommunicationGraph, labelling: Mapping[NodeId, Mapping]
-) -> tuple[Mapping[Any, tuple[DirectedEdge, int, Any]], ...]:
-    rank_of = {u: rank for rank, u in enumerate(graph.nodes)}
-    return tuple(
-        MappingProxyType(
-            {
-                port: ((u, v), rank_of[v], labelling[v][u])
-                for v, port in labelling[u].items()
-            }
-        )
-        for u in graph.nodes
-    )
-
-
 def compile_timed_plan(system: "TimedSystem") -> TimedPlan:
     """Compile (and memoize on the system) a :class:`TimedPlan`.
 
@@ -280,17 +260,19 @@ def compile_timed_plan(system: "TimedSystem") -> TimedPlan:
         return cached
     graph = system.graph
     assignments = system.assignments
+    rank_of = {u: rank for rank, u in enumerate(graph.nodes)}
     by_node = {}
-    for rank, (u, sends) in enumerate(
-        zip(graph.nodes, _per_graph(system, _TIMED_SENDS_KEY, _compile_sends))
-    ):
+    for u, rank in rank_of.items():
         assignment = assignments[u]
         by_node[u] = CompiledTimedNode(
             node=u,
             rank=rank,
             ctx=assignment.context(),
             clock=assignment.clock,
-            sends=sends,
+            sends={
+                port: ((u, v), rank_of[v], assignments[v].port_of_neighbor[u])
+                for v, port in assignment.port_of_neighbor.items()
+            },
         )
     plan = TimedPlan(graph=graph, by_node=by_node)
     system.__dict__[_TIMED_PLAN_ATTR] = plan

@@ -181,8 +181,7 @@ def install_in_covering(
         # i-th port of the covering node corresponds to the i-th port
         # of its image — the paper's "S looks locally like G" includes
         # the port ordering the Fault axiom speaks of.
-        # Each base neighbor's lift (one-to-one: verified covering).
-        lifts = {covering(s): s for s in cover.neighbors(u)}
+        lifts = covering.lifts(u)
         ports = {lifts[w]: w for w in base.neighbors(covering(u))}
         assignments[u] = NodeAssignment(
             device=base_devices[covering(u)],

@@ -19,11 +19,10 @@ target node rank, event kind, then ``repr`` of the payload (port and
 message, or timer name), then scheduling order — so a system has
 exactly one behavior, the model's standing assumption.  The heap is
 keyed on (time, rank, kind, scheduling order) alone; ``repr`` is taken
-only when the two smallest entries tie on (time, rank, kind).  A tied
-group is sorted once by ``(repr, scheduling order)`` and dispatched in
-that order while the heap's top sorts after it; an event pushed at or
-before the group (a delivery may land at its send instant) sends the
-rest back to the heap, so dispatch follows exactly the canonical order.
+only when the two smallest entries tie on (time, rank, kind), and the
+tied group is then resolved by ``(repr, scheduling order)``, which
+dispatches in exactly the canonical order.  Ties are detected by
+comparing the three fields, so an untied pop builds no tuples.
 
 Hot path: the event loop reads a compiled
 :class:`~repro.runtime.plan.TimedPlan`.  Each node's sends are resolved
@@ -168,10 +167,10 @@ class _Api(DeviceApi):
         self.events.append(_event(self.now, "logical", fn))
 
 
-def _tie_group(queue: list, entry: tuple) -> list:
-    """``entry`` was just popped: pop every heap entry that ties with it
-    on (time, rank, kind) and return the whole group in canonical order
-    (least ``(repr(payload), seq)`` first)."""
+def _pop_tied(queue: list, entry: tuple) -> tuple:
+    """``entry`` was just popped and the heap top ties with it on
+    (time, rank, kind): pop the whole tied group, return its canonical
+    first (least ``(repr(payload), seq)``) and push the rest back."""
     time, rank, kind = entry[0], entry[1], entry[2]
     group = [entry]
     while queue:
@@ -179,8 +178,11 @@ def _tie_group(queue: list, entry: tuple) -> list:
         if top[0] != time or top[1] != rank or top[2] != kind:
             break
         group.append(heappop(queue))
-    group.sort(key=lambda e: (repr(e[4]), e[3]))
-    return group
+    first = min(group, key=lambda e: (repr(e[4]), e[3]))
+    for other in group:
+        if other is not first:
+            heappush(queue, other)
+    return first
 
 
 def run_timed(system: TimedSystem, horizon: float) -> TimedBehavior:
@@ -234,41 +236,12 @@ def run_timed(system: TimedSystem, horizon: float) -> TimedBehavior:
     if obs_on:
         loop_t0 = perf_counter()
 
-    # The undispatched rest of a sorted tie group (last member first)
-    # and the least key that sorts after the group.
-    pending: list[tuple] = []
-    after_group: tuple = ()
-    while True:
-        if pending:
-            if queue and queue[0] < after_group:
-                # Dispatching pushed an event that sorts at or before
-                # the group: hand the rest back to the heap.
-                for rest in pending:
-                    heappush(queue, rest)
-                pending.clear()
-                continue
-            entry = pending.pop()
-        elif queue:
-            entry = heappop(queue)
-            if queue:
-                top = queue[0]
-                if (
-                    top[0] == entry[0]
-                    and top[1] == entry[1]
-                    and top[2] == entry[2]
-                ):
-                    group = _tie_group(queue, entry)
-                    entry = group[0]
-                    if entry[2] == _SCRIPTED:
-                        # A replayed send may land at its own instant:
-                        # settle a scripted group one pop at a time.
-                        for rest in group[1:]:
-                            heappush(queue, rest)
-                    else:
-                        pending = group[:0:-1]
-                        after_group = (entry[0], entry[1], entry[2] + 1)
-        else:
-            break
+    while queue:
+        entry = heappop(queue)
+        if queue:
+            top = queue[0]
+            if top[0] == entry[0] and top[1] == entry[1] and top[2] == entry[2]:
+                entry = _pop_tied(queue, entry)
         time, rank, kind, _, payload = entry
         if time > horizon:
             break

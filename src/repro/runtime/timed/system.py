@@ -21,7 +21,6 @@ from typing import Any, Literal
 
 from ...graphs.coverings import CoveringMap
 from ...graphs.graph import CommunicationGraph, GraphError, NodeId
-from ..plan import identity_labelling
 from .clocks import ClockFunction, identity
 from .device import DeviceFactory, PortLabel, TimedContext
 
@@ -135,16 +134,13 @@ def make_timed_system(
     delay_mode: Literal["real", "clock"] = "real",
     clocks: Mapping[NodeId, ClockFunction] | None = None,
 ) -> TimedSystem:
-    """A timed system with identity port labels (the graph's shared
-    :func:`~repro.runtime.plan.identity_labelling`, so every such
-    system compiles against one cached sends table)."""
+    """A timed system with identity port labels."""
     clocks = clocks or {}
-    labelling = identity_labelling(graph)
     assignments = {
         u: TimedNodeAssignment(
             factory=factories[u],
             input=inputs[u],
-            port_of_neighbor=labelling[u],
+            port_of_neighbor={v: v for v in graph.neighbors(u)},
             clock=clocks.get(u, identity()),
         )
         for u in graph.nodes
@@ -169,8 +165,7 @@ def install_in_covering_timed(
     for u in cover.nodes:
         if u not in cover_inputs:
             raise GraphError(f"no input supplied for covering node {u!r}")
-        # Each base neighbor's lift (one-to-one: verified covering).
-        lifts = {covering(s): s for s in cover.neighbors(u)}
+        lifts = covering.lifts(u)
         ports = {lifts[w]: w for w in base.neighbors(covering(u))}
         assignments[u] = TimedNodeAssignment(
             factory=base_factories[covering(u)],

@@ -143,14 +143,18 @@ class TestCLI:
             assert main(argv) == 2, argv
             assert "error: " in capsys.readouterr().err, argv
         assert not (tmp_path / "c").exists()
-        # A sweep's fault bound is checked before its run store exists.
+        # A sweep's fault bound is checked before its run store exists,
+        # with the same message with or without a store.
         for argv in (
             ["sweep", "nodes", "--faults", "0"],
             ["sweep", "connectivity", "--faults", "-1"],
         ):
+            assert main(argv) == 2, argv
+            plain = capsys.readouterr().err
+            assert "error: the fault bound f must be at least 1" in plain, argv
             sweep_store = tmp_path / f"sweep-{argv[1]}"
             assert main(argv + ["--checkpoint", str(sweep_store)]) == 2, argv
-            assert "error: " in capsys.readouterr().err, argv
+            assert capsys.readouterr().err == plain, argv
             assert not (sweep_store / "meta.json").exists(), argv
         # Impossible node-fault budgets on K4 are rejected up front for
         # every seed, naming the budget and the node count.

@@ -56,6 +56,15 @@ class TestVerification:
         cm = hexagon_cover_of_triangle()
         assert cm.lift_neighbor("u", "b") == "v"
         assert cm.lift_neighbor("u", "c") == "z"
+        with pytest.raises(CoveringError):
+            cm.lift_neighbor("u", "a")
+
+    def test_lifts_agree_with_lift_neighbor(self):
+        cm = hexagon_cover_of_triangle()
+        for u in cm.cover.nodes:
+            lifts = cm.lifts(u)
+            assert sorted(lifts) == sorted(cm.base.neighbors(cm(u)))
+            assert all(cm.lift_neighbor(u, w) == s for w, s in lifts.items())
 
     def test_is_isomorphism_on(self):
         cm = hexagon_cover_of_triangle()

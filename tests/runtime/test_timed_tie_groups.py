@@ -1,5 +1,5 @@
-"""Tie groups in the timed executor: a sorted group hands its rest back
-to the heap when a dispatch pushes an event at or before the group.
+"""Tie groups in the timed executor: a delivery that lands, with zero
+transit, before the rest of a tie group is dispatched ahead of it.
 
 In clock mode a delivery lands at ``clock⁻¹(clock(now) + δ)``, which
 rounds to ``now`` when the sender's reading dwarfs ``δ``.  Below, ``b``
