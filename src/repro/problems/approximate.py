@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..graphs.graph import NodeId
 from .byzantine import check_termination
-from .spec import SpecVerdict, Violation
+from .spec import SpecVerdict, Violation, listed_nodes
 
 
 def _spread(values: Iterable[float]) -> float:
@@ -38,7 +38,7 @@ class SimpleApproximateAgreementSpec:
         decisions: Mapping[NodeId, float | None],
         correct: Iterable[NodeId],
     ) -> SpecVerdict:
-        correct = list(correct)
+        correct = listed_nodes(correct)
         violations = check_termination(decisions, correct)
         decided = {
             u: decisions[u] for u in correct if decisions[u] is not None
@@ -104,7 +104,7 @@ class EpsilonDeltaGammaSpec:
         decisions: Mapping[NodeId, float | None],
         correct: Iterable[NodeId],
     ) -> SpecVerdict:
-        correct = list(correct)
+        correct = listed_nodes(correct)
         r_min = min(inputs[u] for u in correct)
         r_max = max(inputs[u] for u in correct)
         if r_max - r_min > self.delta + 1e-12:

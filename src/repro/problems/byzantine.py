@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..graphs.graph import NodeId
-from .spec import SpecVerdict, Violation, _undecided
+from .spec import SpecVerdict, Violation, _undecided, listed_nodes
 
 
 def check_agreement(
     decisions: Mapping[NodeId, Any | None], correct: Iterable[NodeId]
 ) -> list[Violation]:
     """All correct, decided nodes chose the same value."""
-    correct = list(correct)
+    correct = listed_nodes(correct)
     decided = {u: decisions[u] for u in correct if decisions[u] is not None}
     values = set(decided.values())
     if len(values) > 1:
@@ -68,7 +68,7 @@ class ByzantineAgreementSpec:
         decisions: Mapping[NodeId, Any | None],
         correct: Iterable[NodeId],
     ) -> SpecVerdict:
-        correct = list(correct)
+        correct = listed_nodes(correct)
         violations = check_termination(decisions, correct)
         violations += check_agreement(decisions, correct)
         correct_inputs = {inputs[u] for u in correct}
@@ -106,7 +106,7 @@ class WeakAgreementSpec:
         correct: Iterable[NodeId],
         all_correct: bool,
     ) -> SpecVerdict:
-        correct = list(correct)
+        correct = listed_nodes(correct)
         violations = check_termination(decisions, correct)
         violations += check_agreement(decisions, correct)
         if all_correct:

@@ -13,7 +13,7 @@ synchronous engines, the timed engines, and the protocol test suites.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -50,6 +50,18 @@ class SpecVerdict:
         if self.ok:
             return "all conditions satisfied"
         return "; ".join(str(v) for v in self.violations)
+
+
+def listed_nodes(correct: Iterable[NodeId]) -> list[NodeId]:
+    """``correct`` as a list, in the order violations will name them.
+
+    A sequence keeps its caller's order.  A set has none, so its
+    members are sorted by ``str`` (as serialized witnesses list them):
+    otherwise the order would follow ``PYTHONHASHSEED``.
+    """
+    if isinstance(correct, (set, frozenset)):
+        return sorted(correct, key=str)
+    return list(correct)
 
 
 def _undecided(

@@ -35,10 +35,6 @@ class TimedEvent:
     kind: str  # start | receive | timer | send | decide | fire | logical
     payload: Any = None
 
-    def shifted(self, fn) -> "TimedEvent":
-        """The same event at time ``fn(time)`` (used for scaling)."""
-        return _event(fn(self.time), self.kind, self.payload)
-
 
 def _event(
     time: float,

@@ -1,8 +1,14 @@
 """CLI and analysis-layer tests."""
 
 import ast
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.analysis import (
     SWEEP_HEADERS,
@@ -95,6 +101,22 @@ class TestCLI:
         assert main(["refute", "connectivity", "--graph", "diamond"]) == 0
         assert "VIOLATED" in capsys.readouterr().out
 
+    def test_refute_stdout_independent_of_hash_seed(self):
+        """Violations list their nodes in one order, whatever
+        ``PYTHONHASHSEED`` the process draws."""
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        for problem in (["connectivity", "--graph", "diamond"], ["eps-delta"]):
+            outputs = set()
+            for seed in ("0", "123"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                result = subprocess.run(
+                    [sys.executable, "-m", "repro", "refute", *problem],
+                    capture_output=True, text=True, env=env, timeout=120,
+                )
+                assert result.returncode == 0, result.stderr[-2000:]
+                outputs.add(result.stdout)
+            assert len(outputs) == 1, problem
+
     def test_refute_eps_delta_command(self, capsys):
         assert main(["refute", "eps-delta"]) == 0
         assert "VIOLATED" in capsys.readouterr().out
@@ -136,6 +158,7 @@ class TestCLI:
             ["refute", "byzantine", "--rounds", "-1"],
             ["refute", "connectivity", "--graph", "diamond", "--rounds", "-1"],
             ["refute", "eps-delta", "--rounds", "-1"],
+            ["refute", "byzantine", "--graph", "complete:4", "--faults", "1"],
             ["sweep", "nodes", "--faults", "0"],
             ["sweep", "nodes", "--faults", "1", "-1"],
             ["demo", "eig", "--faults", "-1"],

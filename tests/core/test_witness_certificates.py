@@ -1,20 +1,26 @@
-"""Witness certificates for the timed engines, checked from outside.
+"""Witness certificates for the engines, checked from outside.
 
 Every engine re-verifies its own Locality identification, but with
 engine code.  This file checks only what the paper says a constructed
-behavior of ``G`` *is*, for every ``TimedConstructedBehavior`` of the
-Theorem 2 and Theorem 4 witnesses (node and connectivity bounds) and of
-Theorem 8's scaled-scenario reconstructions (Lemma 9):
+behavior of ``G`` *is*.  Timed: every ``TimedConstructedBehavior`` of
+the Theorem 2 and Theorem 4 witnesses (node and connectivity bounds)
+and of Theorem 8's scaled-scenario reconstructions (Lemma 9).  Sync:
+every ``ConstructedBehavior`` of the Theorem 1, 5 and 6 witnesses and
+of the footnote-3 general Theorem 6 engine.
 
 * (a) at most ``f`` faulty nodes, and correct ∪ faulty = V(G);
-* (b) every correct node runs the caller's own device factory, with the
-  input the behavior records;
-* (c) every faulty node runs a ``TimedReplayDevice`` (the Fault axiom:
-  a faulty node may send anything, here exactly what it recorded);
-* (d) re-executing the system reproduces the recorded behavior.
+* (b) every correct node runs the caller's own device (factory), with
+  the input the behavior records;
+* (c) every faulty node runs a replay device (the Fault axiom: a faulty
+  node may send anything, here exactly what it recorded);
+* (d) re-executing the system reproduces the recorded behavior (sync
+  systems through the interpretive reference executor);
+* (f) each chain link's node behaves identically in the two behaviors
+  it joins (sync chains).
 
 A mutant engine that installs a constant device at one correct node
-(and skips its own Locality check, so it gets that far) must fail (b).
+(and skips its own Locality check, so it gets that far) must fail (b),
+in either model.
 """
 
 from __future__ import annotations
@@ -24,26 +30,42 @@ from dataclasses import replace
 import pytest
 
 import repro.core.clock_sync as clock_sync
+import repro.core.covering_argument as covering_argument
 import repro.core.timed_argument as timed_argument
 from repro.core import (
+    ConstructedBehavior,
     SynchronizationSetting,
     refute_clock_sync,
+    refute_connectivity,
+    refute_epsilon_delta,
+    refute_epsilon_delta_connectivity,
+    refute_epsilon_delta_general,
     refute_firing_squad,
     refute_firing_squad_connectivity,
+    refute_node_bound,
+    refute_simple_connectivity,
+    refute_simple_node_bound,
     refute_weak_agreement,
     refute_weak_agreement_connectivity,
 )
 from repro.core.timed_argument import TimedConstructedBehavior
-from repro.graphs import diamond, ring, triangle
+from repro.graphs import circulant, complete_graph, diamond, ring, triangle
 from repro.protocols import (
     ExchangeOnceWeakDevice,
     LowerEnvelopeClockDevice,
+    MajorityVoteDevice,
+    MedianDevice,
+    MidpointDevice,
     RelayFireDevice,
 )
+from repro.runtime.sync.adversary import ReplayDevice
+from repro.runtime.sync.collapse import GroupDevice, PortRenamedDevice
+from repro.runtime.sync.device import SyncDevice
 from repro.runtime.timed import LinearClock
 from repro.runtime.timed.adversary import TimedReplayDevice
 from repro.runtime.timed.device import TimedDevice
 from repro.runtime.timed.executor import run_timed
+from repro.testing import reference_sync_run
 
 LOWER = LinearClock(1.0, 0.0)
 SETTING = SynchronizationSetting(
@@ -212,3 +234,174 @@ def test_constant_device_mutant_fails_b(monkeypatch):
     for c in _constructed(witness):
         with pytest.raises(AssertionError, match=r"^\(b\)"):
             certify(c, graph, witness.max_faults, factories)
+
+
+# ---------------------------------------------------------------------------
+# The synchronous engines
+# ---------------------------------------------------------------------------
+
+
+def certify_sync(
+    c: ConstructedBehavior, graph, max_faults, devices=None
+) -> None:
+    """Assert (a)–(d) for one synchronous constructed behavior.
+
+    ``devices=None`` is the footnote-3 reduction: the correct nodes run
+    collapsed group devices built by the engine, so (b) checks their
+    kind rather than their identity.
+    """
+    nodes = frozenset(graph.nodes)
+    assert len(c.faulty_nodes) <= max_faults, f"(a) {c.label}: too many faulty"
+    assert not c.correct_nodes & c.faulty_nodes, f"(a) {c.label}: overlap"
+    assert c.correct_nodes | c.faulty_nodes == nodes, f"(a) {c.label}: not V(G)"
+    assert c.system.graph is graph, f"(a) {c.label}: not a system of G"
+    for u in c.correct_nodes:
+        device = c.system.device(u)
+        if devices is None:
+            assert isinstance(device, PortRenamedDevice) and isinstance(
+                device.inner, GroupDevice
+            ), f"(b) {c.label}: correct node {u!r} does not run its group"
+        else:
+            assert device is devices[u], (
+                f"(b) {c.label}: correct node {u!r} does not run the "
+                "caller's device"
+            )
+        assert c.system.input(u) == c.inputs[u], (
+            f"(b) {c.label}: correct node {u!r} has the wrong input"
+        )
+    for w in c.faulty_nodes:
+        device = c.system.device(w)
+        assert isinstance(device, ReplayDevice), (
+            f"(c) {c.label}: faulty node {w!r} runs {type(device).__name__}"
+        )
+    recorded = c.behavior
+    assert reference_sync_run(c.system, recorded.rounds) == recorded, (
+        f"(d) {c.label}: re-execution differs from the recorded behavior"
+    )
+
+
+def certify_links(witness) -> None:
+    """Assert (f): every chain link joins two behaviors in which its node
+    behaves identically."""
+    by_label = {c.label: c.constructed for c in witness.checked}
+    for link in witness.links:
+        first, second = by_label[link.first], by_label[link.second]
+        assert link.node in first.correct_nodes & second.correct_nodes, (
+            f"(f) {link.first}~{link.second}: {link.node!r} not correct in both"
+        )
+        assert (
+            first.behavior.node(link.node) == second.behavior.node(link.node)
+        ), f"(f) {link.first}~{link.second}: {link.node!r} behaves differently"
+
+
+def _sync_constructed(witness) -> list[ConstructedBehavior]:
+    found = [c.constructed for c in witness.checked]
+    assert found and all(isinstance(c, ConstructedBehavior) for c in found)
+    return found
+
+
+def _each(graph, make):
+    return {u: make() for u in graph.nodes}
+
+
+def _median(g):
+    return _each(g, MedianDevice)
+
+
+SYNC = [
+    ("thm1-nodes-triangle", triangle, 1, MajorityVoteDevice,
+     lambda g, d, f: refute_node_bound(g, d, f, 3)),
+    ("thm1-nodes-K4-f2", lambda: complete_graph(4), 2, MajorityVoteDevice,
+     lambda g, d, f: refute_node_bound(g, d, f, 3)),
+    ("thm1-connectivity-diamond", diamond, 1, MajorityVoteDevice,
+     lambda g, d, f: refute_connectivity(g, d, f, 4)),
+    ("thm1-connectivity-C8-f2", lambda: circulant(8, (1, 2)), 2,
+     MajorityVoteDevice, lambda g, d, f: refute_connectivity(g, d, f, 4)),
+    ("thm5-nodes-triangle", triangle, 1, MidpointDevice,
+     lambda g, d, f: refute_simple_node_bound(g, d, f, 3)),
+    ("thm5-nodes-K4-f2", lambda: complete_graph(4), 2, MidpointDevice,
+     lambda g, d, f: refute_simple_node_bound(g, d, f, 3)),
+    ("thm5-connectivity-diamond", diamond, 1, MidpointDevice,
+     lambda g, d, f: refute_simple_connectivity(g, d, f, 4)),
+    ("thm5-connectivity-C8-f2", lambda: circulant(8, (1, 2)), 2,
+     MidpointDevice, lambda g, d, f: refute_simple_connectivity(g, d, f, 4)),
+    ("thm6-nodes-triangle", triangle, 1, MedianDevice,
+     lambda g, d, f: refute_epsilon_delta(d, 0.25, 1.0, 1.0, 3, base=g)),
+    ("thm6-connectivity-diamond", diamond, 1, MedianDevice,
+     lambda g, d, f: refute_epsilon_delta_connectivity(
+         g, d, f, 0.25, 1.0, 1.0, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "build, max_faults, make, engine",
+    [case[1:] for case in SYNC],
+    ids=[case[0] for case in SYNC],
+)
+def test_sync_witnesses(build, max_faults, make, engine):
+    graph = build()
+    devices = _each(graph, make)
+    witness = engine(graph, devices, max_faults)
+    assert witness.found
+    for c in _sync_constructed(witness):
+        certify_sync(c, witness.graph, witness.max_faults, devices)
+    certify_links(witness)
+
+
+def test_general_epsilon_delta_witness():
+    """The footnote-3 engine on K6, f = 2: each behavior is one of the
+    collapsed supernode triangle, one class (at most f members) faulty."""
+    graph = complete_graph(6)
+    witness = refute_epsilon_delta_general(
+        graph, _median(graph), 2, 0.25, 1.0, 1.0, 3
+    )
+    assert witness.found
+    constructed = _sync_constructed(witness)
+    base = constructed[0].system.graph
+    assert sorted(base.nodes) == ["a", "b", "c"]
+    for c in constructed:
+        certify_sync(c, base, 1)
+    certify_links(witness)
+
+
+class _ConstantSync(SyncDevice):
+    """Sends nothing and decides 0 at once, whatever it hears."""
+
+    def init_state(self, ctx):
+        return 0
+
+    def send(self, ctx, state, round_index):
+        return {}
+
+    def transition(self, ctx, state, round_index, inbox):
+        return state
+
+    def choose(self, ctx, state):
+        return 0
+
+
+def test_sync_constant_device_mutant_fails_b(monkeypatch):
+    """The sync mirror of the timed mutant: the first correct node of
+    every constructed behavior runs a constant device, and the engine's
+    own Locality check is switched off."""
+    real_system = covering_argument.SyncSystem
+
+    def mutant_system(graph, assignments):
+        first = next(iter(assignments))  # correct nodes are assigned first
+        assignments = dict(assignments)
+        assignments[first] = replace(
+            assignments[first], device=_ConstantSync()
+        )
+        return real_system(graph, assignments)
+
+    monkeypatch.setattr(covering_argument, "SyncSystem", mutant_system)
+    monkeypatch.setattr(
+        covering_argument, "_verify_locality", lambda *args: None
+    )
+    graph = triangle()
+    devices = _each(graph, MajorityVoteDevice)
+    witness = refute_node_bound(graph, devices, 1, 3, require_violation=False)
+    monkeypatch.undo()
+    for c in _sync_constructed(witness):
+        with pytest.raises(AssertionError, match=r"^\(b\)"):
+            certify_sync(c, graph, witness.max_faults, devices)

@@ -22,7 +22,7 @@ from repro.runtime.timed import (
     make_timed_system,
     run_timed,
 )
-from repro.runtime.timed.behavior import _event
+from repro.runtime.timed.behavior import _event, events_equal
 from repro.runtime.timed.device import TimedDevice
 
 
@@ -117,8 +117,11 @@ class TestEventAllocator:
         with pytest.raises(dataclasses.FrozenInstanceError):
             event.time = 2.0
 
-    def test_shifted_uses_it(self):
-        event = TimedEvent(2.0, "timer", "t")
-        moved = event.shifted(lambda t: 2 * t)
-        assert moved == TimedEvent(4.0, "timer", "t")
-        assert not hasattr(moved, "__dict__")
+    def test_events_equal_reads_allocated_events(self):
+        event = _event(4.0, "timer", "t")
+        assert event == TimedEvent(4.0, "timer", "t")
+        assert events_equal(event, TimedEvent(4.0, "timer", "t"))
+        assert not events_equal(event, TimedEvent(4.0, "timer", "u"))
+        assert events_equal(
+            event, TimedEvent(4.0 + 1e-9, "timer", "t"), time_tolerance=1e-6
+        )

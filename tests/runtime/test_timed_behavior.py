@@ -58,10 +58,6 @@ class TestEventPrefixes:
         assert events_equal(a, b)
         assert not events_equal(a, c)
 
-    def test_shifted(self):
-        e = TimedEvent(2.0, "timer", "t")
-        assert e.shifted(lambda t: 2 * t).time == 4.0
-
 
 class TestLogicalClocks:
     def test_default_reads_hardware(self):
