@@ -20,34 +20,24 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 
-from ..graphs.adequacy import required_nodes
 from ..graphs.builders import triangle
 from ..graphs.coverings import (
-    connectivity_double_cover,
+    connectivity_cyclic_cover,
     cut_partition_for_connectivity,
-    node_bound_double_cover,
-    partition_for_node_bound,
     ring_cover_of_triangle,
 )
-from ..graphs.graph import CommunicationGraph, GraphError, NodeId
+from ..graphs.graph import CommunicationGraph, NodeId
 from ..problems.approximate import (
     EpsilonDeltaGammaSpec,
     SimpleApproximateAgreementSpec,
 )
 from ..runtime.sync.device import SyncDevice
 from ..runtime.sync.system import install_in_covering
-from .covering_argument import (
-    ChainResult,
-    build_base_behavior,
-    connectivity_scenarios,
-    node_bound_scenarios,
-    run,
-    run_scenario_chain,
-    shared_links,
-)
-from .witness import CheckedBehavior, ImpossibilityWitness
+from .byzantine import _connectivity_chain, _node_bound_chain
+from .covering_argument import ChainResult, _chain, _cyclic_scenarios
+from .witness import ImpossibilityWitness, _chain_witness, _spec_verdict
 
-_SIMPLE_SPEC = SimpleApproximateAgreementSpec()
+_SIMPLE_VERDICT = _spec_verdict(SimpleApproximateAgreementSpec())
 
 
 def refute_simple_node_bound(
@@ -58,25 +48,10 @@ def refute_simple_node_bound(
     require_violation: bool = True,
 ) -> ImpossibilityWitness:
     """Theorem 5, node bound: simple approximate agreement on ``n <= 3f``."""
-    if len(graph) >= required_nodes(max_faults):
-        raise GraphError(
-            f"graph has {len(graph)} >= 3f+1 nodes; argument does not apply"
-        )
-    part_a, part_b, part_c = partition_for_node_bound(graph, max_faults)
-    dc = node_bound_double_cover(graph, part_a, part_b, part_c)
-    cover_inputs = {dc.copy_of(v, 0): 0.0 for v in graph.nodes}
-    cover_inputs.update({dc.copy_of(v, 1): 1.0 for v in graph.nodes})
-    cover_system = install_in_covering(dc.covering, devices, cover_inputs)
-    chain = run_scenario_chain(
-        dc.covering,
-        cover_system,
-        devices,
-        node_bound_scenarios(dc, part_a, part_b, part_c),
-        rounds,
-    )
-    return _simple_witness(
+    return _chain_witness(
         "simple-approximate-agreement", "3f+1 nodes", graph, max_faults,
-        chain, require_violation,
+        _node_bound_chain(graph, devices, max_faults, rounds, (0.0, 1.0)),
+        _SIMPLE_VERDICT, require_violation,
     )
 
 
@@ -88,54 +63,12 @@ def refute_simple_connectivity(
     require_violation: bool = True,
 ) -> ImpossibilityWitness:
     """Theorem 5, connectivity bound: ``c(G) <= 2f``."""
-    side_a, cut_b, side_c, cut_d = cut_partition_for_connectivity(
-        graph, max_faults
-    )
-    dc = connectivity_double_cover(graph, cut_b, cut_d, side_a, side_c)
-    cover_inputs = {dc.copy_of(v, 0): 0.0 for v in graph.nodes}
-    cover_inputs.update({dc.copy_of(v, 1): 1.0 for v in graph.nodes})
-    cover_system = install_in_covering(dc.covering, devices, cover_inputs)
-    chain = run_scenario_chain(
-        dc.covering,
-        cover_system,
-        devices,
-        connectivity_scenarios(dc, side_a, cut_b, side_c, cut_d),
-        rounds,
-    )
-    return _simple_witness(
+    return _chain_witness(
         "simple-approximate-agreement", "2f+1 connectivity", graph,
-        max_faults, chain, require_violation,
+        max_faults,
+        _connectivity_chain(graph, devices, max_faults, rounds, (0.0, 1.0)),
+        _SIMPLE_VERDICT, require_violation,
     )
-
-
-def _simple_witness(
-    problem: str,
-    bound: str,
-    graph: CommunicationGraph,
-    max_faults: int,
-    chain: ChainResult,
-    require_violation: bool,
-) -> ImpossibilityWitness:
-    checked = tuple(
-        CheckedBehavior(
-            constructed=c,
-            verdict=_SIMPLE_SPEC.check(
-                c.inputs, c.decisions(), c.correct_nodes
-            ),
-        )
-        for c in chain.constructed
-    )
-    witness = ImpossibilityWitness(
-        problem=problem,
-        bound=bound,
-        graph=graph,
-        max_faults=max_faults,
-        checked=checked,
-        links=chain.links,
-    )
-    if require_violation:
-        witness.require_found()
-    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +93,33 @@ def ring_size_for_epsilon_delta(
     while (k + 2) % 3 != 0:
         k += 1
     return k
+
+
+def _epsilon_delta_ring(
+    devices: Mapping[NodeId, SyncDevice],
+    epsilon: float,
+    delta: float,
+    gamma: float,
+    rounds: int,
+    base: CommunicationGraph,
+) -> tuple[int, ChainResult]:
+    """Theorem 6's chain on the triangle ``base``: ring node ``i`` of
+    the ``(k+2)``-ring holds input ``i·δ``, and each adjacent pair is
+    the correct behavior ``E_i``.  Returns ``k`` and the chain."""
+    k = ring_size_for_epsilon_delta(epsilon, delta, gamma)
+    covering = ring_cover_of_triangle(k + 2, base)
+    ring = covering.cover.nodes
+    cover_system = install_in_covering(
+        covering, devices, {node: i * delta for i, node in enumerate(ring)}
+    )
+    chain = _chain(
+        covering,
+        cover_system,
+        devices,
+        ((f"E{i}", ring[i : i + 2]) for i in range(k + 1)),
+        rounds,
+    )
+    return k, chain
 
 
 def refute_epsilon_delta_connectivity(
@@ -190,15 +150,6 @@ def refute_epsilon_delta_connectivity(
     graphs; the stronger connectivity-only statement would need a
     finer scenario interleaving).
     """
-    import math
-
-    from ..graphs.coverings import (
-        connectivity_cyclic_cover,
-        cut_partition_for_connectivity,
-    )
-
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
     if epsilon >= delta / 2:
         raise ValueError(
             "the cyclic-cover chain drifts 2ε per copy; this engine needs "
@@ -213,67 +164,32 @@ def refute_epsilon_delta_connectivity(
     cover = connectivity_cyclic_cover(
         graph, cut_b, cut_d, side_a, side_c, copies=copies
     )
-    cover_inputs = {}
-    for i in range(copies):
-        for v in graph.nodes:
-            cover_inputs[cover.copy_of(v, i)] = i * delta
     cover_system = install_in_covering(
-        cover.covering, dict(devices), cover_inputs
+        cover.covering,
+        devices,
+        {
+            cover.copy_of(v, i): i * delta
+            for i in range(copies)
+            for v in graph.nodes
+        },
     )
-    cover_behavior = run(cover_system, rounds)
-
-    spec = EpsilonDeltaGammaSpec(epsilon, delta, gamma)
-
-    def part_nodes(part, i):
-        return [cover.copy_of(v, i) for v in sorted(part, key=str)]
-
-    checked = []
-    constructed = []
-    # Scenario chain along the copies 0..k+1 (the wrap pair, whose
-    # inputs differ by (k+1)·δ, is never used — same as the triangle
-    # ring construction never using the wrap edge's pair).
-    for i in range(copies - 1):
-        a_i = part_nodes(side_a, i)
-        b_i = part_nodes(cut_b, i)
-        c_i = part_nodes(side_c, i)
-        c_next = part_nodes(side_c, i + 1)
-        d_next = part_nodes(cut_d, i + 1)
-        for label, nodes in (
-            (f"A{i}", a_i + b_i + c_i),
-            (f"B{i}", a_i + d_next + c_next),
-        ):
-            c = build_base_behavior(
-                cover.covering, cover_system, cover_behavior, nodes,
-                dict(devices), label=label,
-            )
-            checked.append(
-                CheckedBehavior(
-                    constructed=c,
-                    verdict=spec.check(
-                        c.inputs, c.decisions(), c.correct_nodes
-                    ),
-                )
-            )
-            constructed.append(c)
-
-    links = []
-    for previous, current in zip(constructed, constructed[1:]):
-        links.extend(shared_links(cover.covering, previous, current))
-    witness = ImpossibilityWitness(
-        problem="epsilon-delta-gamma-agreement",
-        bound=(
+    # The chain runs along the copies 0..k+1: the wrap pair, whose
+    # inputs differ by (k+1)·δ, is never used — as the triangle ring
+    # construction never uses the wrap edge's pair.
+    scenarios = _cyclic_scenarios(cover, side_a, cut_b, side_c, cut_d)[:-2]
+    return _chain_witness(
+        "epsilon-delta-gamma-agreement",
+        (
             f"2f+1 connectivity (cyclic {copies}-fold cover; "
             f"ε={epsilon}, δ={delta}, γ={gamma}, k={k})"
         ),
-        graph=graph,
-        max_faults=max_faults,
-        checked=tuple(checked),
-        links=tuple(links),
+        graph,
+        max_faults,
+        _chain(cover.covering, cover_system, devices, scenarios, rounds),
+        _spec_verdict(EpsilonDeltaGammaSpec(epsilon, delta, gamma)),
+        require_violation,
         extra={"k": k, "copies": copies},
     )
-    if require_violation:
-        witness.require_found()
-    return witness
 
 
 def refute_epsilon_delta(
@@ -292,65 +208,33 @@ def refute_epsilon_delta(
     trace in ``extra["lemma7"]``: for each ring node, the value its
     device chose and the inductive upper bound ``δ + γ + iε``.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
     base = base or triangle()
-    k = ring_size_for_epsilon_delta(epsilon, delta, gamma)
-    covering = ring_cover_of_triangle(k + 2, base)
-    ring_nodes = covering.cover.nodes
-    cover_inputs = {
-        node: index * delta for index, node in enumerate(ring_nodes)
-    }
-    cover_system = install_in_covering(covering, devices, cover_inputs)
-    cover_behavior = run(cover_system, rounds)
-
-    spec_cache: dict[int, EpsilonDeltaGammaSpec] = {}
-    checked = []
-    constructed = []
-    for i in range(k + 1):
-        pair = [ring_nodes[i], ring_nodes[i + 1]]
-        c = build_base_behavior(
-            covering, cover_system, cover_behavior, pair, devices,
-            label=f"E{i}",
-        )
-        spec = spec_cache.setdefault(
-            0, EpsilonDeltaGammaSpec(epsilon, delta, gamma)
-        )
-        checked.append(
-            CheckedBehavior(
-                constructed=c,
-                verdict=spec.check(c.inputs, c.decisions(), c.correct_nodes),
-            )
-        )
-        constructed.append(c)
-
-    links = []
-    for previous, current in zip(constructed, constructed[1:]):
-        links.extend(shared_links(covering, previous, current))
-
+    k, chain = _epsilon_delta_ring(
+        devices, epsilon, delta, gamma, rounds, base
+    )
     lemma7 = []
-    for index, node in enumerate(ring_nodes):
-        chosen = cover_behavior.decision(node)
-        bound = delta + gamma + max(0, index - 1) * epsilon
+    for index, node in enumerate(chain.cover_system.graph.nodes):
+        value = chain.cover_system.input(node)
         lemma7.append(
             {
                 "node": node,
-                "input": cover_inputs[node],
-                "chosen": chosen,
-                "lemma7_upper_bound": bound if index >= 1 else None,
-                "validity_lower_bound": cover_inputs[node] - delta - gamma,
+                "input": value,
+                "chosen": chain.cover_behavior.decision(node),
+                "lemma7_upper_bound": (
+                    delta + gamma + max(0, index - 1) * epsilon
+                    if index >= 1
+                    else None
+                ),
+                "validity_lower_bound": value - delta - gamma,
             }
         )
-
-    witness = ImpossibilityWitness(
-        problem="epsilon-delta-gamma-agreement",
-        bound=f"3f+1 nodes (ε={epsilon}, δ={delta}, γ={gamma}, k={k})",
-        graph=base,
-        max_faults=1,
-        checked=tuple(checked),
-        links=tuple(links),
+    return _chain_witness(
+        "epsilon-delta-gamma-agreement",
+        f"3f+1 nodes (ε={epsilon}, δ={delta}, γ={gamma}, k={k})",
+        base,
+        1,
+        chain,
+        _spec_verdict(EpsilonDeltaGammaSpec(epsilon, delta, gamma)),
+        require_violation,
         extra={"lemma7": lemma7, "k": k},
     )
-    if require_violation:
-        witness.require_found()
-    return witness

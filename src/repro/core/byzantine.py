@@ -14,6 +14,9 @@ witness names it.
 :func:`refute_connectivity` runs the Section 3.2 argument
 (``c(G) <= 2f``) with the two-copies-crossed-at-the-cut covering (the
 eight-node ring, for the diamond).
+
+Both chains are shared with Theorem 5 (:mod:`repro.core.approximate`),
+which only changes the inputs and the specification.
 """
 
 from __future__ import annotations
@@ -21,26 +24,25 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
-from ..graphs.adequacy import required_connectivity, required_nodes
+from ..graphs.adequacy import required_connectivity
 from ..graphs.coverings import (
     connectivity_double_cover,
     cut_partition_for_connectivity,
     node_bound_double_cover,
     partition_for_node_bound,
 )
-from ..graphs.graph import CommunicationGraph, GraphError, NodeId
+from ..graphs.graph import CommunicationGraph, NodeId
 from ..problems.byzantine import ByzantineAgreementSpec
 from ..runtime.sync.device import SyncDevice
-from ..runtime.sync.system import install_in_covering
 from .covering_argument import (
     ChainResult,
+    _two_sheet_chain,
     connectivity_scenarios,
     node_bound_scenarios,
-    run_scenario_chain,
 )
-from .witness import CheckedBehavior, ImpossibilityWitness
+from .witness import ImpossibilityWitness, _chain_witness, _spec_verdict
 
-_SPEC = ByzantineAgreementSpec()
+_VERDICT = _spec_verdict(ByzantineAgreementSpec())
 
 
 def refute_node_bound(
@@ -66,27 +68,10 @@ def refute_node_bound(
     inputs:
         The two input values assigned to the two sheets of the cover.
     """
-    if len(graph) >= required_nodes(max_faults):
-        raise GraphError(
-            f"graph has {len(graph)} >= 3f+1 = {required_nodes(max_faults)} "
-            "nodes; the node-bound argument does not apply"
-        )
-    part_a, part_b, part_c = partition_for_node_bound(graph, max_faults)
-    dc = node_bound_double_cover(graph, part_a, part_b, part_c)
-    value0, value1 = inputs
-    cover_inputs = {dc.copy_of(v, 0): value0 for v in graph.nodes}
-    cover_inputs.update({dc.copy_of(v, 1): value1 for v in graph.nodes})
-    cover_system = install_in_covering(dc.covering, devices, cover_inputs)
-    chain = run_scenario_chain(
-        dc.covering,
-        cover_system,
-        devices,
-        node_bound_scenarios(dc, part_a, part_b, part_c),
-        rounds,
-    )
-    return _witness(
-        "byzantine-agreement", "3f+1 nodes", graph, max_faults, chain,
-        require_violation,
+    return _chain_witness(
+        "byzantine-agreement", "3f+1 nodes", graph, max_faults,
+        _node_bound_chain(graph, devices, max_faults, rounds, inputs),
+        _VERDICT, require_violation,
     )
 
 
@@ -99,54 +84,50 @@ def refute_connectivity(
     require_violation: bool = True,
 ) -> ImpossibilityWitness:
     """Refute claimed agreement devices on a graph with ``c(G) <= 2f``."""
-    side_a, cut_b, side_c, cut_d = cut_partition_for_connectivity(
-        graph, max_faults
-    )
-    dc = connectivity_double_cover(graph, cut_b, cut_d, side_a, side_c)
-    value0, value1 = inputs
-    cover_inputs = {dc.copy_of(v, 0): value0 for v in graph.nodes}
-    cover_inputs.update({dc.copy_of(v, 1): value1 for v in graph.nodes})
-    cover_system = install_in_covering(dc.covering, devices, cover_inputs)
-    chain = run_scenario_chain(
-        dc.covering,
-        cover_system,
-        devices,
-        connectivity_scenarios(dc, side_a, cut_b, side_c, cut_d),
-        rounds,
-    )
-    return _witness(
+    return _chain_witness(
         "byzantine-agreement",
         f"2f+1 connectivity (κ < {required_connectivity(max_faults)})",
         graph,
         max_faults,
-        chain,
+        _connectivity_chain(graph, devices, max_faults, rounds, inputs),
+        _VERDICT,
         require_violation,
     )
 
 
-def _witness(
-    problem: str,
-    bound: str,
+def _node_bound_chain(
     graph: CommunicationGraph,
+    devices: Mapping[NodeId, SyncDevice],
     max_faults: int,
-    chain: ChainResult,
-    require_violation: bool,
-) -> ImpossibilityWitness:
-    checked = tuple(
-        CheckedBehavior(
-            constructed=c,
-            verdict=_SPEC.check(c.inputs, c.decisions(), c.correct_nodes),
-        )
-        for c in chain.constructed
+    rounds: int,
+    inputs: tuple[Any, Any],
+) -> ChainResult:
+    """The Section 3.1 chain; the partition raises a ``GraphError`` when
+    ``n > 3f``."""
+    parts = partition_for_node_bound(graph, max_faults)
+    cover = node_bound_double_cover(graph, *parts)
+    return _two_sheet_chain(
+        cover, devices, inputs, node_bound_scenarios(cover, *parts), rounds
     )
-    witness = ImpossibilityWitness(
-        problem=problem,
-        bound=bound,
-        graph=graph,
-        max_faults=max_faults,
-        checked=checked,
-        links=chain.links,
+
+
+def _connectivity_chain(
+    graph: CommunicationGraph,
+    devices: Mapping[NodeId, SyncDevice],
+    max_faults: int,
+    rounds: int,
+    inputs: tuple[Any, Any],
+) -> ChainResult:
+    """The Section 3.2 chain; the cut search raises a ``GraphError``
+    when ``c(G) > 2f``."""
+    side_a, cut_b, side_c, cut_d = cut_partition_for_connectivity(
+        graph, max_faults
     )
-    if require_violation:
-        witness.require_found()
-    return witness
+    cover = connectivity_double_cover(graph, cut_b, cut_d, side_a, side_c)
+    return _two_sheet_chain(
+        cover,
+        devices,
+        inputs,
+        connectivity_scenarios(cover, side_a, cut_b, side_c, cut_d),
+        rounds,
+    )

@@ -49,20 +49,9 @@ from ..runtime.timed.device import DeviceFactory
 from ..runtime.timed.executor import run_timed
 from ..runtime.timed.system import install_in_covering_timed
 from .timed_argument import build_base_behavior_timed
-from .witness import CheckedBehavior, ImpossibilityWitness
+from .witness import CheckedBehavior, ImpossibilityWitness, _ScenarioStub
 
 Envelope = Callable[[float], float]
-
-
-@dataclass(frozen=True)
-class _ScenarioStub:
-    """Checked-scenario record for the witness (the full construction
-    is only materialized for the indices in ``verify_indices``)."""
-
-    label: str
-    scenario_nodes: tuple[NodeId, ...]
-    correct_nodes: frozenset[NodeId]
-    faulty_nodes: frozenset[NodeId]
 
 
 @dataclass(frozen=True)
@@ -143,7 +132,6 @@ def refute_clock_sync(
     horizon = t_double_prime * 1.05 + 1.0
     cover_behavior = run_timed(cover_system, horizon)
 
-    spec = setting.spec()
     logical = {
         node: cover_behavior.node(node).logical_value for node in ring_nodes
     }
@@ -268,9 +256,7 @@ def refute_clock_sync(
             "scaling_checks_skipped": skipped_scaling,
         },
     )
-    if require_violation:
-        witness.require_found()
-    return witness
+    return witness.require_found() if require_violation else witness
 
 
 def _verify_scaled_scenario(

@@ -22,14 +22,18 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from ..graphs.coverings import CoveringMap
+from ..graphs.coverings import CoveringMap, CyclicCover
 from ..graphs.graph import NodeId
 from ..runtime.sync.adversary import ReplayDevice
 from ..runtime.sync.behavior import SyncBehavior
 from ..runtime.sync.device import SyncDevice
 from ..runtime.sync.executor import run
 from ..runtime.plan import identity_labelling
-from ..runtime.sync.system import NodeAssignment, SyncSystem
+from ..runtime.sync.system import (
+    NodeAssignment,
+    SyncSystem,
+    install_in_covering,
+)
 
 
 class CoveringArgumentError(RuntimeError):
@@ -228,35 +232,76 @@ def run_scenario_chain(
     rounds: int,
 ) -> ChainResult:
     """Run the covering system once and realize each scenario set as a
-    correct behavior of the base graph."""
+    correct behavior of the base graph, labelled ``E1, E2, ...``."""
+    return _chain(
+        covering,
+        cover_system,
+        base_devices,
+        (
+            (f"E{index}", nodes)
+            for index, nodes in enumerate(scenario_sets, start=1)
+        ),
+        rounds,
+    )
+
+
+def _chain(
+    covering: CoveringMap,
+    cover_system: SyncSystem,
+    base_devices: Mapping[NodeId, SyncDevice],
+    labelled_sets: Iterable[tuple[str, Iterable[NodeId]]],
+    rounds: int,
+) -> ChainResult:
+    """The covering argument itself, with the engine's own labels: one
+    run of the covering system, one realized behavior per ``(label,
+    scenario set)``, and the links between consecutive behaviors."""
     if rounds < 0:
         raise ValueError("rounds must be non-negative")
     cover_behavior = run(cover_system, rounds)
-    constructed: list[ConstructedBehavior] = []
-    for index, nodes in enumerate(scenario_sets, start=1):
-        constructed.append(
-            build_base_behavior(
-                covering,
-                cover_system,
-                cover_behavior,
-                nodes,
-                base_devices,
-                label=f"E{index}",
-            )
+    constructed = tuple(
+        build_base_behavior(
+            covering, cover_system, cover_behavior, nodes, base_devices,
+            label=label,
         )
-    links: list[ChainLink] = []
-    for previous, current in zip(constructed, constructed[1:]):
-        links.extend(shared_links(covering, previous, current))
+        for label, nodes in labelled_sets
+    )
+    links = tuple(
+        link
+        for previous, current in zip(constructed, constructed[1:])
+        for link in shared_links(covering, previous, current)
+    )
     return ChainResult(
         cover_system=cover_system,
         cover_behavior=cover_behavior,
-        constructed=tuple(constructed),
-        links=tuple(links),
+        constructed=constructed,
+        links=links,
+    )
+
+
+def _two_sheet_chain(
+    cover: CyclicCover,
+    base_devices: Mapping[NodeId, SyncDevice],
+    inputs: tuple[Any, Any],
+    scenario_sets: Iterable[Iterable[NodeId]],
+    rounds: int,
+) -> ChainResult:
+    """The Section 3 chains: sheet ``i`` of the double cover holds input
+    ``inputs[i]`` everywhere."""
+    cover_inputs = {
+        cover.copy_of(v, sheet): value
+        for sheet, value in enumerate(inputs)
+        for v in cover.covering.base.nodes
+    }
+    cover_system = install_in_covering(
+        cover.covering, base_devices, cover_inputs
+    )
+    return run_scenario_chain(
+        cover.covering, cover_system, base_devices, scenario_sets, rounds
     )
 
 
 def node_bound_scenarios(
-    double_cover,
+    double_cover: CyclicCover,
     part_a: Iterable[NodeId],
     part_b: Iterable[NodeId],
     part_c: Iterable[NodeId],
@@ -267,15 +312,13 @@ def node_bound_scenarios(
     ``a b c``): ``S_vw = b@0 ∪ c@0``, ``S_wx = c@0 ∪ a@1``,
     ``S_xy = a@1 ∪ b@1``.
     """
-    c0 = [double_cover.copy_of(v, 0) for v in sorted(part_c, key=str)]
-    b0 = [double_cover.copy_of(v, 0) for v in sorted(part_b, key=str)]
-    a1 = [double_cover.copy_of(v, 1) for v in sorted(part_a, key=str)]
-    b1 = [double_cover.copy_of(v, 1) for v in sorted(part_b, key=str)]
+    b0, c0 = _at(double_cover, part_b, 0), _at(double_cover, part_c, 0)
+    a1, b1 = _at(double_cover, part_a, 1), _at(double_cover, part_b, 1)
     return [b0 + c0, c0 + a1, a1 + b1]
 
 
 def connectivity_scenarios(
-    double_cover,
+    double_cover: CyclicCover,
     side_a: Iterable[NodeId],
     cut_b: Iterable[NodeId],
     side_c: Iterable[NodeId],
@@ -284,11 +327,37 @@ def connectivity_scenarios(
     """The three scenario sets of the Section 3.2 argument:
     ``S1 = (a ∪ b ∪ c)@0``, ``S2 = c@0 ∪ d@0 ∪ a@1``,
     ``S3 = (a ∪ b ∪ c)@1``."""
-    a0 = [double_cover.copy_of(v, 0) for v in sorted(side_a, key=str)]
-    b0 = [double_cover.copy_of(v, 0) for v in sorted(cut_b, key=str)]
-    c0 = [double_cover.copy_of(v, 0) for v in sorted(side_c, key=str)]
-    d0 = [double_cover.copy_of(v, 0) for v in sorted(cut_d, key=str)]
-    a1 = [double_cover.copy_of(v, 1) for v in sorted(side_a, key=str)]
-    b1 = [double_cover.copy_of(v, 1) for v in sorted(cut_b, key=str)]
-    c1 = [double_cover.copy_of(v, 1) for v in sorted(side_c, key=str)]
+    a0, b0, c0, d0 = (
+        _at(double_cover, part, 0) for part in (side_a, cut_b, side_c, cut_d)
+    )
+    a1, b1, c1 = (
+        _at(double_cover, part, 1) for part in (side_a, cut_b, side_c)
+    )
     return [a0 + b0 + c0, c0 + d0 + a1, a1 + b1 + c1]
+
+
+def _cyclic_scenarios(
+    cover: CyclicCover,
+    side_a: Iterable[NodeId],
+    cut_b: Iterable[NodeId],
+    side_c: Iterable[NodeId],
+    cut_d: Iterable[NodeId],
+) -> list[tuple[str, list[NodeId]]]:
+    """The §3.2 chain stretched around a cyclic cover, one pair per
+    copy ``i``: ``A(i) = (a ∪ b ∪ c)@i`` (the ``d`` half masquerades)
+    and ``B(i) = a@i ∪ (d ∪ c)@(i+1)`` (the ``b`` half masquerades),
+    labelled ``A0, B0, A1, ...``."""
+    sets = []
+    for i in range(cover.fold):
+        a_i, b_i, c_i = (
+            _at(cover, part, i) for part in (side_a, cut_b, side_c)
+        )
+        d_next, c_next = _at(cover, cut_d, i + 1), _at(cover, side_c, i + 1)
+        sets.append((f"A{i}", a_i + b_i + c_i))
+        sets.append((f"B{i}", a_i + d_next + c_next))
+    return sets
+
+
+def _at(cover: CyclicCover, part: Iterable[NodeId], copy: int) -> list[NodeId]:
+    """Copy ``copy`` of the nodes of ``part``, in ``str`` order."""
+    return [cover.copy_of(v, copy) for v in sorted(part, key=str)]

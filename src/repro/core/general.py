@@ -16,16 +16,16 @@ from collections.abc import Mapping
 from typing import Any
 
 from ..graphs.builders import triangle
-from ..graphs.coverings import partition_for_node_bound, ring_cover_of_triangle
+from ..graphs.coverings import partition_for_node_bound
 from ..graphs.graph import CommunicationGraph, GraphError, NodeId
 from ..problems.approximate import EpsilonDeltaGammaSpec
+from ..problems.spec import SpecVerdict
 from ..runtime.sync.collapse import GroupDevice, PortRenamedDevice, collapse_system
 from ..runtime.sync.device import NodeContext, SyncDevice
-from ..runtime.sync.executor import run
-from ..runtime.sync.system import install_in_covering, make_system
-from .approximate import refute_epsilon_delta, ring_size_for_epsilon_delta
-from .covering_argument import build_base_behavior, shared_links
-from .witness import CheckedBehavior, ImpossibilityWitness
+from ..runtime.sync.system import make_system
+from .approximate import _epsilon_delta_ring, refute_epsilon_delta
+from .covering_argument import ConstructedBehavior
+from .witness import ImpossibilityWitness, _chain_witness
 
 _TRIANGLE_NAMES = {"group0": "a", "group1": "b", "group2": "c"}
 
@@ -83,8 +83,6 @@ def refute_epsilon_delta_general(
     the supernode triangle, checking the spec on unwrapped member
     decisions.
     """
-    if rounds < 0:
-        raise ValueError("rounds must be non-negative")
     if len(graph) == 3:
         name_map = dict(zip(graph.nodes, ("a", "b", "c")))
         renamed = {name_map[u]: devices[u] for u in graph.nodes}
@@ -92,34 +90,15 @@ def refute_epsilon_delta_general(
             renamed, epsilon, delta, gamma, rounds,
             require_violation=require_violation,
         )
-    if len(graph) > 3 * max_faults:
-        raise GraphError(
-            f"n = {len(graph)} > 3f = {3 * max_faults}: not inadequate by "
-            "node count"
-        )
     tri_devices, groups = collapse_to_triangle(graph, devices, max_faults)
-    base = triangle()
-    k = ring_size_for_epsilon_delta(epsilon, delta, gamma)
-    covering = ring_cover_of_triangle(k + 2, base)
-    ring_nodes = covering.cover.nodes
-    cover_inputs = {
-        node: index * delta for index, node in enumerate(ring_nodes)
-    }
-    cover_system = install_in_covering(covering, tri_devices, cover_inputs)
-    cover_behavior = run(cover_system, rounds)
-
+    k, chain = _epsilon_delta_ring(
+        tri_devices, epsilon, delta, gamma, rounds, triangle()
+    )
     spec = EpsilonDeltaGammaSpec(epsilon, delta, gamma)
-    checked: list[CheckedBehavior] = []
-    constructed = []
-    for i in range(k + 1):
-        pair = [ring_nodes[i], ring_nodes[i + 1]]
-        c = build_base_behavior(
-            covering, cover_system, cover_behavior, pair, tri_devices,
-            label=f"E{i}",
-        )
+
+    def member_verdict(c: ConstructedBehavior) -> SpecVerdict:
         member_inputs: dict[NodeId, float] = {}
         member_decisions: dict[NodeId, Any] = {}
-        correct_members: list[NodeId] = []
         for g in sorted(c.correct_nodes, key=str):
             group = groups[g]
             final_state = c.behavior.node(g).states[-1]
@@ -129,28 +108,18 @@ def refute_epsilon_delta_general(
                 member_decisions[member] = group.member_decision(
                     final_state, member, ctx
                 )
-                correct_members.append(member)
-        verdict = spec.check(
-            member_inputs, member_decisions, correct_members
-        )
-        checked.append(CheckedBehavior(constructed=c, verdict=verdict))
-        constructed.append(c)
+        return spec.check(member_inputs, member_decisions, list(member_inputs))
 
-    links = []
-    for previous, current in zip(constructed, constructed[1:]):
-        links.extend(shared_links(covering, previous, current))
-    witness = ImpossibilityWitness(
-        problem="epsilon-delta-gamma-agreement",
-        bound=(
+    return _chain_witness(
+        "epsilon-delta-gamma-agreement",
+        (
             f"3f+1 nodes, general case via footnote-3 collapse "
             f"(n={len(graph)}, f={max_faults}, k={k})"
         ),
-        graph=graph,
-        max_faults=max_faults,
-        checked=tuple(checked),
-        links=tuple(links),
+        graph,
+        max_faults,
+        chain,
+        member_verdict,
+        require_violation,
         extra={"k": k, "collapsed": True},
     )
-    if require_violation:
-        witness.require_found()
-    return witness

@@ -7,22 +7,34 @@ replay recorded edge behaviors (the Fault axiom), with optional
 *time-scaling* of the scripts — which is how Theorem 8's Lemma 9
 ("scenario ``S_i h^i`` is a scenario of two correct nodes in a correct
 behavior of ``G``") is executed rather than assumed.
+
+:func:`_bounded_delay_argument` is the Bounded-Delay Locality argument
+of Theorems 2 and 4, written once for both problems and both
+constructions (the ``4k``-ring of the triangle and the cyclic cover of
+a graph with ``c(G) <= 2f``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from ..graphs.coverings import CoveringMap
-from ..graphs.graph import NodeId
+from ..graphs.graph import CommunicationGraph, NodeId
 from ..runtime.timed.adversary import TimedReplayDevice
 from ..runtime.timed.behavior import TimedBehavior
 from ..runtime.timed.clocks import ClockFunction, identity
 from ..runtime.timed.device import DeviceFactory
 from ..runtime.timed.executor import run_timed
-from ..runtime.timed.system import TimedNodeAssignment, TimedSystem
+from ..runtime.timed.system import (
+    TimedNodeAssignment,
+    TimedSystem,
+    install_in_covering_timed,
+    make_timed_system,
+)
+from .witness import CheckedBehavior, ImpossibilityWitness, _ScenarioStub
 
 
 def _identity_time(t: float) -> float:
@@ -201,3 +213,154 @@ def _verify_timed_locality(
                 f"{label}: timed Locality identification failed at base "
                 f"node {g!r} (covering node {u!r})"
             )
+
+
+# ---------------------------------------------------------------------------
+# Theorems 2 and 4: the Bounded-Delay Locality argument
+# ---------------------------------------------------------------------------
+
+
+def ring_parameter(t_prime: float, delta: float) -> int:
+    """The paper's ``k``: a multiple of 3 strictly exceeding ``t'/δ``."""
+    k = max(3, math.floor(t_prime / delta) + 1)
+    while k % 3 != 0:
+        k += 1
+    return k
+
+
+@dataclass(frozen=True)
+class _BoundedDelayProblem:
+    """What Theorems 2 and 4 differ in, apart from the construction.
+
+    ``outcome`` reads decisions (or fire times) off a behavior;
+    ``references`` are the all-correct runs' ``(label, common input)``
+    in run order; ``deadline`` reads the deadline (``t'``, or the fire
+    time ``t``) off those runs, keyed by their common input, and the
+    witness records it under ``deadline_key``.
+    """
+
+    name: str
+    spec: Any
+    outcome: Callable[[Any], Mapping[NodeId, Any]]
+    references: tuple[tuple[str, int], ...]
+    deadline: Callable[[Mapping[int, TimedBehavior]], float]
+    deadline_key: str
+
+
+@dataclass(frozen=True)
+class _TimedCover:
+    """One Theorem 2/4 construction for ring parameter ``k``.
+
+    One half of the covering holds input 1 and the other input 0.  Each
+    of the ``middles`` (mapped to its ring index or copy) is at distance
+    ``k`` from the other half, so through the deadline it must behave
+    like the all-correct reference run of its own input.
+    """
+
+    covering: CoveringMap
+    inputs: Mapping[NodeId, int]
+    middles: Mapping[NodeId, int]
+    scenarios: Sequence[tuple[str, Sequence[NodeId]]]
+    bound: str
+
+
+def _bounded_delay_argument(
+    problem: _BoundedDelayProblem,
+    graph: CommunicationGraph,
+    factories: Mapping[NodeId, DeviceFactory],
+    max_faults: int,
+    delta: float,
+    deadline: float,
+    horizon_slack: float,
+    require_violation: bool,
+    stub_bound: str,
+    construct: Callable[[int], _TimedCover],
+    summarize: Callable[[float, int, _TimedCover, TimedBehavior], dict],
+) -> ImpossibilityWitness:
+    """Theorems 2 and 4, once.
+
+    Run the two all-correct references (a violation there is the
+    witness at once), pick ``k`` from their deadline, run the
+    construction once, check its middles against the references, and
+    realize and check every scenario as a correct behavior of
+    ``graph``.  ``summarize`` adds the engine's own ``extra`` entries.
+    """
+    references = {
+        value: run_timed(
+            make_timed_system(
+                graph, factories, {u: value for u in graph.nodes}, delay=delta
+            ),
+            horizon=deadline,
+        )
+        for _label, value in problem.references
+    }
+    for label, value in problem.references:
+        verdict = problem.spec.check(
+            {u: value for u in graph.nodes},
+            problem.outcome(references[value]),
+            graph.nodes,
+            all_correct=True,
+        )
+        if not verdict.ok:
+            stub = _ScenarioStub(
+                label=label,
+                scenario_nodes=tuple(graph.nodes),
+                correct_nodes=frozenset(graph.nodes),
+            )
+            return ImpossibilityWitness(
+                problem=problem.name,
+                bound=stub_bound,
+                graph=graph,
+                max_faults=max_faults,
+                checked=(CheckedBehavior(constructed=stub, verdict=verdict),),
+                extra={"stage": "all-correct reference runs"},
+            )
+
+    t = problem.deadline(references)
+    k = ring_parameter(t, delta)
+    cover = construct(k)
+    cover_system = install_in_covering_timed(
+        cover.covering, factories, cover.inputs, delay=delta
+    )
+    cover_behavior = run_timed(cover_system, max(k * delta, t) * horizon_slack)
+
+    # Lemma 3 (and its firing-squad analogue), checked operationally.
+    for node in cover.middles:
+        reference = references[cover.inputs[node]]
+        if not cover_behavior.node(node).prefix_equal(
+            reference.node(cover.covering(node)), through=t
+        ):
+            raise TimedArgumentError(
+                f"bounded-delay indistinguishability failed at {node!r}: "
+                "its behavior differs from the all-correct reference "
+                "before information could arrive — candidate devices are "
+                "nondeterministic"
+            )
+
+    checked = []
+    for label, nodes in cover.scenarios:
+        constructed = build_base_behavior_timed(
+            cover.covering, cover_system, cover_behavior, nodes, factories,
+            label=label,
+        )
+        verdict = problem.spec.check(
+            constructed.inputs,
+            problem.outcome(constructed),
+            constructed.correct_nodes,
+            all_correct=False,
+        )
+        checked.append(CheckedBehavior(constructed=constructed, verdict=verdict))
+
+    witness = ImpossibilityWitness(
+        problem=problem.name,
+        bound=cover.bound,
+        graph=graph,
+        max_faults=max_faults,
+        checked=tuple(checked),
+        extra={
+            problem.deadline_key: t,
+            "k": k,
+            **summarize(t, k, cover, cover_behavior),
+        },
+    )
+    return witness.require_found() if require_violation else witness

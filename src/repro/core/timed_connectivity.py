@@ -24,99 +24,66 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from ..graphs.coverings import (
-    CyclicCover,
     connectivity_cyclic_cover,
     cut_partition_for_connectivity,
 )
 from ..graphs.graph import CommunicationGraph, NodeId
-from ..problems.byzantine import WeakAgreementSpec
-from ..problems.firing_squad import FiringSquadSpec
+from ..problems.spec import SpecVerdict, Violation
+from ..runtime.timed.behavior import TimedBehavior
+from ..runtime.timed.clocks import compose, drift_map, verify_clock_order
 from ..runtime.timed.device import DeviceFactory
 from ..runtime.timed.executor import run_timed
-from ..runtime.timed.system import install_in_covering_timed, make_timed_system
-from .timed_argument import TimedArgumentError, build_base_behavior_timed
-from .weak import _AllCorrectStub, ring_parameter
-from .witness import CheckedBehavior, ImpossibilityWitness
-
-_WEAK_SPEC = WeakAgreementSpec()
-_FIRE_SPEC = FiringSquadSpec()
-
-
-def _scenario_sets(
-    cover: CyclicCover,
-    side_a: set[NodeId],
-    cut_b: set[NodeId],
-    side_c: set[NodeId],
-    cut_d: set[NodeId],
-) -> list[tuple[str, list[NodeId]]]:
-    sets = []
-    m = cover.fold
-    for i in range(m):
-        a_i = [cover.copy_of(v, i) for v in sorted(side_a, key=str)]
-        b_i = [cover.copy_of(v, i) for v in sorted(cut_b, key=str)]
-        c_i = [cover.copy_of(v, i) for v in sorted(side_c, key=str)]
-        c_next = [cover.copy_of(v, i + 1) for v in sorted(side_c, key=str)]
-        d_next = [cover.copy_of(v, i + 1) for v in sorted(cut_d, key=str)]
-        sets.append((f"A{i}", a_i + b_i + c_i))
-        sets.append((f"B{i}", a_i + d_next + c_next))
-    return sets
+from ..runtime.timed.system import install_in_covering_timed
+from .clock_sync import choose_k
+from .covering_argument import _cyclic_scenarios
+from .firing_squad import _FIRING
+from .timed_argument import _bounded_delay_argument, _TimedCover
+from .weak import _WEAK
+from .witness import CheckedBehavior, ImpossibilityWitness, _ScenarioStub
 
 
-def _run_cyclic_construction(
-    graph: CommunicationGraph,
-    factories: Mapping[NodeId, DeviceFactory],
-    max_faults: int,
-    delta: float,
-    copies_half: int,
-    horizon: float,
-):
-    parts = cut_partition_for_connectivity(graph, max_faults)
-    side_a, cut_b, side_c, cut_d = parts
-    m = 2 * copies_half
+def _cyclic(
+    graph: CommunicationGraph, max_faults: int, k: int
+) -> _TimedCover:
+    """The cyclic ``4k``-fold cover, copies ``0..2k-1`` holding input 1:
+    the middles are every node of copies ``k`` and ``3k``, and the
+    scenarios are the whole ``A(i)``/``B(i)`` chain around the copies."""
+    side_a, cut_b, side_c, cut_d = cut_partition_for_connectivity(
+        graph, max_faults
+    )
+    copies = 4 * k
     cover = connectivity_cyclic_cover(
-        graph, cut_b, cut_d, side_a, side_c, copies=m
+        graph, cut_b, cut_d, side_a, side_c, copies=copies
     )
-    cover_inputs = {}
-    for i in range(m):
-        value = 1 if i < copies_half else 0
-        for v in graph.nodes:
-            cover_inputs[cover.copy_of(v, i)] = value
-    cover_system = install_in_covering_timed(
-        cover.covering, factories, cover_inputs, delay=delta
+    return _TimedCover(
+        covering=cover.covering,
+        inputs={
+            cover.copy_of(v, i): 1 if i < 2 * k else 0
+            for i in range(copies)
+            for v in graph.nodes
+        },
+        middles={cover.copy_of(v, i): i for i in (k, 3 * k) for v in graph.nodes},
+        scenarios=_cyclic_scenarios(cover, side_a, cut_b, side_c, cut_d),
+        bound=f"2f+1 connectivity (cyclic {copies}-fold cover)",
     )
-    cover_behavior = run_timed(cover_system, horizon)
-    return parts, cover, cover_system, cover_behavior
 
 
-def _check_middles(
-    cover: CyclicCover,
-    cover_behavior,
-    references: Mapping[int, object],
-    graph: CommunicationGraph,
-    through: float,
-) -> list[dict]:
-    """The bounded-delay indistinguishability step: every node of the
-    middle copy of each half behaves like the all-correct reference."""
-    middles = []
-    for copy_index, reference in references.items():
-        for v in graph.nodes:
-            node = cover.copy_of(v, copy_index)
-            if not cover_behavior.node(node).prefix_equal(
-                reference.node(v), through=through
-            ):
-                raise TimedArgumentError(
-                    f"indistinguishability failed at {node!r}: candidate "
-                    "devices are nondeterministic"
-                )
-            middles.append(
-                {
-                    "node": node,
-                    "copy": copy_index,
-                    "decision": cover_behavior.node(node).decision,
-                    "fire_time": cover_behavior.node(node).fire_time,
-                }
-            )
-    return middles
+def _copy_middles(
+    t: float, k: int, cover: _TimedCover, behavior: TimedBehavior
+) -> dict:
+    """Each middle copy's outcomes, node by node."""
+    return {
+        "copies": 4 * k,
+        "middles": [
+            {
+                "node": node,
+                "copy": copy,
+                "decision": behavior.node(node).decision,
+                "fire_time": behavior.node(node).fire_time,
+            }
+            for node, copy in cover.middles.items()
+        ],
+    }
 
 
 def refute_weak_agreement_connectivity(
@@ -130,86 +97,13 @@ def refute_weak_agreement_connectivity(
 ) -> ImpossibilityWitness:
     """Theorem 2's connectivity bound: weak agreement is impossible
     with ``c(G) <= 2f`` under Bounded-Delay Locality."""
-    run0 = run_timed(
-        make_timed_system(
-            graph, factories, {u: 0 for u in graph.nodes}, delay=delta
-        ),
-        horizon=decision_deadline,
+    return _bounded_delay_argument(
+        _WEAK, graph, factories, max_faults, delta, decision_deadline,
+        horizon_slack, require_violation,
+        stub_bound="2f+1 connectivity",
+        construct=lambda k: _cyclic(graph, max_faults, k),
+        summarize=_copy_middles,
     )
-    run1 = run_timed(
-        make_timed_system(
-            graph, factories, {u: 1 for u in graph.nodes}, delay=delta
-        ),
-        horizon=decision_deadline,
-    )
-    for label, reference, value in (("all-0", run0, 0), ("all-1", run1, 1)):
-        verdict = _WEAK_SPEC.check(
-            {u: value for u in graph.nodes},
-            reference.decisions(),
-            graph.nodes,
-            all_correct=True,
-        )
-        if not verdict.ok:
-            return ImpossibilityWitness(
-                problem="weak-agreement",
-                bound="2f+1 connectivity",
-                graph=graph,
-                max_faults=max_faults,
-                checked=(
-                    CheckedBehavior(
-                        constructed=_AllCorrectStub(
-                            label=label,
-                            scenario_nodes=tuple(graph.nodes),
-                            correct_nodes=frozenset(graph.nodes),
-                        ),
-                        verdict=verdict,
-                    ),
-                ),
-                extra={"stage": "all-correct reference runs"},
-            )
-
-    t_prime = max(run0.max_decision_time(), run1.max_decision_time())
-    k = ring_parameter(t_prime, delta)
-    copies_half = 2 * k
-    horizon = max(k * delta, t_prime) * horizon_slack
-    parts, cover, cover_system, cover_behavior = _run_cyclic_construction(
-        graph, factories, max_faults, delta, copies_half, horizon
-    )
-    side_a, cut_b, side_c, cut_d = parts
-
-    middles = _check_middles(
-        cover, cover_behavior, {k: run1, 3 * k: run0}, graph, t_prime
-    )
-    checked = []
-    for label, nodes in _scenario_sets(cover, side_a, cut_b, side_c, cut_d):
-        constructed = build_base_behavior_timed(
-            cover.covering, cover_system, cover_behavior, nodes, factories,
-            label=label,
-        )
-        verdict = _WEAK_SPEC.check(
-            constructed.inputs,
-            constructed.decisions(),
-            constructed.correct_nodes,
-            all_correct=False,
-        )
-        checked.append(CheckedBehavior(constructed=constructed, verdict=verdict))
-
-    witness = ImpossibilityWitness(
-        problem="weak-agreement",
-        bound=f"2f+1 connectivity (cyclic {2 * copies_half}-fold cover)",
-        graph=graph,
-        max_faults=max_faults,
-        checked=tuple(checked),
-        extra={
-            "t_prime": t_prime,
-            "k": k,
-            "copies": 2 * copies_half,
-            "middles": middles,
-        },
-    )
-    if require_violation:
-        witness.require_found()
-    return witness
 
 
 def refute_firing_squad_connectivity(
@@ -222,88 +116,13 @@ def refute_firing_squad_connectivity(
     require_violation: bool = True,
 ) -> ImpossibilityWitness:
     """Theorem 4's connectivity bound, by the same cyclic construction."""
-    stimulated = run_timed(
-        make_timed_system(
-            graph, factories, {u: 1 for u in graph.nodes}, delay=delta
-        ),
-        horizon=fire_deadline,
+    return _bounded_delay_argument(
+        _FIRING, graph, factories, max_faults, delta, fire_deadline,
+        horizon_slack, require_violation,
+        stub_bound="2f+1 connectivity",
+        construct=lambda k: _cyclic(graph, max_faults, k),
+        summarize=_copy_middles,
     )
-    quiet = run_timed(
-        make_timed_system(
-            graph, factories, {u: 0 for u in graph.nodes}, delay=delta
-        ),
-        horizon=fire_deadline,
-    )
-    for label, reference, inputs in (
-        ("all-stimulated", stimulated, {u: 1 for u in graph.nodes}),
-        ("all-quiet", quiet, {u: 0 for u in graph.nodes}),
-    ):
-        verdict = _FIRE_SPEC.check(
-            inputs, reference.fire_times(), graph.nodes, all_correct=True
-        )
-        if not verdict.ok:
-            return ImpossibilityWitness(
-                problem="byzantine-firing-squad",
-                bound="2f+1 connectivity",
-                graph=graph,
-                max_faults=max_faults,
-                checked=(
-                    CheckedBehavior(
-                        constructed=_AllCorrectStub(
-                            label=label,
-                            scenario_nodes=tuple(graph.nodes),
-                            correct_nodes=frozenset(graph.nodes),
-                        ),
-                        verdict=verdict,
-                    ),
-                ),
-                extra={"stage": "all-correct reference runs"},
-            )
-
-    t_fire = max(
-        t for t in stimulated.fire_times().values() if t is not None
-    )
-    k = ring_parameter(t_fire, delta)
-    copies_half = 2 * k
-    horizon = max(k * delta, t_fire) * horizon_slack
-    parts, cover, cover_system, cover_behavior = _run_cyclic_construction(
-        graph, factories, max_faults, delta, copies_half, horizon
-    )
-    side_a, cut_b, side_c, cut_d = parts
-
-    middles = _check_middles(
-        cover, cover_behavior, {k: stimulated, 3 * k: quiet}, graph, t_fire
-    )
-    checked = []
-    for label, nodes in _scenario_sets(cover, side_a, cut_b, side_c, cut_d):
-        constructed = build_base_behavior_timed(
-            cover.covering, cover_system, cover_behavior, nodes, factories,
-            label=label,
-        )
-        verdict = _FIRE_SPEC.check(
-            constructed.inputs,
-            constructed.fire_times(),
-            constructed.correct_nodes,
-            all_correct=False,
-        )
-        checked.append(CheckedBehavior(constructed=constructed, verdict=verdict))
-
-    witness = ImpossibilityWitness(
-        problem="byzantine-firing-squad",
-        bound=f"2f+1 connectivity (cyclic {2 * copies_half}-fold cover)",
-        graph=graph,
-        max_faults=max_faults,
-        checked=tuple(checked),
-        extra={
-            "fire_time": t_fire,
-            "k": k,
-            "copies": 2 * copies_half,
-            "middles": middles,
-        },
-    )
-    if require_violation:
-        witness.require_found()
-    return witness
 
 
 def refute_clock_sync_connectivity(
@@ -326,10 +145,6 @@ def refute_clock_sync_connectivity(
     of ``G`` by the Fault and Scaling axioms.  The ν-telescoping of
     Lemmas 10–11 then runs copy by copy.
     """
-    from ..problems.spec import SpecVerdict, Violation
-    from ..runtime.timed.clocks import compose, drift_map, verify_clock_order
-    from .clock_sync import choose_k
-
     verify_clock_order(setting.p, setting.q)
     h = drift_map(setting.p, setting.q)
     k = choose_k(setting)
@@ -359,13 +174,15 @@ def refute_clock_sync_connectivity(
     horizon = t_double_prime * 1.05 + 1.0
     cover_behavior = run_timed(cover_system, horizon)
 
-    def logical(copy_index, v):
-        return cover_behavior.node(
-            cover.copy_of(v, copy_index)
-        ).logical_value(t_double_prime)
+    def logical(node):
+        return cover_behavior.node(node).logical_value(t_double_prime)
 
-    def part_nodes(part, i):
-        return [(v, i) for v in sorted(part, key=str)]
+    # Name each scenario node by its (base node, copy) pair, as the
+    # violations do.
+    pair = {
+        cover.copy_of(v, i): (v, i) for i in range(copies) for v in graph.nodes
+    }
+    scenarios = _cyclic_scenarios(cover, side_a, cut_b, side_c, cut_d)
 
     checked = []
     nu_trace = []
@@ -378,27 +195,9 @@ def refute_clock_sync_connectivity(
         low = setting.lower(slow)
         high = setting.upper(fast)
 
-        scenarios = (
-            (
-                f"A{i}",
-                part_nodes(side_a, i) + part_nodes(cut_b, i)
-                + part_nodes(side_c, i),
-                frozenset(side_a | cut_b | side_c),
-                frozenset(cut_d),
-            ),
-            (
-                f"B{i}",
-                part_nodes(side_a, i) + part_nodes(cut_d, i + 1)
-                + part_nodes(side_c, i + 1),
-                frozenset(side_a | cut_d | side_c),
-                frozenset(cut_b),
-            ),
-        )
-        for label, members, correct, faulty in scenarios:
+        for label, nodes in scenarios[2 * i : 2 * i + 2]:
             violations = []
-            values = {
-                (v, ci): logical(ci, v) for (v, ci) in members
-            }
+            values = {pair[u]: logical(u) for u in nodes}
             items = sorted(values.items(), key=lambda kv: str(kv[0]))
             for index, ((v1, c1), val1) in enumerate(items):
                 for (v2, c2), val2 in items[index + 1:]:
@@ -421,26 +220,24 @@ def refute_clock_sync_connectivity(
                             (v1,),
                         )
                     )
+            correct = frozenset(cover.covering(u) for u in nodes)
             checked.append(
                 CheckedBehavior(
-                    constructed=_AllCorrectStub(
+                    constructed=_ScenarioStub(
                         label=label,
-                        scenario_nodes=tuple(
-                            cover.copy_of(v, ci) for (v, ci) in members
-                        ),
+                        scenario_nodes=tuple(nodes),
                         correct_nodes=correct,
-                        faulty_nodes=faulty,
+                        faulty_nodes=frozenset(graph.nodes) - correct,
                     ),
                     verdict=SpecVerdict(tuple(violations)),
                 )
             )
+        min_logical = min(logical(cover.copy_of(v, i)) for v in graph.nodes)
         nu_trace.append(
             {
                 "copy": i,
-                "min_logical": min(
-                    logical(i, v) for v in graph.nodes
-                ),
-                "nu_min": min(logical(i, v) for v in graph.nodes)
+                "min_logical": min_logical,
+                "nu_min": min_logical
                 - setting.lower(copy_clock[i](t_double_prime)),
             }
         )
@@ -458,6 +255,4 @@ def refute_clock_sync_connectivity(
             "nu_trace": nu_trace,
         },
     )
-    if require_violation:
-        witness.require_found()
-    return witness
+    return witness.require_found() if require_violation else witness

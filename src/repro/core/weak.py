@@ -20,41 +20,32 @@ half input 0; run it once.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from operator import methodcaller
 
 from ..graphs.builders import triangle
 from ..graphs.coverings import ring_cover_of_triangle
 from ..graphs.graph import CommunicationGraph, NodeId
 from ..problems.byzantine import WeakAgreementSpec
 from ..problems.spec import SpecVerdict, Violation
+from ..runtime.timed.behavior import TimedBehavior
 from ..runtime.timed.device import DeviceFactory
-from ..runtime.timed.executor import run_timed
-from ..runtime.timed.system import install_in_covering_timed, make_timed_system
-from .timed_argument import TimedArgumentError, build_base_behavior_timed
-from .witness import CheckedBehavior, ImpossibilityWitness
+from .timed_argument import (
+    _BoundedDelayProblem,
+    _bounded_delay_argument,
+    _TimedCover,
+    ring_parameter,
+)
+from .witness import ImpossibilityWitness
 
-_SPEC = WeakAgreementSpec()
-
-
-@dataclass(frozen=True)
-class _AllCorrectStub:
-    """Stands in for a constructed behavior when the violation already
-    appears in an all-correct run (no covering needed)."""
-
-    label: str
-    scenario_nodes: tuple[NodeId, ...]
-    correct_nodes: frozenset[NodeId]
-    faulty_nodes: frozenset[NodeId] = frozenset()
-
-
-def ring_parameter(t_prime: float, delta: float) -> int:
-    """The paper's ``k``: a multiple of 3 strictly exceeding ``t'/δ``."""
-    k = max(3, math.floor(t_prime / delta) + 1)
-    while k % 3 != 0:
-        k += 1
-    return k
+_WEAK = _BoundedDelayProblem(
+    name="weak-agreement",
+    spec=WeakAgreementSpec(),
+    outcome=methodcaller("decisions"),
+    references=(("all-0", 0), ("all-1", 1)),
+    deadline=lambda runs: max(run.max_decision_time() for run in runs.values()),
+    deadline_key="t_prime",
+)
 
 
 def refute_weak_agreement(
@@ -80,126 +71,55 @@ def refute_weak_agreement(
         choice-condition violation and the witness is immediate.
     """
     base = base or triangle()
-    # Step 1: the two all-correct reference behaviors.
-    run0 = run_timed(
-        make_timed_system(
-            base, factories, {u: 0 for u in base.nodes}, delay=delta
-        ),
-        horizon=decision_deadline,
+    return _bounded_delay_argument(
+        _WEAK, base, factories, 1, delta, decision_deadline, horizon_slack,
+        require_violation,
+        stub_bound="3f+1 nodes",
+        construct=lambda k: _four_k_ring(base, k, delta),
+        summarize=_lemma3,
     )
-    run1 = run_timed(
-        make_timed_system(
-            base, factories, {u: 1 for u in base.nodes}, delay=delta
-        ),
-        horizon=decision_deadline,
-    )
-    for label, reference, value in (("all-0", run0, 0), ("all-1", run1, 1)):
-        verdict = _SPEC.check(
-            {u: value for u in base.nodes},
-            reference.decisions(),
-            base.nodes,
-            all_correct=True,
-        )
-        if not verdict.ok:
-            return ImpossibilityWitness(
-                problem="weak-agreement",
-                bound="3f+1 nodes",
-                graph=base,
-                max_faults=1,
-                checked=(
-                    CheckedBehavior(
-                        constructed=_AllCorrectStub(
-                            label=label,
-                            scenario_nodes=tuple(base.nodes),
-                            correct_nodes=frozenset(base.nodes),
-                        ),
-                        verdict=verdict,
-                    ),
-                ),
-                extra={"stage": "all-correct reference runs"},
-            )
 
-    t_prime = max(run0.max_decision_time(), run1.max_decision_time())
-    k = ring_parameter(t_prime, delta)
+
+def _four_k_ring(
+    base: CommunicationGraph, k: int, delta: float
+) -> _TimedCover:
+    """The ``4k``-ring over the triangle, its first half holding input
+    1: the middles are the two centre nodes of each half, and every
+    adjacent pair is a scenario."""
     ring_size = 4 * k
     covering = ring_cover_of_triangle(ring_size, base)
-    ring_nodes = covering.cover.nodes
-    cover_inputs = {
-        node: 1 if index < 2 * k else 0
-        for index, node in enumerate(ring_nodes)
-    }
-    cover_system = install_in_covering_timed(
-        covering, factories, cover_inputs, delay=delta
+    ring = covering.cover.nodes
+    return _TimedCover(
+        covering=covering,
+        inputs={
+            node: 1 if index < 2 * k else 0 for index, node in enumerate(ring)
+        },
+        middles={ring[i]: i for i in (k - 1, k, 3 * k - 1, 3 * k)},
+        scenarios=[
+            (f"E{i}", [ring[i], ring[(i + 1) % ring_size]])
+            for i in range(ring_size)
+        ],
+        bound=f"3f+1 nodes (Bounded-Delay Locality, δ={delta})",
     )
-    horizon = max(k * delta, t_prime) * horizon_slack
-    cover_behavior = run_timed(cover_system, horizon)
 
-    # Step 2: Lemma 3, checked operationally — the middles of the two
-    # halves are prefix-identical to the all-correct references through
-    # t' < k·δ, hence decide their half's value.
-    lemma3 = []
-    for index, reference, expected in (
-        (k - 1, run1, 1),
-        (k, run1, 1),
-        (3 * k - 1, run0, 0),
-        (3 * k, run0, 0),
-    ):
-        node = ring_nodes[index]
-        same = cover_behavior.node(node).prefix_equal(
-            reference.node(covering(node)), through=t_prime
-        )
-        if not same:
-            raise TimedArgumentError(
-                f"Lemma 3 failed at ring node {node!r}: behavior differs "
-                "from the all-correct reference before information could "
-                "arrive — candidate devices are nondeterministic"
-            )
-        lemma3.append(
+
+def _lemma3(
+    t_prime: float, k: int, cover: _TimedCover, behavior: TimedBehavior
+) -> dict:
+    """Lemma 3's record: each middle decides its own half's input."""
+    return {
+        "ring_size": 4 * k,
+        "lemma3": [
             {
                 "node": node,
                 "distance_to_other_half": k,
                 "identical_through": t_prime,
-                "decides": cover_behavior.node(node).decision,
-                "expected": expected,
+                "decides": behavior.node(node).decision,
+                "expected": cover.inputs[node],
             }
-        )
-
-    # Step 3: every adjacent pair is a correct behavior of G.
-    checked: list[CheckedBehavior] = []
-    for i in range(ring_size):
-        pair = [ring_nodes[i], ring_nodes[(i + 1) % ring_size]]
-        constructed = build_base_behavior_timed(
-            covering,
-            cover_system,
-            cover_behavior,
-            pair,
-            factories,
-            label=f"E{i}",
-        )
-        verdict = _SPEC.check(
-            constructed.inputs,
-            constructed.decisions(),
-            constructed.correct_nodes,
-            all_correct=False,
-        )
-        checked.append(CheckedBehavior(constructed=constructed, verdict=verdict))
-
-    witness = ImpossibilityWitness(
-        problem="weak-agreement",
-        bound=f"3f+1 nodes (Bounded-Delay Locality, δ={delta})",
-        graph=base,
-        max_faults=1,
-        checked=tuple(checked),
-        extra={
-            "t_prime": t_prime,
-            "k": k,
-            "ring_size": ring_size,
-            "lemma3": lemma3,
-        },
-    )
-    if require_violation:
-        witness.require_found()
-    return witness
+            for node in cover.middles
+        ],
+    }
 
 
 def agreement_frontier(witness: ImpossibilityWitness) -> list[str]:

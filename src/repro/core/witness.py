@@ -10,12 +10,13 @@ for every device implementation; the engines find one and explain it.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..graphs.graph import CommunicationGraph
+from ..graphs.graph import CommunicationGraph, NodeId
 from ..problems.spec import SpecVerdict
-from .covering_argument import ChainLink, ConstructedBehavior
+from .covering_argument import ChainLink, ChainResult, ConstructedBehavior
 
 
 class NoViolationFound(RuntimeError):
@@ -37,6 +38,18 @@ class CheckedBehavior:
     @property
     def label(self) -> str:
         return self.constructed.label
+
+
+@dataclass(frozen=True)
+class _ScenarioStub:
+    """Stands in for a constructed behavior that the engine checks
+    without assembling it: an all-correct reference run that already
+    violates the spec, or one of Theorem 8's scaled scenarios."""
+
+    label: str
+    scenario_nodes: tuple[NodeId, ...]
+    correct_nodes: frozenset[NodeId]
+    faulty_nodes: frozenset[NodeId] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -109,3 +122,35 @@ class ImpossibilityWitness:
                 "too short for decisions to appear"
             )
         return self
+
+
+def _chain_witness(
+    problem: str,
+    bound: str,
+    graph: CommunicationGraph,
+    max_faults: int,
+    chain: ChainResult,
+    verdict: Callable[[ConstructedBehavior], SpecVerdict],
+    require_violation: bool,
+    extra: dict[str, Any] | None = None,
+) -> ImpossibilityWitness:
+    """The witness of one synchronous chain: every constructed behavior
+    with its ``verdict``, and the chain's links."""
+    witness = ImpossibilityWitness(
+        problem=problem,
+        bound=bound,
+        graph=graph,
+        max_faults=max_faults,
+        checked=tuple(
+            CheckedBehavior(constructed=c, verdict=verdict(c))
+            for c in chain.constructed
+        ),
+        links=chain.links,
+        extra=extra or {},
+    )
+    return witness.require_found() if require_violation else witness
+
+
+def _spec_verdict(spec: Any) -> Callable[[ConstructedBehavior], SpecVerdict]:
+    """``spec`` applied to a constructed behavior's correct nodes."""
+    return lambda c: spec.check(c.inputs, c.decisions(), c.correct_nodes)

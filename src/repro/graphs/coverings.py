@@ -13,7 +13,11 @@ This module provides:
   :func:`hexagon_cover_of_triangle` (Theorem 1 node bound, figure in
   §3.1), :func:`ring_cover_of_triangle` (Theorems 2/4/6/8 figures),
   :func:`node_bound_double_cover` (general ``n <= 3f`` case),
-  :func:`connectivity_double_cover` (§3.2, general ``c(G) <= 2f`` case).
+  :func:`connectivity_double_cover` (§3.2, general ``c(G) <= 2f`` case);
+* :func:`cyclic_cover` — ``m`` copies of ``G`` with some edges re-routed
+  to the next copy.  The double covers are its two-copy case, and the
+  timed and Theorem 6 connectivity engines stretch §3.2 along it
+  (:func:`connectivity_cyclic_cover`).
 """
 
 from __future__ import annotations
@@ -193,67 +197,13 @@ def ring_cover_of_triangle(
     return CoveringMap(cover, base, phi)
 
 
-def _copy_name(node: NodeId, copy: int) -> str:
-    return f"{node}@{copy}"
-
-
-@dataclass(frozen=True)
-class DoubleCover:
-    """A double cover built from two copies of the base graph with a set
-    of base edges *crossed* between the copies.
-
-    ``copies[i][v]`` names copy ``i`` of base node ``v``.
-    """
-
-    covering: CoveringMap
-    copies: tuple[Mapping[NodeId, NodeId], Mapping[NodeId, NodeId]]
-
-    def copy_of(self, base_node: NodeId, copy: int) -> NodeId:
-        return self.copies[copy][base_node]
-
-
-def double_cover(
-    base: CommunicationGraph,
-    crossed_edges: Iterable[tuple[NodeId, NodeId]],
-) -> DoubleCover:
-    """Two copies of ``base`` with the given undirected edges re-routed
-    across the copies (``u@0 — v@1`` and ``u@1 — v@0`` instead of the
-    in-copy edges).  Always a covering of ``base``.
-    """
-    crossed = {frozenset(e) for e in crossed_edges}
-    for pair in crossed:
-        u, v = tuple(pair)
-        if not base.has_edge(u, v):
-            raise CoveringError(f"crossed edge {u!r}-{v!r} not in base graph")
-    copy0 = {v: _copy_name(v, 0) for v in base.nodes}
-    copy1 = {v: _copy_name(v, 1) for v in base.nodes}
-    nodes = [copy0[v] for v in base.nodes] + [copy1[v] for v in base.nodes]
-    edges: list[tuple[NodeId, NodeId]] = []
-    seen: set[frozenset[NodeId]] = set()
-    for u, v in base.edges:
-        key = frozenset((u, v))
-        if key in seen:
-            continue
-        seen.add(key)
-        if key in crossed:
-            edges.append((copy0[u], copy1[v]))
-            edges.append((copy1[u], copy0[v]))
-        else:
-            edges.append((copy0[u], copy0[v]))
-            edges.append((copy1[u], copy1[v]))
-    cover = CommunicationGraph(nodes, edges)
-    phi = {copy0[v]: v for v in base.nodes}
-    phi.update({copy1[v]: v for v in base.nodes})
-    return DoubleCover(CoveringMap(cover, base, phi), (copy0, copy1))
-
-
 @dataclass(frozen=True)
 class CyclicCover:
     """An ``m``-fold cyclic cover: ``m`` copies of the base graph with
     a set of base edges re-routed from each copy to the next (mod m).
 
     ``copies[i][v]`` names copy ``i`` of base node ``v``.  The double
-    cover is the special case ``m = 2``.
+    covers of Section 3 are the special case ``m = 2``.
     """
 
     covering: CoveringMap
@@ -324,61 +274,8 @@ def connectivity_cyclic_cover(
     copies: int,
 ) -> CyclicCover:
     """The §3.2 construction stretched to ``copies`` copies: cross every
-    edge between ``side_a`` and ``cut_d``.  With ``copies = 2`` this is
-    exactly :func:`connectivity_double_cover`'s graph."""
-    b, d = set(cut_b), set(cut_d)
-    a, c = set(side_a), set(side_c)
-    _check_partition(base, (a, b, c, d))
-    for u in a:
-        for v in base.neighbors(u):
-            if v in c:
-                raise CoveringError(
-                    f"edge {u!r}-{v!r} joins side_a to side_c; the cut "
-                    "does not disconnect them"
-                )
-    crossed = [(u, v) for (u, v) in base.edges if u in a and v in d]
-    if not crossed:
-        raise CoveringError("no edges between side_a and cut_d")
-    return cyclic_cover(base, crossed, copies)
-
-
-def node_bound_double_cover(
-    base: CommunicationGraph,
-    part_a: Iterable[NodeId],
-    part_b: Iterable[NodeId],
-    part_c: Iterable[NodeId],
-) -> DoubleCover:
-    """The general Theorem 1 node-bound covering (Section 3.1).
-
-    Given a partition of the base nodes into ``a``, ``b``, ``c``, build
-    two copies of ``G`` and cross every edge between the ``a`` part and
-    the ``c`` part.  For the triangle with singleton parts this is the
-    hexagon of the paper's figure.
-    """
-    a, b, c = set(part_a), set(part_b), set(part_c)
-    _check_partition(base, (a, b, c))
-    crossed = [
-        (u, v)
-        for (u, v) in base.edges
-        if (u in a and v in c)
-    ]
-    return double_cover(base, crossed)
-
-
-def connectivity_double_cover(
-    base: CommunicationGraph,
-    cut_b: Iterable[NodeId],
-    cut_d: Iterable[NodeId],
-    side_a: Iterable[NodeId],
-    side_c: Iterable[NodeId],
-) -> DoubleCover:
-    """The general Theorem 1 connectivity covering (Section 3.2).
-
-    ``cut_b`` and ``cut_d`` together disconnect ``side_a`` from
-    ``side_c``; the covering takes two copies of ``G`` and crosses every
-    edge between ``side_a`` and ``cut_d``.  For the diamond graph with
-    singleton sets this is the eight-node ring of the paper's figure.
-    """
+    edge between ``side_a`` and ``cut_d``.  :func:`connectivity_double_cover`
+    is the case ``copies = 2``."""
     b, d = set(cut_b), set(cut_d)
     a, c = set(side_a), set(side_c)
     _check_partition(base, (a, b, c, d))
@@ -395,7 +292,58 @@ def connectivity_double_cover(
             "no edges between side_a and cut_d; choose a cut adjacent to "
             "the a side"
         )
+    return cyclic_cover(base, crossed, copies)
+
+
+def double_cover(
+    base: CommunicationGraph,
+    crossed_edges: Iterable[tuple[NodeId, NodeId]],
+) -> CyclicCover:
+    """Two copies of ``base`` with the given undirected edges re-routed
+    across the copies (``u@0 — v@1`` and ``u@1 — v@0`` instead of the
+    in-copy edges): the two-copy :func:`cyclic_cover`, in which an
+    edge's orientation no longer matters.  Always a covering of
+    ``base``.
+    """
+    return cyclic_cover(base, crossed_edges, 2)
+
+
+def node_bound_double_cover(
+    base: CommunicationGraph,
+    part_a: Iterable[NodeId],
+    part_b: Iterable[NodeId],
+    part_c: Iterable[NodeId],
+) -> CyclicCover:
+    """The general Theorem 1 node-bound covering (Section 3.1).
+
+    Given a partition of the base nodes into ``a``, ``b``, ``c``, build
+    two copies of ``G`` and cross every edge between the ``a`` part and
+    the ``c`` part.  For the triangle with singleton parts this is the
+    hexagon of the paper's figure.
+    """
+    a, b, c = set(part_a), set(part_b), set(part_c)
+    _check_partition(base, (a, b, c))
+    crossed = [(u, v) for (u, v) in base.edges if u in a and v in c]
     return double_cover(base, crossed)
+
+
+def connectivity_double_cover(
+    base: CommunicationGraph,
+    cut_b: Iterable[NodeId],
+    cut_d: Iterable[NodeId],
+    side_a: Iterable[NodeId],
+    side_c: Iterable[NodeId],
+) -> CyclicCover:
+    """The general Theorem 1 connectivity covering (Section 3.2).
+
+    ``cut_b`` and ``cut_d`` together disconnect ``side_a`` from
+    ``side_c``; the covering takes two copies of ``G`` and crosses every
+    edge between ``side_a`` and ``cut_d``.  For the diamond graph with
+    singleton sets this is the eight-node ring of the paper's figure.
+    """
+    return connectivity_cyclic_cover(
+        base, cut_b, cut_d, side_a, side_c, copies=2
+    )
 
 
 def _check_partition(
