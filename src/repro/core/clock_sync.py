@@ -21,284 +21,318 @@ scaled ``S_k`` caps it at ``u(q(t'))``.  Choosing ``k`` with
 for any concrete devices at least one scaled scenario violates its
 condition — the witness.
 
-The engine also *executes* Lemma 9 for selected scenarios: it re-runs
-the triangle with clocks ``(q, p)``, the third node replaying the
-time-scaled recorded border, and verifies the correct nodes' event
-traces and logical readings reproduce the covering's (scaled) —
-checking the Scaling axiom rather than assuming it.
+:func:`_clock_argument` is this argument written once, for the ring
+and for the connectivity bound's cyclic cover of ``k + 2`` copies.
+Every scaled scenario is checked numerically off the one cover run.
+Lemma 9 itself is *executed* for the scenarios the caller names
+(:func:`_verify_scaled_scenario`): the base graph is re-run with
+clocks ``q`` and ``p``, the other nodes replaying the time-scaled
+recorded border, and the correct nodes' event traces and logical
+readings must reproduce the cover's — checking the Scaling axiom
+rather than assuming it.  A scaled run starts at ``h⁻ⁱ(0)``, before
+time 0 when the clocks are offset (``q = t + c``), so the
+reconstruction runs that much later on clocks shifted to match.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+import math
+from collections.abc import Callable, Collection, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from ..graphs.builders import triangle
-from ..graphs.coverings import ring_cover_of_triangle
+from ..graphs.coverings import CoveringMap, ring_cover_of_triangle
 from ..graphs.graph import CommunicationGraph, NodeId
-from ..problems.clock_sync import ClockSyncSpec
+from ..problems.clock_sync import ClockSyncSpec as SynchronizationSetting
 from ..problems.spec import SpecVerdict, Violation
+from ..runtime.timed.behavior import TimedBehavior
 from ..runtime.timed.clocks import (
     ClockFunction,
+    LinearClock,
     compose,
     drift_map,
     verify_clock_order,
 )
 from ..runtime.timed.device import DeviceFactory
 from ..runtime.timed.executor import run_timed
-from ..runtime.timed.system import install_in_covering_timed
+from ..runtime.timed.system import TimedSystem, install_in_covering_timed
 from .timed_argument import build_base_behavior_timed
 from .witness import CheckedBehavior, ImpossibilityWitness, _ScenarioStub
 
-Envelope = Callable[[float], float]
-
-
-@dataclass(frozen=True)
-class SynchronizationSetting:
-    """The Section 7 problem instance: correct clocks run at ``p`` or
-    ``q``; logical clocks must stay within envelopes ``[l, u]`` and
-    agree within ``l(q(t)) - l(p(t)) - α`` from ``t'`` on."""
-
-    p: ClockFunction
-    q: ClockFunction
-    lower: Envelope
-    upper: Envelope
-    alpha: float
-    t_prime: float
-
-    def spec(self) -> ClockSyncSpec:
-        return ClockSyncSpec(
-            p=self.p,
-            q=self.q,
-            lower=self.lower,
-            upper=self.upper,
-            alpha=self.alpha,
-            t_prime=self.t_prime,
-        )
+#: Message delay in sender-clock units: the clock-mode delay policy
+#: keeps the Scaling axiom intact.
+_DELAY = 0.125
+#: Slack of the numeric checks, relative to the hardware clock readings.
+_TOLERANCE = 1e-7
 
 
 def choose_k(setting: SynchronizationSetting) -> int:
     """The smallest ``k > 2`` with ``l(p(t')) + k·α > u(q(t'))`` and
-    ``k + 2`` divisible by three."""
-    gap = setting.upper(setting.q(setting.t_prime)) - setting.lower(
-        setting.p(setting.t_prime)
-    )
+    ``k + 2`` divisible by three; a ``ValueError`` if the envelope gap
+    ``u(q(t')) - l(p(t'))`` is not finite."""
+    base = setting.lower(setting.p(setting.t_prime))
+    cap = setting.upper(setting.q(setting.t_prime))
+    gap = cap - base
+    if not math.isfinite(gap):
+        raise ValueError(
+            f"the envelope gap u(q(t')) - l(p(t')) = {gap} is not finite, "
+            "so no ring length k closes it"
+        )
     k = max(3, int(gap / setting.alpha) + 1)
-    while (k + 2) % 3 != 0 or setting.lower(
-        setting.p(setting.t_prime)
-    ) + k * setting.alpha <= setting.upper(setting.q(setting.t_prime)):
+    while (k + 2) % 3 != 0 or base + k * setting.alpha <= cap:
         k += 1
     return k
 
 
-def refute_clock_sync(
-    factories: Mapping[NodeId, DeviceFactory],
-    setting: SynchronizationSetting,
-    delay: float = 0.125,
-    base: CommunicationGraph | None = None,
-    verify_indices: tuple[int, ...] = (0, 1),
-    require_violation: bool = True,
-    tolerance: float = 1e-7,
-) -> ImpossibilityWitness:
-    """Refute claimed synchronization devices for the triangle.
+@dataclass(frozen=True)
+class _ClockCover:
+    """One Theorem 8 construction for ring parameter ``k``.
 
-    ``delay`` is the message delay in *sender-clock units* (the
-    clock-mode delay policy keeps the Scaling axiom intact).
-    ``verify_indices`` selects which scaled scenarios additionally get
-    the full Lemma 9 reconstruction-and-comparison treatment.
+    Cover node ``u`` runs hardware clock ``q ∘ h^-power[u]``.  Scenario
+    ``(label, nodes, i)`` spans powers ``i`` and ``i + 1``: scaled by
+    ``hⁱ``, its nodes at power ``i`` run clock ``q`` and those at
+    ``i + 1`` clock ``p``; they are checked in the order given.
+    ``agreement`` and ``validity`` word the violations, and
+    ``summarize(logical, floor, scaling_checks)`` gives the witness's
+    ``extra`` beyond ``k`` and ``t''``.
     """
-    base = base or triangle()
+
+    covering: CoveringMap
+    power: Mapping[NodeId, int]
+    scenarios: Sequence[tuple[str, Sequence[NodeId], int]]
+    bound: str
+    agreement: str
+    validity: str
+    summarize: Callable[..., dict[str, Any]]
+
+
+def _clock_argument(
+    setting: SynchronizationSetting,
+    factories: Mapping[NodeId, DeviceFactory],
+    graph: CommunicationGraph,
+    max_faults: int,
+    build: Callable[[int], _ClockCover],
+    verify_indices: Collection[int],
+    require_violation: bool,
+) -> ImpossibilityWitness:
+    """Theorem 8, once.
+
+    Pick ``k``, run the cover built for it once with clocks
+    ``q ∘ h⁻ⁱ``, and check agreement and validity of every scaled
+    scenario at ``t''`` (each scenario's readings at scaled time
+    ``h⁻ⁱ(t'')``, read at real time ``t''`` of the cover).  Lemma 9 is
+    executed for the scenarios whose ``i`` is in ``verify_indices``.
+    """
     verify_clock_order(setting.p, setting.q)
     h = drift_map(setting.p, setting.q)
     k = choose_k(setting)
-    covering = ring_cover_of_triangle(k + 2, base)
-    ring_nodes = covering.cover.nodes
-
-    clocks = {
-        node: compose(setting.q, h_back)
-        for node, h_back in zip(ring_nodes, h.inverse().powers(len(ring_nodes)))
-    }
-    cover_inputs = {node: None for node in ring_nodes}
-    cover_system = install_in_covering_timed(
-        covering,
-        factories,
-        cover_inputs,
-        delay=delay,
-        delay_mode="clock",
-        cover_clocks=clocks,
-    )
     t_double_prime = h.iterate(k)(setting.t_prime)
-    horizon = t_double_prime * 1.05 + 1.0
-    cover_behavior = run_timed(cover_system, horizon)
-
-    logical = {
-        node: cover_behavior.node(node).logical_value for node in ring_nodes
-    }
-    hardware_at = {
-        node: clocks[node](t_double_prime) for node in ring_nodes
-    }
-
-    checked: list[CheckedBehavior] = []
-    nu_trace: list[dict[str, Any]] = []
-    for i in range(k + 1):
-        lo, hi = ring_nodes[i], ring_nodes[i + 1]
-        violations: list[Violation] = []
-        # Agreement in the scaled scenario S_i · hⁱ at scaled time
-        # h⁻ⁱ(t'') >= t', expressed at unscaled time t'':
-        # the bound telescopes to l(D_i(t'')) - l(D_{i+1}(t'')) - α.
-        scale = max(1.0, abs(hardware_at[lo]), abs(hardware_at[hi]))
-        tol = tolerance * scale
-        bound = (
-            setting.lower(hardware_at[lo])
-            - setting.lower(hardware_at[hi])
-            - setting.alpha
+    if not math.isfinite(t_double_prime):
+        raise ValueError(
+            f"t'' = h^k(t') = {t_double_prime} is not finite for k = {k}: "
+            "the margin α is too small for these clocks"
         )
-        skew = abs(logical[lo](t_double_prime) - logical[hi](t_double_prime))
-        if skew > bound + tol:
-            violations.append(
-                Violation(
-                    "agreement",
-                    f"|C_{lo} - C_{hi}| = {skew:.6g} > "
-                    f"l(q)-l(p)-α = {bound:.6g} at t'' = "
-                    f"{t_double_prime:.6g} (scaled scenario S_{i}·h^{i})",
-                    (covering(lo), covering(hi)),
-                )
-            )
-        # Validity in the same scaled scenario at the same instant:
-        # l(p(s)) <= C <= u(q(s)) with p(s) = D_{i+1}(t''),
-        # q(s) = D_i(t'').
-        low = setting.lower(hardware_at[hi])
-        high = setting.upper(hardware_at[lo])
-        for node in (lo, hi):
-            value = logical[node](t_double_prime)
-            if value < low - tol or value > high + tol:
-                violations.append(
-                    Violation(
-                        "validity",
-                        f"C_{node}(t'') = {value:.6g} outside the scaled "
-                        f"envelope [{low:.6g}, {high:.6g}]",
-                        (covering(node),),
+    cover = build(k)
+    clocks = [compose(setting.q, back) for back in h.inverse().powers(k + 2)]
+    cover_system = install_in_covering_timed(
+        cover.covering, factories, dict.fromkeys(cover.power),
+        delay=_DELAY, delay_mode="clock",
+        cover_clocks={u: clocks[i] for u, i in cover.power.items()},
+    )
+    cover_behavior = run_timed(cover_system, t_double_prime * 1.05 + 1.0)
+
+    covering = cover.covering
+    hardware = [clock(t_double_prime) for clock in clocks]
+    floor = [setting.lower(reading) for reading in hardware]
+    logical = {
+        u: cover_behavior.node(u).logical_value(t_double_prime)
+        for u in cover.power
+    }
+    checked = []
+    for label, nodes, i in cover.scenarios:
+        # The scaled scenario at scaled time h⁻ⁱ(t'') >= t', expressed
+        # at unscaled time t'': its clocks read q = D_i(t'') and
+        # p = D_{i+1}(t''), so the agreement bound telescopes to
+        # l(D_i(t'')) - l(D_{i+1}(t'')) - α and validity asks
+        # l(D_{i+1}(t'')) <= C <= u(D_i(t'')).
+        tol = _TOLERANCE * max(1.0, abs(hardware[i]), abs(hardware[i + 1]))
+        bound = floor[i] - floor[i + 1] - setting.alpha
+        low, high = floor[i + 1], setting.upper(hardware[i])
+        violations = []
+        for n, a in enumerate(nodes):
+            for b in nodes[n + 1 :]:
+                skew = abs(logical[a] - logical[b])
+                if skew > bound + tol:
+                    detail = cover.agreement.format(
+                        a=a, b=b, skew=skew, bound=bound, t=t_double_prime,
+                        label=label, i=i,
                     )
-                )
-        correct = frozenset({covering(lo), covering(hi)})
+                    violations.append(
+                        Violation("agreement", detail, (covering(a), covering(b)))
+                    )
+            value = logical[a]
+            if value < low - tol or value > high + tol:
+                detail = cover.validity.format(u=a, value=value, low=low, high=high)
+                violations.append(Violation("validity", detail, (covering(a),)))
+        correct = frozenset(covering(u) for u in nodes)
         checked.append(
             CheckedBehavior(
                 constructed=_ScenarioStub(
-                    label=f"S{i}",
-                    scenario_nodes=(lo, hi),
+                    label=label,
+                    scenario_nodes=tuple(nodes),
                     correct_nodes=correct,
-                    faulty_nodes=frozenset(base.nodes) - correct,
+                    faulty_nodes=frozenset(graph.nodes) - correct,
                 ),
                 verdict=SpecVerdict(tuple(violations)),
             )
         )
-        nu_trace.append(
-            {
-                "i": i,
-                "node": lo,
-                "logical": logical[lo](t_double_prime),
-                "nu": logical[lo](t_double_prime)
-                - setting.lower(hardware_at[lo]),
-                "agreement_bound": bound,
-                "skew": skew,
-            }
-        )
-    last = ring_nodes[k + 1]
-    nu_trace.append(
-        {
-            "i": k + 1,
-            "node": last,
-            "logical": logical[last](t_double_prime),
-            "nu": logical[last](t_double_prime)
-            - setting.lower(hardware_at[last]),
-            "agreement_bound": None,
-            "skew": None,
-        }
-    )
 
-    # The operational Lemma 9 reconstruction re-runs the triangle from
-    # real time 0, so it applies exactly to scenarios whose scaling map
-    # fixes 0 (always true for i = 0; true for all i when the clocks
-    # are multiplicative, e.g. q = rt).  For additive clocks
-    # (q = t + c) the scaled behavior starts before time 0 and only the
-    # unscaled scenario is reconstructed — the numeric checks above
-    # still cover every scenario.
-    scaling_checks = []
-    skipped_scaling: list[int] = []
-    for i in verify_indices:
-        if not 0 <= i <= k:
-            continue
-        if abs(h.iterate(-i)(0.0)) > 1e-9:
-            skipped_scaling.append(i)
-            continue
-        scaling_checks.append(
-            _verify_scaled_scenario(
-                covering, cover_system, cover_behavior, factories, setting,
-                h, i,
-            )
+    scaling_checks = [
+        _verify_scaled_scenario(
+            cover, cover_system, cover_behavior, factories, setting, h,
+            scenario,
         )
-
+        for scenario in cover.scenarios
+        if scenario[2] in verify_indices
+    ]
     witness = ImpossibilityWitness(
         problem="clock-synchronization",
-        bound=f"3f+1 nodes (Scaling axiom; k = {k})",
-        graph=base,
-        max_faults=1,
+        bound=cover.bound,
+        graph=graph,
+        max_faults=max_faults,
         checked=tuple(checked),
         extra={
             "k": k,
-            "t_prime": setting.t_prime,
             "t_double_prime": t_double_prime,
-            "nu_trace": nu_trace,
-            "upper_cap": setting.upper(setting.q(setting.t_prime)),
-            "lower_base": setting.lower(setting.p(setting.t_prime)),
-            "scaling_checks": scaling_checks,
-            "scaling_checks_skipped": skipped_scaling,
+            **cover.summarize(logical, floor, scaling_checks),
         },
     )
     return witness.require_found() if require_violation else witness
 
 
+def _ring(
+    setting: SynchronizationSetting, base: CommunicationGraph, k: int
+) -> _ClockCover:
+    """The ``(k + 2)``-ring of the triangle, node ``i`` at power ``i``;
+    scenario ``S_i`` is the pair of ring nodes ``i, i + 1``."""
+    covering = ring_cover_of_triangle(k + 2, base)
+    ring = covering.cover.nodes
+
+    def summarize(logical, floor, scaling_checks):
+        nu_trace = [
+            {
+                "i": i,
+                "node": node,
+                "logical": logical[node],
+                "nu": logical[node] - floor[i],
+                "agreement_bound": (
+                    floor[i] - floor[i + 1] - setting.alpha if i <= k else None
+                ),
+                "skew": (
+                    abs(logical[node] - logical[ring[i + 1]])
+                    if i <= k
+                    else None
+                ),
+            }
+            for i, node in enumerate(ring)
+        ]
+        return {
+            "t_prime": setting.t_prime,
+            "nu_trace": nu_trace,
+            "upper_cap": setting.upper(setting.q(setting.t_prime)),
+            "lower_base": setting.lower(setting.p(setting.t_prime)),
+            "scaling_checks": scaling_checks,
+            # Every scaled scenario can be reconstructed; the key is
+            # kept, always empty, so that witnesses keep their shape.
+            "scaling_checks_skipped": [],
+        }
+
+    return _ClockCover(
+        covering=covering,
+        power={node: i for i, node in enumerate(ring)},
+        scenarios=[(f"S{i}", ring[i : i + 2], i) for i in range(k + 1)],
+        bound=f"3f+1 nodes (Scaling axiom; k = {k})",
+        agreement=(
+            "|C_{a} - C_{b}| = {skew:.6g} > l(q)-l(p)-α = {bound:.6g} at "
+            "t'' = {t:.6g} (scaled scenario S_{i}·h^{i})"
+        ),
+        validity=(
+            "C_{u}(t'') = {value:.6g} outside the scaled envelope "
+            "[{low:.6g}, {high:.6g}]"
+        ),
+        summarize=summarize,
+    )
+
+
+def refute_clock_sync(
+    factories: Mapping[NodeId, DeviceFactory],
+    setting: SynchronizationSetting,
+    base: CommunicationGraph | None = None,
+    verify_indices: Collection[int] = (0, 1),
+    require_violation: bool = True,
+) -> ImpossibilityWitness:
+    """Refute claimed synchronization devices for the triangle.
+
+    ``verify_indices`` selects which scaled scenarios additionally get
+    the full Lemma 9 reconstruction-and-comparison treatment.
+    """
+    base = base or triangle()
+    return _clock_argument(
+        setting, factories, base, 1,
+        lambda k: _ring(setting, base, k),
+        verify_indices, require_violation,
+    )
+
+
 def _verify_scaled_scenario(
-    covering,
-    cover_system,
-    cover_behavior,
-    factories,
+    cover: _ClockCover,
+    cover_system: TimedSystem,
+    cover_behavior: TimedBehavior,
+    factories: Mapping[NodeId, DeviceFactory],
     setting: SynchronizationSetting,
     h: ClockFunction,
-    index: int,
+    scenario: tuple[str, Sequence[NodeId], int],
 ) -> dict[str, Any]:
-    """Execute Lemma 9 for one scenario: reconstruct ``S_i · hⁱ`` as a
-    real run of the triangle with clocks ``(q, p)`` and a time-scaled
-    replaying fault, and compare behaviors and logical readings."""
-    ring_nodes = covering.cover.nodes
-    lo, hi = ring_nodes[index], ring_nodes[index + 1]
-    h_back = h.iterate(-index)
-    base_clocks = {covering(lo): setting.q, covering(hi): setting.p}
+    """Execute Lemma 9 for one scenario: reconstruct it scaled by
+    ``hⁱ`` as a real run of the base graph, its nodes at power ``i`` on
+    clock ``q`` and those at ``i + 1`` on ``p``, the others replaying
+    the time-scaled border, and compare behaviors and logical readings.
+
+    The scaled run starts at ``s₀ = h⁻ⁱ(0) <= 0``; the reconstruction
+    starts at time 0 instead, on clocks ``q(t + s₀)`` and ``p(t + s₀)``,
+    so scaled time ``s`` is its time ``s - s₀``.
+    """
+    label, nodes, index = scenario
+    back, forth = h.iterate(-index), h.iterate(index)
+    start = back(0.0)
+    shift = LinearClock(1.0, start)
+    clock = (setting.q, setting.p)
     constructed = build_base_behavior_timed(
-        covering,
+        cover.covering,
         cover_system,
         cover_behavior,
-        [lo, hi],
+        nodes,
         factories,
-        label=f"S{index}-scaled",
-        time_map=h_back,
-        base_clocks=base_clocks,
+        label=f"{label}-scaled",
+        time_map=compose(shift.inverse(), back),
+        base_clocks={
+            cover.covering(u): compose(clock[cover.power[u] - index], shift)
+            for u in nodes
+        },
         time_tolerance=1e-6,
     )
     # Logical readings must agree at sampled scaled times.
     samples = []
-    s_t = h_back(cover_behavior.horizon)
+    s_t = back(cover_behavior.horizon)
     for fraction in (0.25, 0.5, 0.9):
         s = setting.t_prime + fraction * max(s_t - setting.t_prime, 0.0)
-        for ring_node in (lo, hi):
-            base_node = covering(ring_node)
-            original = cover_behavior.node(ring_node).logical_value(
-                h.iterate(index)(s)
-            )
+        for u in nodes:
+            base_node = cover.covering(u)
+            original = cover_behavior.node(u).logical_value(forth(s))
             reconstructed = constructed.behavior.node(
                 base_node
-            ).logical_value(s)
+            ).logical_value(s - start)
             samples.append(
                 {
                     "scaled_time": s,

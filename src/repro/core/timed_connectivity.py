@@ -28,18 +28,14 @@ from ..graphs.coverings import (
     cut_partition_for_connectivity,
 )
 from ..graphs.graph import CommunicationGraph, NodeId
-from ..problems.spec import SpecVerdict, Violation
 from ..runtime.timed.behavior import TimedBehavior
-from ..runtime.timed.clocks import compose, drift_map, verify_clock_order
 from ..runtime.timed.device import DeviceFactory
-from ..runtime.timed.executor import run_timed
-from ..runtime.timed.system import install_in_covering_timed
-from .clock_sync import choose_k
+from .clock_sync import SynchronizationSetting, _clock_argument, _ClockCover
 from .covering_argument import _cyclic_scenarios
 from .firing_squad import _FIRING
 from .timed_argument import _bounded_delay_argument, _TimedCover
 from .weak import _WEAK
-from .witness import CheckedBehavior, ImpossibilityWitness, _ScenarioStub
+from .witness import ImpossibilityWitness
 
 
 def _cyclic(
@@ -125,14 +121,57 @@ def refute_firing_squad_connectivity(
     )
 
 
+def _clocked_copies(
+    graph: CommunicationGraph, max_faults: int, k: int
+) -> _ClockCover:
+    """The cyclic ``(k + 2)``-fold cover, copy ``i`` at power ``i``; the
+    scenarios are ``A(i)`` and ``B(i)`` for ``i <= k``, their nodes
+    sorted by the ``(base node, copy)`` pairs the violations name."""
+    side_a, cut_b, side_c, cut_d = cut_partition_for_connectivity(
+        graph, max_faults
+    )
+    copies = k + 2
+    cover = connectivity_cyclic_cover(
+        graph, cut_b, cut_d, side_a, side_c, copies=copies
+    )
+    power = {cover.copy_of(v, i): i for i in range(copies) for v in graph.nodes}
+    scenarios = _cyclic_scenarios(cover, side_a, cut_b, side_c, cut_d)
+
+    def named(u):
+        return str((cover.covering(u), power[u]))
+
+    def summarize(logical, floor, scaling_checks):
+        nu_trace = []
+        for i in range(k + 1):
+            least = min(logical[cover.copy_of(v, i)] for v in graph.nodes)
+            nu_trace.append(
+                {"copy": i, "min_logical": least, "nu_min": least - floor[i]}
+            )
+        return {"copies": copies, "nu_trace": nu_trace}
+
+    return _ClockCover(
+        covering=cover.covering,
+        power=power,
+        scenarios=[
+            (label, sorted(nodes, key=named), n // 2)
+            for n, (label, nodes) in enumerate(scenarios[: 2 * (k + 1)])
+        ],
+        bound=f"2f+1 connectivity (cyclic {copies}-fold cover; k = {k})",
+        agreement=(
+            "|C_{a} - C_{b}| = {skew:.6g} > {bound:.6g} at t'' "
+            "(scaled scenario {label}·h^{i})"
+        ),
+        validity="C_{u}(t'') = {value:.6g} outside [{low:.6g}, {high:.6g}]",
+        summarize=summarize,
+    )
+
+
 def refute_clock_sync_connectivity(
     graph: CommunicationGraph,
     factories: Mapping[NodeId, DeviceFactory],
     max_faults: int,
-    setting,
-    delay: float = 0.125,
+    setting: SynchronizationSetting,
     require_violation: bool = True,
-    tolerance: float = 1e-7,
 ) -> ImpossibilityWitness:
     """Theorem 8's connectivity bound: nontrivial synchronization is
     impossible with ``c(G) <= 2f`` under the Scaling axiom.
@@ -145,114 +184,8 @@ def refute_clock_sync_connectivity(
     of ``G`` by the Fault and Scaling axioms.  The ν-telescoping of
     Lemmas 10–11 then runs copy by copy.
     """
-    verify_clock_order(setting.p, setting.q)
-    h = drift_map(setting.p, setting.q)
-    k = choose_k(setting)
-    copies = k + 2
-    side_a, cut_b, side_c, cut_d = cut_partition_for_connectivity(
-        graph, max_faults
+    return _clock_argument(
+        setting, factories, graph, max_faults,
+        lambda k: _clocked_copies(graph, max_faults, k),
+        (), require_violation,
     )
-    cover = connectivity_cyclic_cover(
-        graph, cut_b, cut_d, side_a, side_c, copies=copies
-    )
-    copy_clock = [
-        compose(setting.q, h_back) for h_back in h.inverse().powers(copies)
-    ]
-    cover_clocks = {}
-    for i in range(copies):
-        for v in graph.nodes:
-            cover_clocks[cover.copy_of(v, i)] = copy_clock[i]
-    cover_system = install_in_covering_timed(
-        cover.covering,
-        factories,
-        {cover.copy_of(v, i): None for i in range(copies) for v in graph.nodes},
-        delay=delay,
-        delay_mode="clock",
-        cover_clocks=cover_clocks,
-    )
-    t_double_prime = h.iterate(k)(setting.t_prime)
-    horizon = t_double_prime * 1.05 + 1.0
-    cover_behavior = run_timed(cover_system, horizon)
-
-    def logical(node):
-        return cover_behavior.node(node).logical_value(t_double_prime)
-
-    # Name each scenario node by its (base node, copy) pair, as the
-    # violations do.
-    pair = {
-        cover.copy_of(v, i): (v, i) for i in range(copies) for v in graph.nodes
-    }
-    scenarios = _cyclic_scenarios(cover, side_a, cut_b, side_c, cut_d)
-
-    checked = []
-    nu_trace = []
-    for i in range(k + 1):
-        fast = copy_clock[i](t_double_prime)     # q at scaled time
-        slow = copy_clock[i + 1](t_double_prime)  # p at scaled time
-        scale = max(1.0, abs(fast), abs(slow))
-        tol = tolerance * scale
-        bound = setting.lower(fast) - setting.lower(slow) - setting.alpha
-        low = setting.lower(slow)
-        high = setting.upper(fast)
-
-        for label, nodes in scenarios[2 * i : 2 * i + 2]:
-            violations = []
-            values = {pair[u]: logical(u) for u in nodes}
-            items = sorted(values.items(), key=lambda kv: str(kv[0]))
-            for index, ((v1, c1), val1) in enumerate(items):
-                for (v2, c2), val2 in items[index + 1:]:
-                    if abs(val1 - val2) > bound + tol:
-                        violations.append(
-                            Violation(
-                                "agreement",
-                                f"|C_{v1}@{c1} - C_{v2}@{c2}| = "
-                                f"{abs(val1 - val2):.6g} > {bound:.6g} at "
-                                f"t'' (scaled scenario {label}·h^{i})",
-                                (v1, v2),
-                            )
-                        )
-                if val1 < low - tol or val1 > high + tol:
-                    violations.append(
-                        Violation(
-                            "validity",
-                            f"C_{v1}@{c1}(t'') = {val1:.6g} outside "
-                            f"[{low:.6g}, {high:.6g}]",
-                            (v1,),
-                        )
-                    )
-            correct = frozenset(cover.covering(u) for u in nodes)
-            checked.append(
-                CheckedBehavior(
-                    constructed=_ScenarioStub(
-                        label=label,
-                        scenario_nodes=tuple(nodes),
-                        correct_nodes=correct,
-                        faulty_nodes=frozenset(graph.nodes) - correct,
-                    ),
-                    verdict=SpecVerdict(tuple(violations)),
-                )
-            )
-        min_logical = min(logical(cover.copy_of(v, i)) for v in graph.nodes)
-        nu_trace.append(
-            {
-                "copy": i,
-                "min_logical": min_logical,
-                "nu_min": min_logical
-                - setting.lower(copy_clock[i](t_double_prime)),
-            }
-        )
-
-    witness = ImpossibilityWitness(
-        problem="clock-synchronization",
-        bound=f"2f+1 connectivity (cyclic {copies}-fold cover; k = {k})",
-        graph=graph,
-        max_faults=max_faults,
-        checked=tuple(checked),
-        extra={
-            "k": k,
-            "copies": copies,
-            "t_double_prime": t_double_prime,
-            "nu_trace": nu_trace,
-        },
-    )
-    return witness.require_found() if require_violation else witness

@@ -16,6 +16,7 @@ Theorem 8: no devices achieve this in inadequate graphs.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 
@@ -41,8 +42,11 @@ class ClockSyncSpec:
     t_prime: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("the synchronization margin α must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(
+                f"the synchronization margin α must be finite and positive, "
+                f"not {self.alpha}"
+            )
 
     def trivial_skew(self, t: float) -> float:
         """The skew achieved with no communication: ``l(q(t)) - l(p(t))``."""

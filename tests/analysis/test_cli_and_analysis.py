@@ -3,6 +3,7 @@
 import ast
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -166,6 +167,31 @@ class TestCLI:
             assert main(argv) == 2, argv
             assert "error: " in capsys.readouterr().err, argv
         assert not (tmp_path / "c").exists()
+        # A bad clock setting is rejected at once: a margin that is not
+        # finite and positive, an infinite envelope gap, or a margin so
+        # small that t'' = h^k(t') overflows.  The alarm turns a hang
+        # (as in choose_k with α <= 0) into a failure.
+        def too_slow(signum, frame):
+            raise AssertionError("refute clock took over a second")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        try:
+            for option in (
+                ["--alpha", "-0.1"],
+                ["--alpha", "0"],
+                ["--alpha", "inf"],
+                ["--alpha", "nan"],
+                ["--envelope-gap", "inf"],
+                ["--alpha", "0.0002"],
+            ):
+                signal.alarm(1)
+                try:
+                    assert main(["refute", "clock", *option]) == 2, option
+                finally:
+                    signal.alarm(0)
+                assert "error: " in capsys.readouterr().err, option
+        finally:
+            signal.signal(signal.SIGALRM, previous)
         # A sweep's fault bound is checked before its run store exists,
         # with the same message with or without a store.
         for argv in (

@@ -4,9 +4,10 @@ Every engine re-verifies its own Locality identification, but with
 engine code.  This file checks only what the paper says a constructed
 behavior of ``G`` *is*.  Timed: every ``TimedConstructedBehavior`` of
 the Theorem 2 and Theorem 4 witnesses (node and connectivity bounds)
-and of Theorem 8's scaled-scenario reconstructions (Lemma 9).  Sync:
-every ``ConstructedBehavior`` of the Theorem 1, 5 and 6 witnesses and
-of the footnote-3 general Theorem 6 engine.
+and every scaled scenario of the Theorem 8 family (Theorem 8's node
+and connectivity bounds, Corollaries 12–15), reconstructed as a real
+run (Lemma 9).  Sync: every ``ConstructedBehavior`` of the Theorem 1,
+5 and 6 witnesses and of the footnote-3 general Theorem 6 engine.
 
 * (a) at most ``f`` faulty nodes, and correct ∪ faulty = V(G);
 * (b) every correct node runs the caller's own device (factory), with
@@ -15,6 +16,9 @@ of the footnote-3 general Theorem 6 engine.
   node may send anything, here exactly what it recorded);
 * (d) re-executing the system reproduces the recorded behavior (sync
   systems through the interpretive reference executor);
+* (e) the problem's own specification, evaluated on the reconstructed
+  behavior, finds exactly the violations the engine reports (clock
+  synchronization: ``ClockSyncSpec.check_at`` at the scaled instant);
 * (f) each chain link's node behaves identically in the two behaviors
   it joins (sync chains).
 
@@ -25,6 +29,8 @@ in either model.
 
 from __future__ import annotations
 
+import inspect
+import sys
 from dataclasses import replace
 
 import pytest
@@ -32,10 +38,16 @@ import pytest
 import repro.core.clock_sync as clock_sync
 import repro.core.covering_argument as covering_argument
 import repro.core.timed_argument as timed_argument
+import repro.core.timed_connectivity as timed_connectivity
 from repro.core import (
     ConstructedBehavior,
     SynchronizationSetting,
+    corollary_12_linear_envelope,
+    corollary_13_diverging_linear,
+    corollary_14_offset_clocks,
+    corollary_15_logarithmic,
     refute_clock_sync,
+    refute_clock_sync_connectivity,
     refute_connectivity,
     refute_epsilon_delta,
     refute_epsilon_delta_connectivity,
@@ -48,6 +60,7 @@ from repro.core import (
     refute_weak_agreement,
     refute_weak_agreement_connectivity,
 )
+from repro.core.corollaries import Log2Envelope
 from repro.core.timed_argument import TimedConstructedBehavior
 from repro.graphs import circulant, complete_graph, diamond, ring, triangle
 from repro.protocols import (
@@ -88,6 +101,10 @@ def _weak():
 
 def _clock():
     return LowerEnvelopeClockDevice(LOWER)
+
+
+def _log_clock():
+    return LowerEnvelopeClockDevice(Log2Envelope(shift=1.0))
 
 
 def certify(c: TimedConstructedBehavior, graph, max_faults, factories) -> None:
@@ -200,6 +217,101 @@ def test_clock_sync_scaled_reconstructions(monkeypatch):
     for c, check in zip(built, checks):
         assert sorted(map(str, c.correct_nodes)) == check["correct"]
         certify(c, graph, witness.max_faults, factories)
+
+
+def _every_scaled_scenario(monkeypatch):
+    """Make both Theorem 8 engines execute Lemma 9 for every scaled
+    scenario, and record each reconstruction as the arguments of
+    ``_verify_scaled_scenario``, its result and the behavior it built."""
+    built = _recording(monkeypatch, clock_sync)
+    runs = []
+    argument = clock_sync._clock_argument
+    verify = clock_sync._verify_scaled_scenario
+
+    def every(*args, **kwargs):
+        call = inspect.signature(argument).bind(*args, **kwargs)
+        call.arguments["verify_indices"] = range(sys.maxsize)
+        return argument(*call.args, **call.kwargs)
+
+    def recorded(*args, **kwargs):
+        check = verify(*args, **kwargs)
+        call = inspect.signature(verify).bind(*args, **kwargs)
+        runs.append((call.arguments, check, built[-1]))
+        return check
+
+    for module in (clock_sync, timed_connectivity):
+        monkeypatch.setattr(module, "_clock_argument", every)
+    monkeypatch.setattr(clock_sync, "_verify_scaled_scenario", recorded)
+    return runs
+
+
+def _pairs(verdict) -> set:
+    return {(v.condition, frozenset(v.nodes)) for v in verdict.violations}
+
+
+CLOCK_FAMILY = [
+    ("thm8-nodes", triangle, _clock, 26,
+     lambda g, fac: refute_clock_sync(fac, SETTING, base=g)),
+    ("thm8-connectivity", diamond, _clock, 52,
+     lambda g, fac: refute_clock_sync_connectivity(g, fac, 1, SETTING)),
+    ("cor12", triangle, _clock, 29,
+     lambda g, fac: corollary_12_linear_envelope(fac).witness),
+    ("cor13", triangle, _clock, 44,
+     lambda g, fac: corollary_13_diverging_linear(fac).witness),
+    ("cor14", triangle, _clock, 44,
+     lambda g, fac: corollary_14_offset_clocks(fac).witness),
+    ("cor15", triangle, _log_clock, 32,
+     lambda g, fac: corollary_15_logarithmic(fac).witness),
+]
+
+
+@pytest.mark.parametrize(
+    "build, make, scenarios, engine",
+    [case[1:] for case in CLOCK_FAMILY],
+    ids=[case[0] for case in CLOCK_FAMILY],
+)
+def test_every_scaled_scenario_reconstructs(
+    monkeypatch, build, make, scenarios, engine
+):
+    """Lemma 9 for every scaled scenario of the witness, including the
+    offset clocks of Corollary 14 (whose scaled runs start before time
+    0) and the connectivity bound's cyclic cover: each reconstruction
+    reproduces the cover's readings, passes (a)–(d), and the spec,
+    evaluated on it at the scaled instant ``h⁻ⁱ(t'')``, finds exactly
+    the engine's violations (e)."""
+    runs = _every_scaled_scenario(monkeypatch)
+    graph = build()
+    factories = _factories(graph, make)
+    witness = engine(graph, factories)
+    assert witness.found
+    verdicts = {c.constructed.label: c.verdict for c in witness.checked}
+    assert [args["scenario"][0] for args, _, _ in runs] == list(verdicts)
+    assert len(runs) == scenarios
+    t_double_prime = witness.extra["t_double_prime"]
+    violated = 0
+    for args, check, c in runs:
+        label, _nodes, i = args["scenario"]
+        assert check["all_match"], label
+        assert sorted(map(str, c.correct_nodes)) == check["correct"], label
+        certify(c, witness.graph, witness.max_faults, factories)
+        # (e): the reconstruction runs from the scaled run's start
+        # s₀ = h⁻ⁱ(0), so scaled time s is its time s - s₀.
+        setting, h = args["setting"], args["h"]
+        start = h.iterate(-i)(0.0)
+        s = h.iterate(-i)(t_double_prime)
+        logical = {
+            u: (lambda t, node=c.behavior.node(u): node.logical_value(t - start))
+            for u in c.correct_nodes
+        }
+        tolerance = clock_sync._TOLERANCE * max(
+            1.0, abs(setting.q(s)), abs(setting.p(s))
+        )
+        oracle = setting.check_at(
+            logical, sorted(c.correct_nodes, key=str), s, tolerance
+        )
+        assert _pairs(oracle) == _pairs(verdicts[label]), label
+        violated += not oracle.ok
+    assert violated
 
 
 class _Constant(TimedDevice):
