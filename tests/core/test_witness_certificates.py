@@ -76,6 +76,7 @@ from repro.runtime.sync.collapse import GroupDevice, PortRenamedDevice
 from repro.runtime.sync.device import SyncDevice
 from repro.runtime.timed import LinearClock
 from repro.runtime.timed.adversary import TimedReplayDevice
+from repro.runtime.timed.clocks import drift_map
 from repro.runtime.timed.device import TimedDevice
 from repro.runtime.timed.executor import run_timed
 from repro.testing import reference_sync_run
@@ -296,7 +297,8 @@ def test_every_scaled_scenario_reconstructs(
         certify(c, witness.graph, witness.max_faults, factories)
         # (e): the reconstruction runs from the scaled run's start
         # s₀ = h⁻ⁱ(0), so scaled time s is its time s - s₀.
-        setting, h = args["setting"], args["h"]
+        setting = args["setting"]
+        h = drift_map(setting.p, setting.q)
         start = h.iterate(-i)(0.0)
         s = h.iterate(-i)(t_double_prime)
         logical = {
