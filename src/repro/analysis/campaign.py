@@ -22,17 +22,20 @@ replayer's re-executions of identical ``(inputs, node faults, plan)``
 configurations become cache hits.
 
 :func:`run_campaign` is one pipeline for every ``jobs`` value: sample
-each attempt from ``(seed, attempt)``, execute through one
-:class:`~repro.analysis.parallel.WorkerPool`, journal, and merge
-verdicts in index order, stopping at the first violation.  ``jobs``
-only decides whether the pool forks; at ``jobs=1`` (or on a one-core
-fallback) the same loop runs in-process, with the memo cache.
+each attempt from ``(seed, attempt)``, execute, journal and merge
+verdicts in index order through one
+:func:`~repro.analysis.runstore.journaled_imap` stream, stopping at the
+first violation.  ``jobs`` only decides whether the stream's pool
+forks; at ``jobs=1`` (or on a one-core fallback) the same loop runs
+in-process, with the memo cache.  :func:`degradation_frontier` merges
+its budget levels through the same stream.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Any
@@ -61,15 +64,8 @@ from ..runtime.sync.device import SyncDevice
 from ..runtime.sync.executor import run
 from ..runtime.sync.system import SyncSystem, make_system
 from .adversary_search import STRATEGIES, build_adversary
-from .parallel import ParallelRunner, WorkerPool
-from .runstore import (
-    Shard,
-    decode_payload,
-    encode_payload,
-    journaled_map,
-    reusable,
-    run_scope_payload,
-)
+from .parallel import ParallelRunner
+from .runstore import Shard, journaled_imap
 
 DeviceFactory = Callable[[CommunicationGraph], Mapping[NodeId, SyncDevice]]
 
@@ -651,11 +647,6 @@ def _finish_campaign(
     )
 
 
-#: One attempt ready to merge: ``(attempt, spec ok, telemetry
-#: payload, journaled by an earlier process)``.
-MergedAttempt = tuple[int, bool, tuple, bool]
-
-
 def run_campaign(
     config: CampaignConfig,
     jobs: int = 1,
@@ -666,16 +657,17 @@ def run_campaign(
     """Sample attempts under the combined budget until a spec violation
     appears (then shrink it) or the attempt budget is exhausted.
 
-    One pipeline serves every ``jobs`` value: attempts are sampled,
-    executed through one :class:`~repro.analysis.parallel.WorkerPool`,
-    journaled, and merged in index order; the first violating index
-    wins and workers that ran ahead skip their queued attempts.
-    ``jobs`` only decides whether the pool forks — at ``jobs=1``, or
-    when the runner falls back to serial, attempts execute in-process.
-    Workers return only ``(attempt, spec ok)`` plus their captured
-    telemetry, which the parent replays in index order, so results,
-    witnesses, traces and ``run.*`` metrics are identical for every
-    ``jobs``.  Shrinking stays in the parent.
+    One pipeline serves every ``jobs`` value: attempts are sampled and
+    executed through one :func:`~repro.analysis.runstore.journaled_imap`
+    stream, journaled, and merged in index order; the first violating
+    index wins, and closing the stream makes workers that ran ahead
+    skip their queued attempts and exit before shrinking starts.
+    ``jobs`` only decides whether the stream's pool forks — at
+    ``jobs=1``, or when the runner falls back to serial, attempts
+    execute in-process.  Workers return only the spec bit plus their
+    captured telemetry, which the parent replays in index order, so
+    results, witnesses, traces and ``run.*`` metrics are identical for
+    every ``jobs``.  Shrinking stays in the parent.
 
     ``cache`` (created fresh when ``memoize`` and not supplied)
     memoizes every in-process execution by content; forked workers run
@@ -688,61 +680,49 @@ def run_campaign(
     ``store`` (a :class:`~repro.analysis.runstore.Shard`, usually
     obtained via :func:`campaign_store_key`) journals every merged
     attempt's verdict — plus its run-scope events when telemetry is on
-    — with an fsync every ``max(4 * jobs, 8)`` attempts, at the
-    violation and at the end, and skips attempts already journaled by
-    an earlier, interrupted process.  Resumed runs replay the journaled
-    events, so their output is byte-identical to an uninterrupted run
-    (checkpoint reuse facts are host-scope only).  The journal key is
-    the attempt index, so a run checkpointed at one ``jobs`` value
-    resumes correctly at any other.
+    — with an fsync every ``max(4 * jobs, 8)`` attempts and when the
+    scan stops, and skips attempts already journaled by an earlier,
+    interrupted process.  Resumed runs replay the journaled events, so
+    their output is byte-identical to an uninterrupted run (checkpoint
+    reuse facts are host-scope only).  The journal key is the attempt
+    index, so a run checkpointed at one ``jobs`` value resumes
+    correctly at any other.
     """
     if cache is None and memoize:
         cache = BehaviorCache()
     runner = ParallelRunner(jobs)
     probe_cache = None if runner.parallel else cache
 
-    def probe(attempt: int) -> tuple[int, bool]:
+    def probe(attempt: int) -> bool:
         node_faults, plan, inputs = _sample_attempt(config, attempt)
         _, verdict, _ = execute_attempt(
             config, inputs, node_faults, plan, probe_cache
         )
-        return (attempt, verdict.ok)
+        return verdict.ok
 
-    batch = max(4 * runner.jobs, 8)
-    records: dict[int, dict] = {}
-    if store is not None:
-        for attempt in range(1, config.attempts + 1):
-            record = store.get(f"attempt:{attempt}")
-            if reusable(record):
-                records[attempt] = record  # type: ignore[assignment]
+    verdicts = journaled_imap(
+        runner,
+        probe,
+        range(1, config.attempts + 1),
+        store,
+        key_fn=lambda attempt: f"attempt:{attempt}",
+        encode=lambda ok: {"ok": ok},
+        decode=lambda record: bool(record["ok"]),
+    )
     obs_on = obs.is_enabled()
     first_bad: int | None = None
-    with runner.pool(probe) as pool:
-        verdicts = _plain_verdicts(pool, config, records)
+    with closing(verdicts):
         # The span runs merge to merge: in-process it covers the
         # attempt's execution, with a pool the wait for its result.
         attempt_t0 = perf_counter()
-        for attempt, ok, payload, journaled in verdicts:
-            item_key = f"attempt:{attempt}"
+        for attempt, (ok, payload, _) in enumerate(verdicts, 1):
             if obs_on:
                 obs.emit(obs.ATTEMPT_START, attempt=attempt)
-                if journaled:
-                    obs.emit(obs.CHECKPOINT_REUSE, item=item_key)
                 obs.replay(payload)
-            if store is not None and not journaled:
-                value: dict[str, Any] = {"ok": ok}
-                if obs_on:
-                    value["obs"] = encode_payload(run_scope_payload(payload))
-                store.append(item_key, value)
-            if obs_on:
                 obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
                 merged_t = perf_counter()
                 obs.observe_span("campaign.attempt", merged_t - attempt_t0)
                 attempt_t0 = merged_t
-            if store is not None and (
-                not ok or attempt % batch == 0 or attempt == config.attempts
-            ):
-                store.sync()
             if not ok:
                 first_bad = attempt
                 break
@@ -755,24 +735,6 @@ def run_campaign(
     if obs_on and cache is not None:
         obs.absorb_cache_stats(obs.get_registry(), cache.stats())
     return result
-
-
-def _plain_verdicts(
-    pool: WorkerPool, config: CampaignConfig, records: Mapping[int, dict]
-) -> Iterator[MergedAttempt]:
-    """Every attempt's verdict in index order: journaled attempts from
-    their records (with their events), the rest streamed through
-    ``pool``."""
-    attempts = range(1, config.attempts + 1)
-    fresh = pool.imap_captured(a for a in attempts if a not in records)
-    for attempt in attempts:
-        record = records.get(attempt)
-        if record is not None:
-            payload = decode_payload(record.get("obs", ()))
-            yield (attempt, bool(record["ok"]), payload, True)
-        else:
-            (_, ok), payload = next(fresh)
-            yield (attempt, ok, payload, False)
 
 
 # -- graceful degradation --------------------------------------------------
@@ -881,21 +843,26 @@ def degradation_frontier(
             example=result.shrunk,
         )
 
-    runner = ParallelRunner(jobs)
-    rows = journaled_map(
-        runner,
+    levels = journaled_imap(
+        ParallelRunner(jobs),
         level_row,
         range(max_links + 1),
         store,
         key_fn=lambda budget: f"level:{budget}",
-        encode=_frontier_row_to_jsonable,
-        decode=lambda data: _frontier_row_from_jsonable(data, config.graph),
+        encode=lambda row: {"r": _frontier_row_to_jsonable(row)},
+        decode=lambda record: _frontier_row_from_jsonable(
+            record["r"], config.graph
+        ),
     )
+    rows = []
     first_break: dict[str, int | None] = dict.fromkeys(SPEC_CONDITIONS)
-    for row in rows:
-        for condition in row.broken_conditions:
-            if first_break.get(condition) is None:
-                first_break[condition] = row.link_budget
+    with closing(levels):
+        for row, payload, _ in levels:
+            obs.replay(payload)
+            rows.append(row)
+            for condition in row.broken_conditions:
+                if first_break.get(condition) is None:
+                    first_break[condition] = row.link_budget
     return DegradationFrontier(
         rows=tuple(rows), first_break=first_break
     )

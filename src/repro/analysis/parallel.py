@@ -8,8 +8,7 @@ order**, and the outcome is byte-identical to the serial run.  This
 module supplies the one primitive everything else needs:
 
 :class:`ParallelRunner` — an ordered, streamed map over **one** process
-pool per call (:meth:`ParallelRunner.imap_captured`, or several
-dispatches sharing one :meth:`ParallelRunner.pool`), with a serial
+pool per stream (:meth:`ParallelRunner.imap_captured`), with a serial
 fallback whenever the platform cannot fork, the pool cannot be built,
 or ``jobs <= 1``.  ``map`` and ``map_captured`` are list-returning
 wrappers around the stream.
@@ -200,28 +199,98 @@ class ParallelRunner:
     def parallel(self) -> bool:
         return self.fallback_reason is None
 
-    def pool(self, fn: Callable[[T], R]) -> WorkerPool:
-        """A :class:`WorkerPool` running ``fn``; use it as a context
-        manager so the pool is terminated when the caller is done."""
-        return WorkerPool(self, fn)
-
     def imap_captured(
         self, fn: Callable[[T], R], items: Iterable[T]
     ) -> Iterator[tuple[R, tuple]]:
         """Stream ``(result, telemetry payload)`` pairs in item order
         from one pool that lives as long as the generator.
 
-        Payloads are *not* replayed: callers whose serial semantics
-        stop consuming early (first-violation reductions) replay them
-        in item order, exactly as far as the serial run would have
-        executed, then close the generator (or drop it), which
-        terminates the pool.  Payloads are empty when telemetry is
+        The pool forks lazily, on the first ``next``, and only for two
+        or more items, with ``min(jobs, len(items))`` workers; fewer
+        items, a serial runner, or a pool that cannot be built run
+        in-process.  Payloads are *not* replayed: callers whose serial
+        semantics stop consuming early (first-violation reductions)
+        replay them in item order, exactly as far as the serial run
+        would have executed, then close the generator — with
+        :func:`contextlib.closing`, so the workers have exited when
+        the caller moves on.  Payloads are empty when telemetry is
         disabled.  ``fn`` may be any callable (closures welcome — see
         module docstring); items and results must be picklable when
         running parallel.
         """
-        with self.pool(fn) as pool:
-            yield from pool.imap_captured(items)
+        global _WORK, _STOP
+        work = list(items)
+        pool = None
+        if len(work) > 1 and self.parallel:
+            context = multiprocessing.get_context("fork")
+            previous = (_WORK, _STOP)
+            stop = context.RawValue("b", 0)
+            _WORK, _STOP = fn, stop
+            processes = min(self.jobs, len(work))
+            before = set(multiprocessing.active_children())
+            try:
+                pool = context.Pool(processes)
+            except (OSError, ValueError) as exc:  # pool could not be built
+                _WORK, _STOP = previous
+                logger.info(
+                    "ParallelRunner falling back to serial: pool failed (%s)",
+                    exc,
+                )
+        if pool is None:
+            for item in work:
+                yield _run_captured(fn, item)
+            return
+        workers = [
+            p for p in multiprocessing.active_children() if p not in before
+        ]
+        obs.emit(obs.WORKER_POOL, processes=processes)
+        results = pool.imap(_call_captured, work)
+        merged = 0
+        lost: int | None = None  # first undelivered item once a worker died
+        try:
+            for index, item in enumerate(work):
+                try:
+                    ok, value, error = _next(results, workers)
+                except _WorkerLost:
+                    logger.warning(
+                        "a pool worker died; finishing %d item(s) serially",
+                        len(work) - index,
+                    )
+                    lost = index
+                    break
+                merged += 1
+                if ok:
+                    yield value
+                    continue
+                logger.warning(
+                    "worker failed on item #%d (%r): %s; re-executing serially",
+                    index, item, error,
+                )
+                yield _retry(fn, index, item, error or "unknown", value[1])
+        finally:
+            # Workers that ran ahead finish the item in hand and skip
+            # the rest; once every item is accounted for, the pool exits
+            # through its own sentinels, so no worker is ever killed
+            # while it holds a queue lock.  A pool that has lost a
+            # worker (now or while draining) is terminated instead.
+            stop.value = 1
+            if lost is None:
+                try:
+                    while True:
+                        _next(results, workers)
+                except StopIteration:
+                    pass
+                except _WorkerLost:
+                    lost = len(work)
+            if lost is None:
+                pool.close()
+            else:
+                pool.terminate()
+            pool.join()
+            _WORK, _STOP = previous
+            obs.emit(obs.WORKER_MERGE, items=merged)
+        for rest in range(len(work) if lost is None else lost, len(work)):
+            yield _retry(fn, rest, work[rest], "worker died", ())
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """Apply ``fn`` to every item; results in item order.
@@ -242,167 +311,42 @@ class ParallelRunner:
         return list(self.imap_captured(fn, items))
 
 
-class WorkerPool:
-    """One fork pool for one work function, shared by every dispatch
-    made through :meth:`imap_captured` until :meth:`close`.
+def _next(results: Any, workers: list) -> tuple[bool, Any, str | None]:
+    """The next result, raising :class:`_WorkerLost` if a worker dies
+    first (its in-flight item would never be delivered)."""
+    while True:
+        try:
+            return results.next(timeout=_POLL_S)
+        except multiprocessing.TimeoutError:
+            if not all(p.is_alive() for p in workers):
+                raise _WorkerLost from None
 
-    The pool forks at most once, lazily, on the first dispatch of two
-    or more items, with ``min(jobs, len(items))`` workers.  Smaller
-    dispatches, and every dispatch once the pool could not be built or
-    lost a worker, run serially in the parent.
+
+def _retry(
+    fn: Callable[[Any], Any],
+    index: int,
+    item: Any,
+    error: str,
+    worker_payload: tuple,
+) -> tuple[Any, tuple]:
+    """Serially re-execute one item the pool did not deliver.
+
+    A success stands in for the failed result (re-captured from
+    scratch, so the merged event stream is exactly what an all-healthy
+    run produces — the worker's partial capsule is discarded).  A
+    second failure raises :class:`ItemError`, preserving the worker's
+    partial capsule for post-mortems.
     """
-
-    def __init__(self, runner: ParallelRunner, fn: Callable[[Any], Any]) -> None:
-        self.runner = runner
-        self.fn = fn
-        self._pool: Any = None
-        self._workers: list[multiprocessing.process.BaseProcess] = []
-        self._streams: list[Any] = []
-        self._stop: Any = None
-        self._forked = False
-        self._merged = 0
-        self._previous: tuple[Any, Any] = (None, None)
-
-    def __enter__(self) -> WorkerPool:
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the pool down and report how many results it delivered.
-
-        Workers that ran ahead finish the item in hand and skip the
-        rest; once every dispatched item is accounted for, the pool
-        exits through its own sentinels, so no worker is ever killed
-        while it holds a queue lock.  A pool that loses a worker while
-        draining is terminated instead.
-        """
-        if self._pool is None:
-            return
-        self._stop.value = 1
-        try:
-            for results in self._streams:
-                self._drain(results)
-        except _WorkerLost:
-            self._shutdown(terminate=True)
-            return
-        self._shutdown(terminate=False)
-
-    def _drain(self, results: Any) -> None:
-        """Consume and discard a dispatch's undelivered results."""
-        while True:
-            try:
-                self._next(results)
-            except StopIteration:
-                return
-
-    def _shutdown(self, terminate: bool) -> None:
-        global _WORK, _STOP
-        pool, self._pool = self._pool, None
-        if terminate:
-            pool.terminate()
-        else:
-            pool.close()
-        pool.join()
-        self._streams = []
-        _WORK, _STOP = self._previous
-        obs.emit(obs.WORKER_MERGE, items=self._merged)
-
-    def imap_captured(self, items: Iterable[Any]) -> Iterator[tuple[Any, tuple]]:
-        """Yield ``(result, telemetry payload)`` per item, in item order."""
-        work = list(items)
-        if len(work) <= 1 or not self._start(len(work)):
-            for item in work:
-                yield _run_captured(self.fn, item)
-            return
-        results = self._pool.imap(_call_captured, work)
-        self._streams.append(results)
-        for index, item in enumerate(work):
-            try:
-                ok, value, error = self._next(results)
-            except _WorkerLost:
-                logger.warning(
-                    "a pool worker died; finishing %d item(s) serially",
-                    len(work) - index,
-                )
-                self._shutdown(terminate=True)
-                for rest in range(index, len(work)):
-                    yield self._retry(rest, work[rest], "worker died", ())
-                return
-            self._merged += 1
-            if ok:
-                yield value
-                continue
-            logger.warning(
-                "worker failed on item #%d (%r): %s; re-executing serially",
-                index, item, error,
-            )
-            yield self._retry(index, item, error or "unknown", value[1])
-        self._streams.remove(results)
-
-    def _start(self, size: int) -> bool:
-        """Fork the pool unless it is running already; ``False`` means
-        run this dispatch serially."""
-        global _WORK, _STOP
-        if self._pool is not None:
-            return True
-        if not self.runner.parallel or self._forked:
-            return False
-        self._forked = True
-        context = multiprocessing.get_context("fork")
-        self._previous = (_WORK, _STOP)
-        self._stop = context.RawValue("b", 0)
-        _WORK, _STOP = self.fn, self._stop
-        processes = min(self.runner.jobs, size)
-        before = set(multiprocessing.active_children())
-        try:
-            self._pool = context.Pool(processes)
-        except (OSError, ValueError) as exc:  # pool could not be built
-            _WORK, _STOP = self._previous
-            logger.info(
-                "ParallelRunner falling back to serial: pool failed (%s)",
-                exc,
-            )
-            return False
-        self._workers = [
-            p for p in multiprocessing.active_children() if p not in before
-        ]
-        obs.emit(obs.WORKER_POOL, processes=processes)
-        return True
-
-    def _next(self, results: Any) -> tuple[bool, Any, str | None]:
-        """The next result, raising :class:`_WorkerLost` if a worker
-        dies first (its in-flight item would never be delivered)."""
-        while True:
-            try:
-                return results.next(timeout=_POLL_S)
-            except multiprocessing.TimeoutError:
-                if not all(p.is_alive() for p in self._workers):
-                    raise _WorkerLost from None
-
-    def _retry(
-        self, index: int, item: Any, error: str, worker_payload: tuple
-    ) -> tuple[Any, tuple]:
-        """Serially re-execute one item the pool did not deliver.
-
-        A success stands in for the failed result (re-captured from
-        scratch, so the merged event stream is exactly what an
-        all-healthy run produces — the worker's partial capsule is
-        discarded).  A second failure raises :class:`ItemError`,
-        preserving the worker's partial capsule for post-mortems.
-        """
-        obs.emit(obs.WORKER_RETRY, index=index, error=error)
-        try:
-            return _run_captured(self.fn, item)
-        except Exception as exc:
-            raise ItemError(index, item, exc, worker_payload) from exc
+    obs.emit(obs.WORKER_RETRY, index=index, error=error)
+    try:
+        return _run_captured(fn, item)
+    except Exception as exc:
+        raise ItemError(index, item, exc, worker_payload) from exc
 
 
 __all__ = [
     "ItemError",
     "ParallelRunner",
-    "WorkerPool",
     "available_parallelism",
     "fork_available",
 ]

@@ -5,9 +5,10 @@ imagine" — means searches that outlive a single uninterrupted process.
 This module makes partial progress durable: every completed work item
 (a campaign attempt, a degradation-frontier budget level, a sweep
 point) is journaled to an append-only JSONL *shard* the moment it
-finishes, and a later run against the same store skips the journaled
+merges, and a later run against the same store skips the journaled
 items and continues from the exact index position where the previous
-process died.
+process died.  All three go through one stream,
+:func:`journaled_imap`.
 
 Layout and guarantees
 ---------------------
@@ -31,10 +32,11 @@ Layout and guarantees
   mid-append can tear at most the final line, which the loader detects
   and discards (the item simply re-executes on resume).  Garbage
   *before* the last line is real corruption and raises
-  :class:`RunStoreError` with a clear message.  ``fsync`` runs at merge
-  points (:meth:`Shard.sync`), every :data:`FSYNC_EVERY` appends, and
-  on close — bounding loss to the unsynced suffix even on power
-  failure, while keeping the per-item cost to a buffered write.
+  :class:`RunStoreError` with a clear message.  ``fsync`` runs every
+  ``max(4 * jobs, 8)`` merged items and when a stream ends
+  (:meth:`Shard.sync`), every :data:`FSYNC_EVERY` appends, and on
+  close — bounding loss to the unsynced suffix even on power failure,
+  while keeping the per-item cost to a buffered write.
 * **Equivalence.**  A journaled record stores the item's result *and*
   (when telemetry is enabled) the run-scope event payload the original
   execution emitted.  Resume replays the payload instead of
@@ -51,7 +53,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -308,10 +310,10 @@ class RunStore:
         return meta
 
 
-# -- checkpoint-aware ordered map -------------------------------------------
+# -- checkpoint-aware ordered stream ----------------------------------------
 
 
-def journaled_map(
+def journaled_imap(
     runner: Any,
     fn: Callable[[T], R],
     items: Iterable[T],
@@ -319,50 +321,60 @@ def journaled_map(
     key_fn: Callable[[T], str],
     encode: Callable[[R], dict],
     decode: Callable[[dict], R],
-) -> list[R]:
-    """An ordered map over ``items`` that skips journaled items.
+) -> Iterator[tuple[R, tuple, bool]]:
+    """Stream ``(result, payload, journaled)`` over ``items``, in item
+    order, journaling each fresh item as it merges.
 
-    The workhorse for frontier levels and sweep points: items whose key
-    is already in ``shard`` (with a telemetry payload when one is
-    needed — see :func:`reusable`) decode straight from the journal and
-    replay their recorded events; the rest fan out through ``runner``
-    (a :class:`~repro.analysis.parallel.ParallelRunner`), are merged in
-    item order, and are journaled as they merge.  The journal is
-    fsynced once per call (the merge point).  With ``shard=None`` this
-    degrades to ``runner.map`` semantics exactly.
+    The one checkpoint-aware driver behind campaigns, frontier levels
+    and sweep points.  ``shard`` (anything with :class:`Shard`'s
+    ``get``, ``append`` and ``sync``; ``None`` journals nothing) is read
+    once: items whose key holds a :func:`reusable` record decode from
+    it, with their recorded run-scope events as the payload and
+    ``journaled`` true.  The rest stream through ``runner`` (a
+    :class:`~repro.analysis.parallel.ParallelRunner`), and each is
+    appended as ``encode(result)`` plus, when telemetry is on, its
+    run-scope events — before it is yielded, so a process killed after
+    merging an item has journaled it.  The journal is fsynced every
+    ``max(4 * jobs, 8)`` merged items and once more when the stream
+    ends or is closed early.
 
-    Results are byte-identical to an uninterrupted ``runner.map`` —
-    reused items replay the run-scope events their original execution
-    emitted, so traces and ``run.*`` metrics cannot tell the
-    difference.
+    The caller replays each payload (:func:`repro.obs.replay`), so
+    reused items emit the events their original execution emitted and
+    traces and ``run.*`` metrics cannot tell the difference; it closes
+    the stream with :func:`contextlib.closing`, which also shuts the
+    runner's pool down.
     """
     work = list(items)
-    if shard is None:
-        return runner.map(fn, work)
     keys = [key_fn(item) for item in work]
-    records = [shard.get(key) for key in keys]
-    fresh_indices = [i for i, rec in enumerate(records) if not reusable(rec)]
-    pooled = runner.map_captured(fn, [work[i] for i in fresh_indices])
-    fresh = dict(zip(fresh_indices, pooled))
+    records = [None if shard is None else shard.get(key) for key in keys]
+    reused = [reusable(record) for record in records]
     obs_on = obs.is_enabled()
-    results: list[R] = []
-    for i in range(len(work)):
-        if i in fresh:
-            result, payload = fresh[i]
-            obs.replay(payload)
-            record = {"r": encode(result)}
-            if obs_on:
-                record["obs"] = encode_payload(run_scope_payload(payload))
-            shard.append(keys[i], record)
-        else:
-            record = records[i]
-            assert record is not None
-            obs.emit(obs.CHECKPOINT_REUSE, item=keys[i])
-            obs.replay(decode_payload(record.get("obs", ())))
-            result = decode(record["r"])
-        results.append(result)
-    shard.sync()
-    return results
+    every = max(4 * runner.jobs, 8)
+    fresh = runner.imap_captured(
+        fn, [item for item, old in zip(work, reused) if not old]
+    )
+    merged = 0
+    try:
+        for key, record, old in zip(keys, records, reused):
+            if old:
+                obs.emit(obs.CHECKPOINT_REUSE, item=key)
+                item = (decode(record), decode_payload(record.get("obs", ())), True)
+            else:
+                result, payload = next(fresh)
+                if shard is not None:
+                    value = encode(result)
+                    if obs_on:
+                        value["obs"] = encode_payload(run_scope_payload(payload))
+                    shard.append(key, value)
+                item = (result, payload, False)
+            merged += 1
+            if shard is not None and merged % every == 0:
+                shard.sync()
+            yield item
+    finally:
+        fresh.close()
+        if shard is not None and merged % every:
+            shard.sync()
 
 
 __all__ = [
@@ -375,7 +387,7 @@ __all__ = [
     "atomic_write_text",
     "decode_payload",
     "encode_payload",
-    "journaled_map",
+    "journaled_imap",
     "reusable",
     "run_scope_payload",
 ]

@@ -8,24 +8,27 @@ proves — protocol success at exactly ``3f + 1`` / ``2f + 1`` and an
 engine-constructed counterexample one step below.
 
 Sweep points are independent deterministic runs, so both sweeps take
-``jobs=N`` to fan points across a process pool
-(:class:`~repro.analysis.parallel.ParallelRunner`); rows are merged in
+``jobs=N`` to fan points across a process pool; rows are merged in
 point order, so parallel output is identical to serial.  Both sweeps
 also accept a run-store shard (``store=``; see
-:func:`sweep_store_key`): completed points are journaled as they merge
-and an interrupted sweep resumes from the first unfinished point with
+:func:`sweep_store_key`).  Points stream through the same
+:func:`~repro.analysis.runstore.journaled_imap` as campaigns and
+frontier levels: each completed point is journaled as it merges, and
+an interrupted sweep resumes from the first unfinished point with
 byte-identical rows and traces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from contextlib import closing
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .. import obs
 from ..runtime.memo import json_fingerprint
 from .parallel import ParallelRunner
-from .runstore import Shard, journaled_map
+from .runstore import Shard, journaled_imap
 
 from ..core.byzantine import refute_connectivity, refute_node_bound
 from ..graphs.adequacy import classify, required_nodes
@@ -146,19 +149,29 @@ def sweep_store_key(
     )
 
 
-def _row_to_jsonable(row: SweepRow) -> dict[str, Any]:
-    return {
-        "n_nodes": row.n_nodes,
-        "connectivity": row.connectivity,
-        "max_faults": row.max_faults,
-        "adequate": row.adequate,
-        "outcome": row.outcome,
-        "detail": row.detail,
-    }
-
-
-def _row_from_jsonable(data: dict[str, Any]) -> SweepRow:
-    return SweepRow(**data)
+def _sweep(
+    point_row: Callable[[Any], SweepRow],
+    points: list,
+    jobs: int,
+    store: Shard | None,
+) -> list[SweepRow]:
+    """Every point's row, in point order, through one journaled stream
+    (a record's value is ``{"r": row}``)."""
+    stream = journaled_imap(
+        ParallelRunner(jobs),
+        point_row,
+        points,
+        store,
+        key_fn=lambda point: f"point:{point!r}",
+        encode=lambda row: {"r": asdict(row)},
+        decode=lambda record: SweepRow(**record["r"]),
+    )
+    rows = []
+    with closing(stream):
+        for row, payload, _ in stream:
+            obs.replay(payload)
+            rows.append(row)
+    return rows
 
 
 def _node_bound_point(point: tuple[int, int]) -> SweepRow:
@@ -184,15 +197,7 @@ def node_bound_sweep(
         for f in max_faults_values
         for n in range(3, required_nodes(f) + 2)
     ]
-    return journaled_map(
-        ParallelRunner(jobs),
-        _node_bound_point,
-        points,
-        store,
-        key_fn=lambda point: f"point:{point!r}",
-        encode=_row_to_jsonable,
-        decode=_row_from_jsonable,
-    )
+    return _sweep(_node_bound_point, points, jobs, store)
 
 
 def _connectivity_point(point: tuple[tuple[int, ...], int, int]) -> SweepRow:
@@ -236,15 +241,7 @@ def connectivity_sweep(
         ((1, 2), max_faults, n_nodes),
         ((1, 2, 3), max_faults, n_nodes),
     ]
-    return journaled_map(
-        ParallelRunner(jobs),
-        _connectivity_point,
-        points,
-        store,
-        key_fn=lambda point: f"point:{point!r}",
-        encode=_row_to_jsonable,
-        decode=_row_from_jsonable,
-    )
+    return _sweep(_connectivity_point, points, jobs, store)
 
 
 def _relay_point(graph: CommunicationGraph, max_faults: int) -> SweepRow:

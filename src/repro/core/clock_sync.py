@@ -63,14 +63,20 @@ from .witness import CheckedBehavior, ImpossibilityWitness, _ScenarioStub
 #: Message delay in sender-clock units: the clock-mode delay policy
 #: keeps the Scaling axiom intact.
 _DELAY = 0.125
-#: Slack of the numeric checks, relative to the hardware clock readings.
+#: Slack of the numeric checks, relative to the largest quantity a
+#: scenario's check compares: its envelope bounds and logical readings.
 _TOLERANCE = 1e-7
+#: The largest ring parameter ``k`` the engines build.  The cover has
+#: ``k + 2`` copies and ``k + 1`` scaled scenarios; the report's largest
+#: ``k`` is 43.
+_MAX_K = 100_000
 
 
 def choose_k(setting: SynchronizationSetting) -> int:
     """The smallest ``k > 2`` with ``l(p(t')) + k·α > u(q(t'))`` and
     ``k + 2`` divisible by three; a ``ValueError`` if the envelope gap
-    ``u(q(t')) - l(p(t'))`` is not finite."""
+    ``u(q(t')) - l(p(t'))`` is not finite or ``k`` would exceed
+    :data:`_MAX_K` (a tiny α), before any power of ``h`` is built."""
     base = setting.lower(setting.p(setting.t_prime))
     cap = setting.upper(setting.q(setting.t_prime))
     gap = cap - base
@@ -78,6 +84,12 @@ def choose_k(setting: SynchronizationSetting) -> int:
         raise ValueError(
             f"the envelope gap u(q(t')) - l(p(t')) = {gap} is not finite, "
             "so no ring length k closes it"
+        )
+    if gap / setting.alpha >= _MAX_K:
+        raise ValueError(
+            f"α = {setting.alpha} is too small: closing the envelope gap "
+            f"{gap:.6g} needs k > {gap / setting.alpha:.6g}, above the "
+            f"limit of {_MAX_K}"
         )
     k = max(3, int(gap / setting.alpha) + 1)
     while (k + 2) % 3 != 0 or base + k * setting.alpha <= cap:
@@ -156,9 +168,12 @@ def _clock_argument(
         # p = D_{i+1}(t''), so the agreement bound telescopes to
         # l(D_i(t'')) - l(D_{i+1}(t'')) - α and validity asks
         # l(D_{i+1}(t'')) <= C <= u(D_i(t'')).
-        tol = _TOLERANCE * max(1.0, abs(hardware[i]), abs(hardware[i + 1]))
         bound = floor[i] - floor[i + 1] - setting.alpha
         low, high = floor[i + 1], setting.upper(hardware[i])
+        tol = _TOLERANCE * max(
+            1.0, abs(floor[i]), abs(low), abs(high),
+            *(abs(logical[u]) for u in nodes),
+        )
         violations = []
         for n, a in enumerate(nodes):
             for b in nodes[n + 1 :]:

@@ -119,9 +119,6 @@ class Event:
     def scope(self) -> str:
         return "host" if self.kind in HOST_KINDS else "run"
 
-    def field_dict(self) -> dict[str, Any]:
-        return dict(self.fields)
-
     def to_jsonable(self) -> dict[str, Any]:
         data: dict[str, Any] = {"type": "event", "seq": self.seq,
                                 "kind": self.kind}
@@ -183,10 +180,6 @@ class EventLog:
     @property
     def dropped(self) -> int:
         return self.seq - len(self._events)
-
-    @property
-    def host_dropped(self) -> int:
-        return self.host_seq - len(self._host_events)
 
     def __len__(self) -> int:
         return len(self._events) + len(self._host_events)

@@ -93,9 +93,6 @@ class MetricsRegistry:
     def get_counter(self, name: str, **labels: Any) -> float:
         return self.counters.get(metric_key(name, **labels), 0)
 
-    def get_gauge(self, name: str, **labels: Any) -> float:
-        return self.gauges.get(metric_key(name, **labels), 0)
-
     # -- event derivation --------------------------------------------------
 
     def record_event(

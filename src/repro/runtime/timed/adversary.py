@@ -11,8 +11,7 @@ Lemma 9's scaled scenarios).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from typing import Any
+from collections.abc import Iterable
 
 from .device import Message, PortLabel, TimedDevice
 
@@ -40,24 +39,6 @@ class TimedReplayDevice(TimedDevice):
         self.script: tuple[tuple[float, PortLabel, Message, float], ...] = (
             tuple(sorted(entries, key=lambda s: (s[0], repr(s[1]))))
         )
-
-    @classmethod
-    def from_edge_sends(
-        cls,
-        per_port: dict[PortLabel, Sequence[tuple[float, Any, float]]],
-        time_map=None,
-    ) -> "TimedReplayDevice":
-        """Build a replay from recorded edge behaviors
-        (``(send_time, message, arrival)`` triples per port), optionally
-        re-timing sends and arrivals with ``time_map`` (scaling)."""
-        mapping = time_map or (lambda t: t)
-        script = []
-        for port, sends in per_port.items():
-            for send_time, message, arrival in sends:
-                script.append(
-                    (mapping(send_time), port, message, mapping(arrival))
-                )
-        return cls(script)
 
 
 class TimedSilentDevice(TimedDevice):

@@ -213,6 +213,97 @@ class TestSweepResumeEquivalence:
         assert golden_trace == first_trace == resumed_trace
 
 
+class _Interrupted(Exception):
+    """Stands in for a process killed mid-run."""
+
+
+def _stop_after(monkeypatch, module, name, completed):
+    """Wrap ``module.name`` to record its first argument and raise
+    :class:`_Interrupted` once ``completed`` calls have returned
+    (``None``: never).  Returns the recorded arguments."""
+    real = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        if completed is not None and len(calls) > completed:
+            raise _Interrupted(f"stopped during call {len(calls)}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _journaled_keys(store_dir, key):
+    path = Path(store_dir) / "shards" / f"{key}.jsonl"
+    if not path.exists():
+        return []
+    return [json.loads(line)["k"] for line in path.read_text().splitlines()]
+
+
+class TestInterruptedResume:
+    """Stop a checkpointed frontier or sweep while it runs (not by
+    truncating a complete journal): every item merged before the stop
+    is already journaled, and the resume executes only the rest."""
+
+    def test_interrupted_frontier_resumes_from_the_next_level(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.analysis.campaign as campaign
+
+        config = _breaking_config()
+
+        def frontier(store=None):
+            return degradation_frontier(
+                config, max_link_faults=4, attempts_per_level=12, store=store
+            )
+
+        golden, golden_trace = _run_traced(frontier)
+        key = frontier_store_key(
+            config, max_link_faults=4, attempts_per_level=12
+        )
+        _stop_after(monkeypatch, campaign, "run_campaign", 3)
+        with RunStore(tmp_path).shard(key) as shard:
+            with pytest.raises(_Interrupted):
+                _run_traced(lambda: frontier(shard))
+        assert _journaled_keys(tmp_path, key) == [
+            "level:0", "level:1", "level:2"
+        ]
+
+        monkeypatch.undo()
+        calls = _stop_after(monkeypatch, campaign, "run_campaign", None)
+        with RunStore(tmp_path).shard(key) as shard:
+            resumed, resumed_trace = _run_traced(lambda: frontier(shard))
+        assert [level.max_link_faults for level in calls] == [3, 4]
+        assert resumed == golden
+        assert resumed_trace == golden_trace
+
+    def test_interrupted_sweep_resumes_from_the_next_point(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.analysis.sweep as sweep
+
+        golden, golden_trace = _run_traced(lambda: node_bound_sweep((1, 2)))
+        key = sweep_store_key("nodes", [1, 2])
+        _stop_after(monkeypatch, sweep, "_node_bound_point", 3)
+        with RunStore(tmp_path).shard(key) as shard:
+            with pytest.raises(_Interrupted):
+                _run_traced(lambda: node_bound_sweep((1, 2), store=shard))
+        assert _journaled_keys(tmp_path, key) == [
+            "point:(1, 3)", "point:(1, 4)", "point:(1, 5)"
+        ]
+
+        monkeypatch.undo()
+        calls = _stop_after(monkeypatch, sweep, "_node_bound_point", None)
+        with RunStore(tmp_path).shard(key) as shard:
+            resumed, resumed_trace = _run_traced(
+                lambda: node_bound_sweep((1, 2), store=shard)
+            )
+        assert calls == [(2, n) for n in range(3, 9)]
+        assert resumed == golden
+        assert resumed_trace == golden_trace
+
+
 class TestOlderStoreResume:
     """Stores written before ``--incremental``, ``--cache-stats`` and
     ``--orbit-dedup`` were removed still name them in ``meta.json``;

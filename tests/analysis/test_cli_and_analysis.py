@@ -168,9 +168,10 @@ class TestCLI:
             assert "error: " in capsys.readouterr().err, argv
         assert not (tmp_path / "c").exists()
         # A bad clock setting is rejected at once: a margin that is not
-        # finite and positive, an infinite envelope gap, or a margin so
-        # small that t'' = h^k(t') overflows.  The alarm turns a hang
-        # (as in choose_k with α <= 0) into a failure.
+        # finite and positive, an infinite envelope gap, a margin so
+        # small that t'' = h^k(t') overflows, or one so small that k
+        # would exceed the ring limit.  The alarm turns a hang (as in
+        # choose_k with α <= 0) into a failure.
         def too_slow(signum, frame):
             raise AssertionError("refute clock took over a second")
 
@@ -183,6 +184,7 @@ class TestCLI:
                 ["--alpha", "nan"],
                 ["--envelope-gap", "inf"],
                 ["--alpha", "0.0002"],
+                ["--alpha", "1e-12"],
             ):
                 signal.alarm(1)
                 try:

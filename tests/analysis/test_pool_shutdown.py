@@ -3,13 +3,15 @@
 A worker killed while it sends a result leaves the result queue's lock
 held, and ``multiprocessing.Pool.terminate`` then waits on that lock
 forever — a campaign that found its violation would hang on exit.
-``WorkerPool.close`` instead raises the pool's stop flag, so workers
-finish the item in hand, skip the rest, and exit on their own.
+Closing a ``ParallelRunner.imap_captured`` stream instead raises the
+pool's stop flag, so workers finish the item in hand, skip the rest,
+and exit on their own.
 """
 
 import multiprocessing
 import signal
 import time
+from contextlib import closing
 
 import pytest
 
@@ -43,8 +45,7 @@ def test_early_stop_skips_queued_items_and_workers_exit_cleanly(
     forced_pool, tmp_path
 ):
     log = tmp_path / "executed.txt"
-    with ParallelRunner(2).pool(_record(log)) as pool:
-        stream = pool.imap_captured(range(40))
+    with closing(ParallelRunner(2).imap_captured(_record(log), range(40))) as stream:
         assert next(stream)[0] == 0
         workers = multiprocessing.active_children()
     assert len(workers) == 2

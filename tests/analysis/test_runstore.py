@@ -2,6 +2,7 @@
 
 import json
 import os
+from contextlib import closing
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.analysis.runstore import (
     atomic_write_text,
     decode_payload,
     encode_payload,
-    journaled_map,
+    journaled_imap,
     reusable,
     run_scope_payload,
 )
@@ -173,63 +174,68 @@ class TestPayloadRoundTrip:
             obs.reset()
 
 
+def _square(x):
+    return x * x
+
+
+def _journaled(fn, items, shard, calls=None):
+    """Drain a ``journaled_imap`` stream into ``(result, journaled)``
+    pairs, recording the items ``fn`` executed in ``calls``."""
+
+    def traced(x):
+        if calls is not None:
+            calls.append(x)
+        return fn(x)
+
+    stream = journaled_imap(
+        ParallelRunner(1), traced, items, shard,
+        key_fn=str, encode=lambda r: {"v": r}, decode=lambda d: d["v"],
+    )
+    return [(result, journaled) for result, _, journaled in stream]
+
+
 class TestJournaledMap:
     def test_without_shard_is_plain_map(self):
         calls = []
-
-        def fn(x):
-            calls.append(x)
-            return x * x
-
-        out = journaled_map(
-            ParallelRunner(1), fn, [1, 2, 3], None,
-            key_fn=str, encode=lambda r: {"r": r}, decode=lambda d: d["r"],
-        )
-        assert out == [1, 4, 9]
+        out = _journaled(_square, [1, 2, 3], None, calls)
+        assert out == [(1, False), (4, False), (9, False)]
         assert calls == [1, 2, 3]
 
     def test_journaled_items_skip_execution(self, tmp_path):
         calls = []
-
-        def fn(x):
-            calls.append(x)
-            return x * x
-
-        def run(shard):
-            return journaled_map(
-                ParallelRunner(1), fn, [1, 2, 3], shard,
-                key_fn=str,
-                encode=lambda r: {"v": r},
-                decode=lambda d: d["v"],
-            )
-
         path = tmp_path / "s.jsonl"
         with Shard(path) as shard:
-            first = run(shard)
+            first = _journaled(_square, [1, 2, 3], shard, calls)
         calls.clear()
         with Shard(path) as shard:
-            second = run(shard)
-        assert first == second == [1, 4, 9]
+            second = _journaled(_square, [1, 2, 3], shard, calls)
+        assert [r for r, _ in first] == [r for r, _ in second] == [1, 4, 9]
+        assert [j for _, j in second] == [True, True, True]
         assert calls == []  # everything came from the journal
 
     def test_partial_journal_executes_only_the_rest(self, tmp_path):
         calls = []
-
-        def fn(x):
-            calls.append(x)
-            return -x
-
         path = tmp_path / "s.jsonl"
         with Shard(path) as shard:
-            shard.append("2", {"r": {"v": -2}})
-            out = journaled_map(
-                ParallelRunner(1), fn, [1, 2, 3], shard,
-                key_fn=str,
-                encode=lambda r: {"v": r},
+            shard.append("2", {"v": -2})
+            out = _journaled(lambda x: -x, [1, 2, 3], shard, calls)
+        assert out == [(-1, False), (-2, True), (-3, False)]
+        assert calls == [1, 3]
+
+    def test_items_are_journaled_before_they_are_yielded(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        with Shard(path) as shard:
+            stream = journaled_imap(
+                ParallelRunner(1), _square, range(5), shard,
+                key_fn=str, encode=lambda r: {"v": r},
                 decode=lambda d: d["v"],
             )
-        assert out == [-1, -2, -3]
-        assert calls == [1, 3]
+            with closing(stream):
+                for seen, (result, _, _) in enumerate(stream, 1):
+                    assert len(path.read_text().splitlines()) == seen
+                    if seen == 2:
+                        break
+            assert shard.keys() == ["0", "1"]
 
     def test_fsync_every_bounds_unsynced_appends(self, tmp_path):
         from repro.analysis import runstore

@@ -305,8 +305,14 @@ def test_every_scaled_scenario_reconstructs(
             u: (lambda t, node=c.behavior.node(u): node.logical_value(t - start))
             for u in c.correct_nodes
         }
+        # The engine's slack, scaled by what the check compares: the
+        # envelope bounds l(q(s)), l(p(s)), u(q(s)) and the readings.
         tolerance = clock_sync._TOLERANCE * max(
-            1.0, abs(setting.q(s)), abs(setting.p(s))
+            1.0,
+            abs(setting.lower(setting.q(s))),
+            abs(setting.lower(setting.p(s))),
+            abs(setting.upper(setting.q(s))),
+            *(abs(clock(s)) for clock in logical.values()),
         )
         oracle = setting.check_at(
             logical, sorted(c.correct_nodes, key=str), s, tolerance
@@ -314,6 +320,17 @@ def test_every_scaled_scenario_reconstructs(
         assert _pairs(oracle) == _pairs(verdicts[label]), label
         violated += not oracle.ok
     assert violated
+
+
+def test_corollary_15_flags_every_scaled_scenario():
+    """With ``l = log₂`` the logical clocks read about 33 at ``t''``
+    while the hardware clocks read about 8.6e9; every scaled scenario
+    misses its agreement bound by α, and a slack scaled by the hardware
+    readings (about 1,700) would hide 14 of the 32."""
+    graph = triangle()
+    witness = corollary_15_logarithmic(_factories(graph, _log_clock)).witness
+    assert len(witness.checked) == 32
+    assert not any(c.verdict.ok for c in witness.checked)
 
 
 class _Constant(TimedDevice):
