@@ -849,7 +849,7 @@ def degradation_frontier(
         range(max_links + 1),
         store,
         key_fn=lambda budget: f"level:{budget}",
-        encode=lambda row: {"r": _frontier_row_to_jsonable(row)},
+        encode=lambda row: {"r": frontier_row_to_dict(row)},
         decode=lambda record: _frontier_row_from_jsonable(
             record["r"], config.graph
         ),
@@ -907,10 +907,11 @@ def counterexample_from_dict(
     )
 
 
-def _frontier_row_to_jsonable(row: FrontierRow) -> dict[str, Any]:
+def frontier_row_to_dict(row: FrontierRow) -> dict[str, Any]:
     """A lossless JSON form of one frontier row (for run-store
-    journaling) — including the shrunk example's verdict, which
-    :func:`counterexample_to_dict` alone keeps only as prose."""
+    journaling and ``campaign --frontier --json``) — including the
+    shrunk example's verdict, which :func:`counterexample_to_dict`
+    alone keeps only as prose."""
     data: dict[str, Any] = {
         "links": row.link_budget,
         "attempts": row.attempts,
@@ -934,7 +935,7 @@ def _frontier_row_to_jsonable(row: FrontierRow) -> dict[str, Any]:
 def _frontier_row_from_jsonable(
     data: dict[str, Any], graph: CommunicationGraph
 ) -> FrontierRow:
-    """Inverse of :func:`_frontier_row_to_jsonable`."""
+    """Inverse of :func:`frontier_row_to_dict`."""
     example = None
     if data.get("example") is not None:
         example = counterexample_from_dict(data["example"], graph)
@@ -972,6 +973,7 @@ __all__ = [
     "counterexample_to_dict",
     "degradation_frontier",
     "execute_attempt",
+    "frontier_row_to_dict",
     "frontier_store_key",
     "replay_counterexample",
     "run_campaign",

@@ -27,16 +27,25 @@ Design notes
 * **Results must be picklable.**  Callers return value objects
   (verdict tuples, rows, counterexamples) — never configs carrying
   lambdas.
-* **One pool, streamed in order.**  Items go to the workers through
-  ``Pool.imap`` (one item per task) and come back in item order, so
-  "first violation" style reductions in the caller see the same order
-  serial execution produced.  Workers run ahead of the caller's merge;
-  a caller that stops early closes the stream, which raises the pool's
-  stop flag: workers finish the item in hand, skip the rest, and exit
-  through the pool's own shutdown.  Results the caller never consumed
-  are discarded.  Workers are not killed mid-run, because a worker
-  killed while sending a result leaves the result queue's lock held
-  and ``Pool.terminate`` then waits on it forever.
+* **One pool, streamed in order, in growing chunks.**  Items go to the
+  workers through ``Pool.imap`` in consecutive chunks whose sizes double
+  from 1 up to a cap (:func:`_chunks`): a task costs a pickle round trip
+  and a result-handler wake-up in the parent, which rivals a millisecond
+  campaign attempt, so long streams send several items per task.
+  Doubling from 1 means a caller that stops early still sees its first
+  results after 1, 2 and 4 items, and the cap — at most 8, and 1 for
+  streams shorter than ``8 * processes`` items — keeps every frontier
+  and sweep at one item per task.  The parent flattens each chunk back
+  into items, so results come back in item order and "first violation"
+  style reductions in the caller see the same order serial execution
+  produced.  Workers run ahead of the caller's merge; a caller that
+  stops early closes the stream, which raises the pool's stop flag:
+  workers finish the item in hand, skip the rest (the flag is checked
+  before every item, inside a chunk too), and exit through the pool's
+  own shutdown.  Results the caller never consumed are discarded.
+  Workers are not killed mid-run, because a worker killed while sending
+  a result leaves the result queue's lock held and ``Pool.terminate``
+  then waits on it forever.
 * **Per-item fault tolerance.**  A worker exception does not abort the
   whole stream: the trampoline ships failures back as values (with the
   item's partially captured telemetry), and the parent re-executes the
@@ -133,6 +142,35 @@ def _call_captured(item: Any) -> tuple[bool, tuple[Any, tuple], str | None]:
         except Exception as exc:
             return (False, (None, capsule.payload()), repr(exc))
     return (True, (result, capsule.payload()), None)
+
+
+def _call_chunk(chunk: list) -> list:
+    """Module-level trampoline: :func:`_call_captured` on each item of
+    one chunk, in order (each call checks the stop flag first)."""
+    return [_call_captured(item) for item in chunk]
+
+
+#: Largest number of items sent to a worker as one task.
+_MAX_CHUNK = 8
+
+
+def _chunks(work: list, processes: int) -> list[list]:
+    """``work`` cut into consecutive chunks, one pool task each.
+
+    Chunk sizes double from 1 up to
+    ``max(1, min(8, len(work) // (4 * processes)))``; the last chunk
+    takes whatever is left.  The length cap leaves every worker at
+    least four full-size chunks, and one item per task for fewer than
+    ``8 * processes`` items.
+    """
+    cap = max(1, min(_MAX_CHUNK, len(work) // (4 * processes)))
+    chunks = []
+    start, size = 0, 1
+    while start < len(work):
+        chunks.append(work[start:start + size])
+        start += size
+        size = min(2 * size, cap)
+    return chunks
 
 
 class _WorkerLost(Exception):
@@ -244,29 +282,35 @@ class ParallelRunner:
             p for p in multiprocessing.active_children() if p not in before
         ]
         obs.emit(obs.WORKER_POOL, processes=processes)
-        results = pool.imap(_call_captured, work)
+        chunks = _chunks(work, processes)
+        results = pool.imap(_call_chunk, chunks)
         merged = 0
         lost: int | None = None  # first undelivered item once a worker died
         try:
-            for index, item in enumerate(work):
+            for _ in chunks:
                 try:
-                    ok, value, error = _next(results, workers)
+                    outcomes = _next(results, workers)
                 except _WorkerLost:
                     logger.warning(
                         "a pool worker died; finishing %d item(s) serially",
-                        len(work) - index,
+                        len(work) - merged,
                     )
-                    lost = index
+                    lost = merged
                     break
-                merged += 1
-                if ok:
-                    yield value
-                    continue
-                logger.warning(
-                    "worker failed on item #%d (%r): %s; re-executing serially",
-                    index, item, error,
-                )
-                yield _retry(fn, index, item, error or "unknown", value[1])
+                for ok, value, error in outcomes:
+                    index = merged
+                    merged += 1
+                    if ok:
+                        yield value
+                        continue
+                    logger.warning(
+                        "worker failed on item #%d (%r): %s; "
+                        "re-executing serially",
+                        index, work[index], error,
+                    )
+                    yield _retry(
+                        fn, index, work[index], error or "unknown", value[1]
+                    )
         finally:
             # Workers that ran ahead finish the item in hand and skip
             # the rest; once every item is accounted for, the pool exits
@@ -311,9 +355,9 @@ class ParallelRunner:
         return list(self.imap_captured(fn, items))
 
 
-def _next(results: Any, workers: list) -> tuple[bool, Any, str | None]:
-    """The next result, raising :class:`_WorkerLost` if a worker dies
-    first (its in-flight item would never be delivered)."""
+def _next(results: Any, workers: list) -> Any:
+    """The next task's result, raising :class:`_WorkerLost` if a worker
+    dies first (its in-flight task would never be delivered)."""
     while True:
         try:
             return results.next(timeout=_POLL_S)

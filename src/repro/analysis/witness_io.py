@@ -165,6 +165,17 @@ def save_campaign(result: Any, path: str | Path) -> Path:
     )
 
 
+def save_frontier(frontier: Any, path: str | Path) -> Path:
+    """Write a degradation frontier's rows as JSON, atomically, each in
+    the run-store journal's row encoding; return the path."""
+    from .campaign import frontier_row_to_dict
+
+    rows = [frontier_row_to_dict(row) for row in frontier.rows]
+    return atomic_write_text(
+        path, json.dumps({"rows": rows}, indent=2, sort_keys=True)
+    )
+
+
 def load_json_file(path: str | Path, what: str = "file") -> Any:
     """Read a JSON file with clear errors instead of raw tracebacks.
 

@@ -298,6 +298,8 @@ def _cmd_campaign(args) -> int:
     from .analysis.tables import format_table
     from .runtime.memo import BehaviorCache
 
+    if args.frontier and args.verbose:
+        raise ValueError("--verbose cannot be combined with --frontier")
     graph = parse_graph(args.graph)
     factory, default_rounds = _campaign_factory(args.protocol, args.faults)
     rounds = args.rounds if args.rounds is not None else default_rounds
@@ -362,6 +364,11 @@ def _cmd_campaign(args) -> int:
             )
         )
         print(frontier.describe())
+        if args.json:
+            from .analysis.witness_io import save_frontier
+
+            path = save_frontier(frontier, args.json)
+            print(f"frontier written to {path}")
         return 0
 
     cache = BehaviorCache()
@@ -594,7 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--replay", help="re-run the counterexample stored in this JSON file"
     )
-    p.add_argument("--json", help="write the campaign result to this file")
+    p.add_argument(
+        "--json",
+        help="write the campaign result (or the frontier rows) to this file",
+    )
     p.add_argument(
         "--verbose", action="store_true",
         help="print the shrunk counterexample's injection trace",

@@ -215,13 +215,21 @@ class ExchangeMidpointClockDevice(TimedDevice):
     def on_start(self, ctx: TimedContext, api: DeviceApi) -> None:
         self._expected = len(ctx.ports)
         api.set_logical(self.lower)
-        api.set_timer("exchange", self.exchange_at)
+        if api.clock() >= self.exchange_at:
+            # A clock already past the exchange time (an offset clock)
+            # cannot set the timer; broadcast the reading at once.
+            self._broadcast(ctx, api)
+        else:
+            api.set_timer("exchange", self.exchange_at)
 
     def on_timer(self, ctx, api, name) -> None:
         if name == "exchange":
-            reading = api.clock()
-            for port in ctx.ports:
-                api.send(port, ("reading", reading))
+            self._broadcast(ctx, api)
+
+    def _broadcast(self, ctx, api) -> None:
+        reading = api.clock()
+        for port in ctx.ports:
+            api.send(port, ("reading", reading))
 
     def on_message(self, ctx, api, port, message) -> None:
         kind, remote_reading = message

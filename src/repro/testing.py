@@ -113,20 +113,20 @@ def affine_blend_rule(w_min: float, w_max: float) -> Callable:
 
 # -- hypothesis strategies (optional dependency) -------------------------
 
-try:  # pragma: no cover - trivially exercised via the property suite
-    from hypothesis import strategies as _st
-
-    _HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover
-    _HAVE_HYPOTHESIS = False
+# Imported on first use, not with this module: importers that only need
+# the device factories or :func:`reference_sync_run` skip its import cost.
 
 
 def _require_hypothesis():
-    if not _HAVE_HYPOTHESIS:
+    """The ``hypothesis.strategies`` module, or a clear ImportError."""
+    try:
+        from hypothesis import strategies
+    except ImportError:  # pragma: no cover
         raise ImportError(
             "hypothesis is required for the strategy helpers; "
             "pip install hypothesis"
-        )
+        ) from None
+    return strategies
 
 
 def agreement_device_families():
@@ -135,7 +135,7 @@ def agreement_device_families():
     Draws (device, rounds); feed the device to every node and the
     rounds+1 horizon to an engine — Theorem 1 guarantees a witness.
     """
-    _require_hypothesis()
+    _st = _require_hypothesis()
 
     def build(draw_tuple):
         rounds, rule_name, seed = draw_tuple
@@ -169,7 +169,7 @@ def agreement_device_families():
 def averaging_device_families():
     """Hypothesis strategy over real-valued one-exchange devices
     (affine blends of min/max/own) — Theorem 5/6 candidates."""
-    _require_hypothesis()
+    _st = _require_hypothesis()
 
     def build(weights):
         w_min, frac = weights

@@ -349,6 +349,70 @@ class TestOlderStoreResume:
         assert out_trace.read_bytes() == golden_trace.read_bytes()
 
 
+class TestFrontierJson:
+    """``campaign --frontier --json F`` writes the frontier's rows in the
+    journal's row encoding, directly and through ``repro resume``."""
+
+    ARGS = [
+        "--seed", "7", "campaign", "--protocol", "naive",
+        "--graph", "complete:4", "--frontier", "--links", "4",
+        "--rounds", "3", "--attempts", "30",
+    ]
+
+    def test_json_holds_the_frontier_rows(self, tmp_path, capsys):
+        from repro.analysis.campaign import frontier_row_to_dict
+        from repro.cli import main
+
+        path = tmp_path / "frontier.json"
+        assert main([*self.ARGS, "--json", str(path)]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"frontier written to {path}\n"
+        )
+        config = CampaignConfig(
+            graph=complete_graph(4),
+            device_factory=_naive_factory,
+            rounds=3,
+            max_link_faults=4,
+            attempts=30,
+            seed=7,
+        )
+        frontier = degradation_frontier(config)
+        rows = json.loads(path.read_text())["rows"]
+        assert rows == [frontier_row_to_dict(row) for row in frontier.rows]
+        assert any(row["example"] is not None for row in rows)
+
+    def test_resumed_frontier_rewrites_the_json(self, tmp_path, capsys):
+        from repro.cli import main
+
+        golden = tmp_path / "golden.json"
+        assert main([*self.ARGS, "--json", str(golden)]) == 0
+        store = tmp_path / "store"
+        out = tmp_path / "out.json"
+        assert main(
+            [*self.ARGS, "--json", str(out), "--checkpoint", str(store),
+             "--jobs", "2"]
+        ) == 0
+        (shard,) = (store / "shards").glob("*.jsonl")
+        shard.write_text(shard.read_text().splitlines()[0] + "\n")
+        out.unlink()
+        capsys.readouterr()
+
+        assert main(["resume", str(store)]) == 0
+        assert capsys.readouterr().out.endswith(
+            f"frontier written to {out}\n"
+        )
+        assert out.read_text() == golden.read_text()
+
+    def test_verbose_with_frontier_is_an_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        code = main([*self.ARGS, "--verbose", "--checkpoint", str(store)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --verbose")
+        assert not (store / "meta.json").exists()
+
+
 class TestKillAndResume:
     """SIGKILL the driver mid-campaign, then ``repro resume``."""
 

@@ -161,6 +161,8 @@ class TestWorkerFaultTolerance:
         # Every item fails in its worker; the serial retries in the
         # parent succeed, so the map completes with full results.
         assert runner.map(flaky, [1, 2, 3]) == [2, 4, 6]
+        # Long enough for multi-item chunks: each item is retried alone.
+        assert runner.map(flaky, range(64)) == [2 * x for x in range(64)]
 
     def test_deterministic_failure_raises_item_error_with_identity(self):
         from repro.analysis.parallel import ItemError
@@ -346,3 +348,107 @@ class TestOnePoolPerCall:
         # and at the end (plus the close), as the batched driver did.
         merged = len(shards[2])
         assert shards[2].syncs == -(-merged // 8) + 1
+
+
+class TestChunkedDispatch:
+    """Long streams reach the workers in chunks that double up to a
+    cap; the parent still merges, retries and reports per item."""
+
+    def test_chunk_plan(self):
+        from repro.analysis.parallel import _chunks
+
+        for processes in (1, 2, 4):
+            for n in (2, 7, 8 * processes - 1, 8 * processes, 40, 128, 601):
+                work = list(range(n))
+                chunks = _chunks(work, processes)
+                assert [x for chunk in chunks for x in chunk] == work
+                sizes = [len(chunk) for chunk in chunks]
+                cap = max(1, min(8, n // (4 * processes)))
+                expected, size = [], 1
+                for _ in sizes[:-1]:
+                    expected.append(size)
+                    size = min(2 * size, cap)
+                assert sizes[:-1] == expected
+                assert 1 <= sizes[-1] <= size
+                if n < 8 * processes:
+                    assert set(sizes) == {1}
+        sizes = [len(chunk) for chunk in _chunks(list(range(128)), 2)]
+        assert sizes[:5] == [1, 2, 4, 8, 8]
+
+    def test_long_surviving_campaign_identical_across_jobs(
+        self, forced_pool, tmp_path, capsys
+    ):
+        # 128 attempts reach the full chunk size at two and four jobs.
+        from repro.cli import main
+
+        args = [
+            "--seed", "3", "campaign", "--protocol", "eig",
+            "--graph", "complete:4", "--faults", "1", "--links", "0",
+            "--attempts", "128",
+        ]
+        outputs = {}
+        for jobs in (1, 2, 4):
+            run = tmp_path / f"jobs{jobs}"
+            run.mkdir()
+            code = main([
+                *args, "--jobs", str(jobs),
+                "--json", str(run / "out.json"),
+                "--trace", str(run / "out.trace"),
+                "--checkpoint", str(run / "store"),
+            ])
+            assert code == 0
+            stdout = capsys.readouterr().out.replace(str(run), "RUN")
+            (shard,) = (run / "store" / "shards").glob("*.jsonl")
+            outputs[jobs] = (
+                stdout,
+                (run / "out.json").read_bytes(),
+                (run / "out.trace").read_bytes(),
+                shard.read_bytes(),
+            )
+        assert outputs[1][0].startswith(
+            "protocol survived 128 campaign attempts"
+        )
+        assert len(outputs[1][3].splitlines()) == 128
+        assert outputs[1] == outputs[2] == outputs[4]
+
+    def test_worker_killed_mid_chunk_is_finished_serially(self):
+        import multiprocessing
+        import os
+        import signal
+
+        from repro import obs
+        from repro.analysis.parallel import _chunks
+
+        parent = os.getpid()
+        chunks = _chunks(list(range(128)), 2)
+        full = next(chunk for chunk in chunks if len(chunk) == 8)
+        victim = full[3]  # three items of the chunk are already done
+
+        def dies_mid_chunk(x):
+            if x == victim and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x * 10
+
+        def hung(signum, frame):
+            raise TimeoutError("runner hung after a worker was killed")
+
+        runner = _forced_pool_runner()
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        obs.enable()
+        try:
+            results = runner.map(dies_mid_chunk, range(128))
+            retried = [
+                e for e in obs.get_log().events("host")
+                if e.kind == obs.WORKER_RETRY
+            ]
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            obs.reset()
+        assert results == [x * 10 for x in range(128)]
+        # The lost chunk and everything after it: the pool delivers in
+        # order, so nothing past the dead worker's chunk was merged.
+        indices = [dict(e.fields)["index"] for e in retried]
+        assert indices == list(range(full[0], 128))
+        assert not multiprocessing.active_children()

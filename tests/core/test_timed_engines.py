@@ -190,6 +190,23 @@ class TestClockSyncEngine:
         )
         assert witness.found
 
+    def test_exchange_midpoint_refuted_on_offset_clocks(self):
+        # Corollary 14's clocks q = t + 0.5 already read exchange_at at
+        # time 0, so the device broadcasts at once instead of setting a
+        # timer that is not in the future.
+        from repro.core import corollary_14_offset_clocks
+
+        lower = LinearClock(2.0, 0.0)
+        outcome = corollary_14_offset_clocks(
+            factories_of(
+                lambda: ExchangeMidpointClockDevice(
+                    lower, exchange_at=0.5, delay=0.125
+                )
+            )
+        )
+        assert outcome.witness.found
+        assert outcome.witness.violated
+
     def test_lemma9_scaling_checks_pass(self):
         lower = LinearClock(1.0, 0.0)
         witness = refute_clock_sync(

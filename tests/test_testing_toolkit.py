@@ -85,3 +85,29 @@ class TestStrategies:
             require_violation=False,
         )
         assert witness.found
+
+
+def test_importing_the_toolkit_leaves_hypothesis_unimported():
+    # Importers that only want the factories or the reference executor
+    # (the benchmark's workloads among them) skip hypothesis's import
+    # cost; the strategy helpers import it on first use.
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.testing; "
+            "print('hypothesis' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert probe.stdout.strip() == "False"
