@@ -415,34 +415,28 @@ def execute_attempt(
         return _execute_attempt_uncached(
             config, inputs, node_faults, plan, system
         )
+    # Telemetry-transparent caching: an entry is ``(result, run-scope
+    # events of the original execution)``, replayed on every hit, so the
+    # trace never depends on cache warmth.  Entries made with telemetry
+    # off hold no events, so traced runs key theirs apart.  The hit/miss
+    # facts are host-scope (and no-ops with telemetry off).
     key = _attempt_key(config, inputs, node_faults, plan)
     if obs.is_enabled():
-        # Telemetry-transparent caching: traced entries carry the
-        # run-scope events of the original execution, replayed on
-        # every hit, so the trace never depends on cache warmth.
-        # The hit/miss facts are host-scope.
-        okey = key + ":obs"
-        entry = cache.get(okey)
-        if entry is not None:
-            result, payload = entry
-            obs.emit(obs.CACHE_HIT, cache="attempt", op="execute")
-            obs.replay(payload)
-            return result
-        obs.emit(obs.CACHE_MISS, cache="attempt", op="execute")
-        with obs.capture() as capsule:
-            result = _execute_attempt_uncached(
-                config, inputs, node_faults, plan, system
-            )
-        obs.replay(capsule.payload())
-        cache.put(okey, (result, capsule.run_payload()))
+        key += ":obs"
+    entry = cache.get(key)
+    if entry is not None:
+        result, payload = entry
+        obs.emit(obs.CACHE_HIT, cache="attempt", op="execute")
+        obs.replay(payload)
         return result
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    result = _execute_attempt_uncached(
-        config, inputs, node_faults, plan, system
-    )
-    cache.put(key, result)
+    obs.emit(obs.CACHE_MISS, cache="attempt", op="execute")
+    with obs.capture() as capsule:
+        result = _execute_attempt_uncached(
+            config, inputs, node_faults, plan, system
+        )
+    payload = capsule.payload()
+    obs.replay(payload)
+    cache.put(key, (result, obs.run_payload(payload)))
     return result
 
 

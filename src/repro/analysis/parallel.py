@@ -45,7 +45,11 @@ Design notes
   own shutdown.  Results the caller never consumed are discarded.
   Workers are not killed mid-run, because a worker killed while sending
   a result leaves the result queue's lock held and ``Pool.terminate``
-  then waits on it forever.
+  then waits on it forever.  A worker whose parent is gone (SIGKILLed
+  mid-stream) exits by itself before its next item or result, and one
+  blocked writing a result into the dead parent's pipe is ended by
+  ``SIGPIPE``, so a killed run leaves neither workers nor
+  ``BrokenPipeError`` tracebacks behind.
 * **Per-item fault tolerance.**  A worker exception does not abort the
   whole stream: the trampoline ships failures back as values (with the
   item's partially captured telemetry), and the parent re-executes the
@@ -63,6 +67,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import signal
 from collections.abc import Callable, Iterable, Iterator
 from typing import Any, TypeVar
 
@@ -114,6 +119,11 @@ _WORK: Callable[[Any], Any] | None = None
 #: pool, after which workers skip the items still queued.
 _STOP: Any = None
 
+#: The pid of the process that forked the current pool, inherited
+#: alongside :data:`_WORK`.  A worker whose parent has changed was
+#: orphaned (the parent was SIGKILLed): nothing will read its results.
+_PARENT: int | None = None
+
 
 def _run_captured(fn: Callable[[T], R], item: T) -> tuple[R, tuple]:
     """``fn(item)`` with the item's telemetry captured into a payload."""
@@ -134,6 +144,7 @@ def _call_captured(item: Any) -> tuple[bool, tuple[Any, tuple], str | None]:
     still rides back — post-mortem traces stay complete.
     """
     assert _WORK is not None, "worker forked before _WORK was set"
+    _exit_if_orphaned()
     if _STOP.value:
         return (True, (None, ()), None)
     with obs.capture() as capsule:
@@ -147,7 +158,17 @@ def _call_captured(item: Any) -> tuple[bool, tuple[Any, tuple], str | None]:
 def _call_chunk(chunk: list) -> list:
     """Module-level trampoline: :func:`_call_captured` on each item of
     one chunk, in order (each call checks the stop flag first)."""
-    return [_call_captured(item) for item in chunk]
+    outcomes = [_call_captured(item) for item in chunk]
+    _exit_if_orphaned()
+    return outcomes
+
+
+def _exit_if_orphaned() -> None:
+    """End an orphaned worker at once, before it runs another item or
+    writes a result into the dead parent's pipe (which would raise
+    ``BrokenPipeError`` and print a traceback for every queued task)."""
+    if os.getppid() != _PARENT:
+        os._exit(0)
 
 
 #: Largest number of items sent to a worker as one task.
@@ -256,20 +277,26 @@ class ParallelRunner:
         module docstring); items and results must be picklable when
         running parallel.
         """
-        global _WORK, _STOP
+        global _WORK, _STOP, _PARENT
         work = list(items)
         pool = None
         if len(work) > 1 and self.parallel:
             context = multiprocessing.get_context("fork")
-            previous = (_WORK, _STOP)
+            previous = (_WORK, _STOP, _PARENT)
             stop = context.RawValue("b", 0)
-            _WORK, _STOP = fn, stop
+            _WORK, _STOP, _PARENT = fn, stop, os.getpid()
             processes = min(self.jobs, len(work))
             before = set(multiprocessing.active_children())
             try:
-                pool = context.Pool(processes)
+                # SIGPIPE ends a worker blocked writing a result when its
+                # parent dies, which would otherwise raise BrokenPipeError.
+                pool = context.Pool(
+                    processes,
+                    initializer=signal.signal,
+                    initargs=(signal.SIGPIPE, signal.SIG_DFL),
+                )
             except (OSError, ValueError) as exc:  # pool could not be built
-                _WORK, _STOP = previous
+                _WORK, _STOP, _PARENT = previous
                 logger.info(
                     "ParallelRunner falling back to serial: pool failed (%s)",
                     exc,
@@ -331,7 +358,7 @@ class ParallelRunner:
             else:
                 pool.terminate()
             pool.join()
-            _WORK, _STOP = previous
+            _WORK, _STOP, _PARENT = previous
             obs.emit(obs.WORKER_MERGE, items=merged)
         for rest in range(len(work) if lost is None else lost, len(work)):
             yield _retry(fn, rest, work[rest], "worker died", ())

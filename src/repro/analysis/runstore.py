@@ -126,17 +126,6 @@ def decode_payload(data: Iterable) -> tuple:
     )
 
 
-def run_scope_payload(payload: Sequence[tuple]) -> tuple:
-    """Strip host-scope events (cache luck, worker pools, checkpoint
-    facts) from a captured payload, leaving the deterministic stream a
-    journal record may durably store."""
-    return tuple(
-        (kind, fields)
-        for kind, fields in payload
-        if kind not in obs.HOST_KINDS
-    )
-
-
 def reusable(record: dict | None) -> bool:
     """May this journal record satisfy the current run's needs?
 
@@ -364,7 +353,7 @@ def journaled_imap(
                 if shard is not None:
                     value = encode(result)
                     if obs_on:
-                        value["obs"] = encode_payload(run_scope_payload(payload))
+                        value["obs"] = encode_payload(obs.run_payload(payload))
                     shard.append(key, value)
                 item = (result, payload, False)
             merged += 1
@@ -389,5 +378,4 @@ __all__ = [
     "encode_payload",
     "journaled_imap",
     "reusable",
-    "run_scope_payload",
 ]

@@ -36,6 +36,18 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
+def graph_to_dict(graph: Any) -> dict[str, list[str]]:
+    """A graph's shape as saved in witness and campaign files: sorted
+    node names and sorted ``u-v`` edge names."""
+    return {
+        "nodes": sorted(map(str, graph.nodes)),
+        "edges": sorted(
+            f"{min(str(u), str(v))}-{max(str(u), str(v))}"
+            for (u, v) in graph.edges
+        ),
+    }
+
+
 def witness_to_dict(
     witness: ImpossibilityWitness, include_traces: bool = False
 ) -> dict[str, Any]:
@@ -77,13 +89,7 @@ def witness_to_dict(
     return {
         "problem": witness.problem,
         "bound": witness.bound,
-        "graph": {
-            "nodes": sorted(map(str, witness.graph.nodes)),
-            "edges": sorted(
-                f"{min(str(u), str(v))}-{max(str(u), str(v))}"
-                for (u, v) in witness.graph.edges
-            ),
-        },
+        "graph": graph_to_dict(witness.graph),
         "max_faults": witness.max_faults,
         "found": witness.found,
         "behaviors": behaviors,
@@ -125,13 +131,7 @@ def campaign_to_dict(result: Any) -> dict[str, Any]:
     config = result.config
     data: dict[str, Any] = {
         "kind": "campaign",
-        "graph": {
-            "nodes": sorted(map(str, config.graph.nodes)),
-            "edges": sorted(
-                f"{min(str(u), str(v))}-{max(str(u), str(v))}"
-                for (u, v) in config.graph.edges
-            ),
-        },
+        "graph": graph_to_dict(config.graph),
         "rounds": config.rounds,
         "budget": {
             "node_faults": config.max_node_faults,

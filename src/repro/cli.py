@@ -199,6 +199,11 @@ def _cmd_sweep(args) -> int:
         for f in args.faults:
             required_nodes(f)
     else:
+        if len(args.faults) > 1:
+            raise ValueError(
+                "sweep connectivity takes one --faults value, got "
+                f"{len(args.faults)}"
+            )
         required_connectivity(args.faults[0])
     shard = None
     if getattr(args, "checkpoint", None):
@@ -316,13 +321,31 @@ def _cmd_campaign(args) -> int:
     )
 
     if args.replay:
-        from .analysis.witness_io import load_campaign
+        from .analysis.witness_io import graph_to_dict, load_campaign
 
+        for flag, given in (
+            ("--frontier", args.frontier),
+            ("--json", args.json),
+            ("--checkpoint", getattr(args, "checkpoint", None)),
+        ):
+            if given:
+                raise ValueError(f"{flag} cannot be combined with --replay")
         data = load_campaign(args.replay)
         entry = data.get("shrunk") or data.get("found")
         if not entry:
             print("error: replay file holds no counterexample", file=sys.stderr)
             return 2
+        if data.get("graph") != graph_to_dict(graph):
+            raise ValueError(
+                f"replay file {args.replay} was recorded on another graph "
+                f"than --graph {args.graph}"
+            )
+        if data.get("rounds") != rounds:
+            raise ValueError(
+                f"replay file {args.replay} was recorded with "
+                f"{data.get('rounds')} rounds, not {rounds} "
+                "(set --rounds to match)"
+            )
         ce = counterexample_from_dict(entry, graph)
         _, verdict, trace = replay_counterexample(config, ce)
         print(f"replayed: {verdict.describe()}")
@@ -632,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "view", choices=["summary", "events", "metrics"],
-        help="summary: totals and span-free overview; events: the "
+        help="summary: event and metric totals; events: the "
         "timeline; metrics: the trace's run.* counters",
     )
     p.add_argument("trace_file", help="a trace written by --trace FILE")

@@ -6,9 +6,9 @@ Public surface (re-exported here):
 * the telemetry switch — :func:`enable`, :func:`disable`,
   :func:`reset`, :func:`is_enabled`;
 * emission — :func:`emit`, :func:`capture`, :func:`replay`,
-  :func:`observe_span`, and the event-kind constants;
-* accessors — :func:`get_log`, :func:`get_registry`,
-  :func:`get_tracer`;
+  :func:`run_payload`, :func:`observe_span` (host-side wall time into
+  ``host.span.*`` histograms), and the event-kind constants;
+* accessors — :func:`get_log`, :func:`get_registry`;
 * export — :func:`write_trace`, :func:`read_trace`,
   :func:`render_live_summary` and the ``repro profile`` formatters.
 
@@ -34,8 +34,6 @@ from .events import (
     ROUND_START,
     RUN_KINDS,
     SHRINK_STEP,
-    SPAN_END,
-    SPAN_START,
     SWEEP_POINT,
     TIMED_EVENT,
     WORKER_MERGE,
@@ -47,18 +45,17 @@ from .events import (
     enable,
     get_log,
     get_registry,
-    get_tracer,
     is_enabled,
     observe_span,
     replay,
     reset,
+    run_payload,
 )
 from .export import (
     TRACE_FORMAT,
     format_events,
     format_metrics,
     read_trace,
-    registry_from_trace,
     render_live_summary,
     summarize_trace,
     trace_lines,
@@ -70,7 +67,6 @@ from .metrics import (
     absorb_connectivity_stats,
     metric_key,
 )
-from .tracer import SpanAggregate, Tracer
 
 __all__ = [
     "ATTEMPT_END",
@@ -91,13 +87,9 @@ __all__ = [
     "ROUND_START",
     "RUN_KINDS",
     "SHRINK_STEP",
-    "SPAN_END",
-    "SPAN_START",
     "SWEEP_POINT",
-    "SpanAggregate",
     "TIMED_EVENT",
     "TRACE_FORMAT",
-    "Tracer",
     "WORKER_MERGE",
     "WORKER_POOL",
     "WORKER_RETRY",
@@ -111,15 +103,14 @@ __all__ = [
     "format_metrics",
     "get_log",
     "get_registry",
-    "get_tracer",
     "is_enabled",
     "metric_key",
     "observe_span",
     "read_trace",
-    "registry_from_trace",
     "render_live_summary",
     "replay",
     "reset",
+    "run_payload",
     "summarize_trace",
     "trace_lines",
     "write_trace",

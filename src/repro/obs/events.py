@@ -16,7 +16,7 @@ Design rules
   :func:`is_enabled` check per call so the per-round/per-edge cost of
   disabled telemetry is a pointer comparison.
 * **Two scopes.**  ``run``-scope events describe the *execution itself*
-  (rounds, deliveries, injections, attempts, spans) and are a pure
+  (rounds, deliveries, injections, attempts) and are a pure
   function of the workload — the same campaign emits the same
   ``run``-scope stream whether it executed serially, under ``--jobs
   N``, or through the behavior cache.
@@ -26,7 +26,8 @@ Design rules
   byte-identical across ``--jobs`` settings.
 * **Logical time.**  Events carry a monotonic sequence number and
   model-level timestamps (round index, simulated time), never wall
-  time — wall time lives in the tracer's host-side span aggregates.
+  time — wall time is observed host-side (:func:`observe_span`) into
+  the registry's ``host.span.*`` histograms, outside every trace.
 * **Capture/replay.**  :func:`capture` redirects emission into a
   picklable capsule; :func:`replay` appends a capsule to the active
   sink, re-stamping sequence numbers.  Fork-based workers capture each
@@ -54,8 +55,6 @@ ATTEMPT_END = "attempt_end"
 SHRINK_STEP = "shrink_step"
 FRONTIER_LEVEL = "frontier_level"
 SWEEP_POINT = "sweep_point"
-SPAN_START = "span_start"
-SPAN_END = "span_end"
 
 # host scope: process-local optimization/lifecycle facts.  Excluded
 # from exported traces (and from cached-attempt replay payloads), so
@@ -94,8 +93,6 @@ RUN_KINDS = frozenset(
         SHRINK_STEP,
         FRONTIER_LEVEL,
         SWEEP_POINT,
-        SPAN_START,
-        SPAN_END,
     }
 )
 
@@ -204,44 +201,35 @@ class Capsule:
     it back to the parent over the pool's result pipe.
     """
 
-    __slots__ = ("items", "run_len")
+    __slots__ = ("items",)
 
     def __init__(self) -> None:
         self.items: list[tuple[str, tuple[tuple[str, Any], ...]]] = []
-        self.run_len = 0
 
     def append(self, kind: str, fields: tuple[tuple[str, Any], ...]) -> None:
         self.items.append((kind, fields))
-        if kind not in HOST_KINDS:
-            self.run_len += 1
 
     def payload(self) -> tuple[tuple[str, tuple[tuple[str, Any], ...]], ...]:
         return tuple(self.items)
 
-    def run_payload(
-        self,
-    ) -> tuple[tuple[str, tuple[tuple[str, Any], ...]], ...]:
-        """The payload with host-scope events stripped — what a cached
-        result stores, so replaying a hit reproduces exactly the
-        deterministic stream of the original execution."""
-        return tuple(
-            (kind, fields)
-            for kind, fields in self.items
-            if kind not in HOST_KINDS
-        )
 
-
-Payload = tuple  # alias for annotations in other modules
+def run_payload(payload) -> tuple:
+    """``payload`` with host-scope events (cache luck, worker pools,
+    checkpoint facts) stripped: the deterministic stream a memo entry
+    or a journal record stores, so replaying it reproduces exactly the
+    run-scope events of the original execution."""
+    return tuple(
+        (kind, fields) for kind, fields in payload if kind not in HOST_KINDS
+    )
 
 
 class _TelemetryState:
-    __slots__ = ("enabled", "log", "registry", "tracer", "sinks")
+    __slots__ = ("enabled", "log", "registry", "sinks")
 
     def __init__(self) -> None:
         self.enabled = False
         self.log: EventLog | None = None
         self.registry = None  # MetricsRegistry, created on enable()
-        self.tracer = None  # Tracer, created on enable()
         self.sinks: list[Capsule] = []
 
 
@@ -249,23 +237,21 @@ _STATE = _TelemetryState()
 
 
 def enable(capacity: int = 131072) -> None:
-    """Turn telemetry on with a fresh log, registry and tracer.
+    """Turn telemetry on with a fresh log and registry.
 
     Idempotent in effect but not in state: calling it again starts a
     fresh recording (the previous log is dropped).
     """
     from .metrics import MetricsRegistry
-    from .tracer import Tracer
 
     _STATE.log = EventLog(capacity)
     _STATE.registry = MetricsRegistry()
-    _STATE.tracer = Tracer()
     _STATE.sinks = []
     _STATE.enabled = True
 
 
 def disable() -> None:
-    """Stop recording; the log/registry/tracer stay readable until
+    """Stop recording; the log and registry stay readable until
     :func:`reset` or the next :func:`enable`."""
     _STATE.enabled = False
 
@@ -275,7 +261,6 @@ def reset() -> None:
     _STATE.enabled = False
     _STATE.log = None
     _STATE.registry = None
-    _STATE.tracer = None
     _STATE.sinks = []
 
 
@@ -289,10 +274,6 @@ def get_log() -> EventLog | None:
 
 def get_registry():
     return _STATE.registry
-
-
-def get_tracer():
-    return _STATE.tracer
 
 
 def _append_main(kind: str, fields: tuple[tuple[str, Any], ...]) -> None:
@@ -357,12 +338,13 @@ def replay(payload) -> None:
 
 
 def observe_span(name: str, seconds: float) -> None:
-    """Record a wall-time observation against span ``name`` without
-    emitting span events (host-side aggregate only).  No-op when
+    """Record ``seconds`` of wall time for the region ``name`` in the
+    registry's ``host.span.<name>`` histogram.  Host scope only: no
+    event is emitted, so traces never see wall time.  No-op when
     disabled."""
     state = _STATE
     if state.enabled:
-        state.tracer.observe(name, seconds)
+        state.registry.observe(f"host.span.{name}", seconds)
 
 
 __all__ = [
@@ -383,8 +365,6 @@ __all__ = [
     "ROUND_START",
     "RUN_KINDS",
     "SHRINK_STEP",
-    "SPAN_END",
-    "SPAN_START",
     "SWEEP_POINT",
     "TIMED_EVENT",
     "WORKER_MERGE",
@@ -396,9 +376,9 @@ __all__ = [
     "enable",
     "get_log",
     "get_registry",
-    "get_tracer",
     "is_enabled",
     "observe_span",
     "replay",
     "reset",
+    "run_payload",
 ]

@@ -9,8 +9,9 @@ Three consumers, one format:
   under ``--jobs 1`` and ``--jobs 4`` produces **byte-identical**
   files (golden-tested).
 * ``--metrics`` prints a human-readable run summary: event counts by
-  kind, the run metrics, then the host-side sections (cache luck, span
-  wall times) clearly marked as process-local.
+  kind, the run metrics, then the host-side sections (cache luck, the
+  ``host.span.*`` wall-time histograms) clearly marked as
+  process-local.
 * ``repro profile {summary,events,metrics} FILE`` reads a trace back
   for retrospective inspection — hindsight as a subcommand.
 """
@@ -21,7 +22,6 @@ import json
 from typing import Any, Iterator, TextIO
 
 from . import events as ev
-from .metrics import MetricsRegistry
 
 TRACE_FORMAT = "repro-trace/1"
 
@@ -117,7 +117,6 @@ def render_live_summary() -> str:
     host-side (process-local, non-deterministic) sections."""
     log = ev.get_log()
     registry = ev.get_registry()
-    tracer = ev.get_tracer()
     if log is None or registry is None:
         return "telemetry was never enabled"
     run_counts = {
@@ -152,9 +151,20 @@ def render_live_summary() -> str:
                 {k: int(v) for k, v in host["gauges"].items()},
                 "host gauges:",
             )
-    if tracer is not None and tracer.aggregates:
+    spans = host["histograms"]
+    if spans:
+        # Wall time is this process's view: forked workers observe
+        # theirs in their own registries, which are not merged.
         lines.append("-- spans (wall time, this process) --")
-        lines.append(tracer.render())
+        lines.append(
+            "span                           count   total(s)    mean(s)     max(s)"
+        )
+        for key, s in spans.items():
+            name = key.removeprefix("host.span.")
+            lines.append(
+                f"{name:<30} {s['count']:>5}  {s['total']:>9.4f} "
+                f"{s['mean']:>10.6f} {s['max']:>10.6f}"
+            )
     return "\n".join(lines)
 
 
@@ -179,12 +189,6 @@ def summarize_trace(path: str) -> str:
     }
     if derived:
         lines += _counts_section(derived, "run metrics:")
-    spans = [e for e in events if e["kind"] == ev.SPAN_START]
-    if spans:
-        span_counts: dict[str, int] = {}
-        for s in spans:
-            span_counts[s["name"]] = span_counts.get(s["name"], 0) + 1
-        lines += _counts_section(span_counts, "spans by name:")
     return "\n".join(lines)
 
 
@@ -231,20 +235,11 @@ def format_metrics(path: str) -> str:
     )
 
 
-def registry_from_trace(path: str) -> MetricsRegistry:
-    """Rebuild a registry holding the trace's recorded metric totals."""
-    registry = MetricsRegistry()
-    for name, value in read_trace(path)["metrics"].items():
-        registry.inc(name, value)
-    return registry
-
-
 __all__ = [
     "TRACE_FORMAT",
     "format_events",
     "format_metrics",
     "read_trace",
-    "registry_from_trace",
     "render_live_summary",
     "summarize_trace",
     "trace_lines",

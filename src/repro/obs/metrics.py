@@ -10,9 +10,11 @@ connectivity analytics cache — behind labeled metric names with a ``run.`` /
   so they are byte-identical across ``--jobs`` settings — the parent
   replays worker capsules in item order and the counters fall out of
   the same stream.
-* ``host.*`` metrics are process-local facts (cache luck, worker
-  pools, wall time) absorbed from those stat objects; they are
-  printed in summaries but excluded from exported traces.
+* ``host.*`` metrics are process-local facts: host-event counts, the
+  cache stats absorbed from those objects as gauges, and wall time per
+  region in ``host.span.<name>`` histograms
+  (:func:`~repro.obs.events.observe_span`).  They are printed in
+  summaries but excluded from exported traces.
 
 The module is dependency-free and imports nothing from the rest of the
 repo at module level, so every layer can use it without cycles.
@@ -89,9 +91,6 @@ class MetricsRegistry:
         if hist is None:
             hist = self.histograms[key] = Histogram()
         hist.observe(value)
-
-    def get_counter(self, name: str, **labels: Any) -> float:
-        return self.counters.get(metric_key(name, **labels), 0)
 
     # -- event derivation --------------------------------------------------
 

@@ -207,6 +207,42 @@ class TestCLI:
             assert main(argv + ["--checkpoint", str(sweep_store)]) == 2, argv
             assert capsys.readouterr().err == plain, argv
             assert not (sweep_store / "meta.json").exists(), argv
+        # A connectivity sweep takes one fault bound: a second one is an
+        # error, not silently dropped, and again comes before the store.
+        argv = ["sweep", "connectivity", "--faults", "1", "2"]
+        sweep_store = tmp_path / "sweep-two-bounds"
+        for extra in ([], ["--checkpoint", str(sweep_store)]):
+            assert main(argv + extra) == 2, extra
+            err = capsys.readouterr().err
+            assert "error: sweep connectivity takes one --faults value" in err
+        assert not (sweep_store / "meta.json").exists()
+        # --replay writes nothing, so output and store flags are errors,
+        # and the file must match the command's graph and rounds.
+        replay = str(tmp_path / "replay.json")
+        assert main(
+            ["campaign", "--protocol", "naive", "--graph", "complete:4",
+             "--links", "2", "--rounds", "2", "--attempts", "60",
+             "--json", replay]
+        ) == 0
+        replay_argv = ["campaign", "--protocol", "naive", "--graph",
+                       "complete:4", "--rounds", "2", "--replay", replay]
+        assert main(replay_argv) == 0
+        assert "replayed: [agreement]" in capsys.readouterr().out
+        for extra, message in (
+            (["--frontier"], "--frontier cannot be combined with --replay"),
+            (["--json", str(tmp_path / "r.json")],
+             "--json cannot be combined with --replay"),
+            (["--checkpoint", str(tmp_path / "r-store")],
+             "--checkpoint cannot be combined with --replay"),
+            (["--graph", "triangle"],
+             f"replay file {replay} was recorded on another graph"),
+            (["--rounds", "5"],
+             f"replay file {replay} was recorded with 2 rounds, not 5"),
+        ):
+            assert main(replay_argv + extra) == 2, extra
+            assert f"error: {message}" in capsys.readouterr().err, extra
+        assert not (tmp_path / "r.json").exists()
+        assert not (tmp_path / "r-store").exists()
         # Impossible node-fault budgets on K4 are rejected up front for
         # every seed, naming the budget and the node count.
         budget = str(tmp_path / "budget")

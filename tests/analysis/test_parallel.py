@@ -452,3 +452,81 @@ class TestChunkedDispatch:
         indices = [dict(e.fields)["index"] for e in retried]
         assert indices == list(range(full[0], 128))
         assert not multiprocessing.active_children()
+
+
+def _alive(pid: int) -> bool:
+    """Is ``pid`` a live process?  A zombie (exited, not yet reaped by
+    whoever adopted it) counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+#: A forced two-worker pool map whose workers print ``pid item`` as
+#: each item starts; each item takes 0.5 s, so by item 7 the second
+#: worker holds an eight-item chunk.
+_ORPHAN_SCRIPT = """
+import os, time
+import repro.analysis.parallel as parallel
+parallel.available_parallelism = lambda: 2
+
+def slow(x):
+    print(os.getpid(), x, flush=True)
+    time.sleep(0.5)
+    return x
+
+parallel.ParallelRunner(jobs=2).map(slow, range(64))
+"""
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_parent_is_killed(self):
+        import os
+        import signal
+        import subprocess
+        import sys
+        import time
+
+        import repro
+
+        if not fork_available() or not os.path.isdir("/proc/self"):
+            pytest.skip("needs the fork start method and /proc")
+
+        def hung(signum, frame):
+            raise TimeoutError("orphaned workers kept the pipes open")
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            workers = set()
+            for line in proc.stdout:  # kill once item 7 has started
+                pid, item = map(int, line.split())
+                workers.add(pid)
+                if item >= 7:
+                    break
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 3
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in workers if _alive(pid)]
+            stderr = proc.stderr.read().decode()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.stdout.close()
+            proc.stderr.close()
+        assert len(workers) == 2
+        assert survivors == []
+        assert "Traceback" not in stderr

@@ -17,7 +17,6 @@ from repro.analysis.runstore import (
     encode_payload,
     journaled_imap,
     reusable,
-    run_scope_payload,
 )
 
 
@@ -160,7 +159,7 @@ class TestPayloadRoundTrip:
         assert decode_payload(data) == self.PAYLOAD
 
     def test_run_scope_strips_host_events(self):
-        kept = run_scope_payload(self.PAYLOAD)
+        kept = obs.run_payload(self.PAYLOAD)
         assert [kind for kind, _ in kept] == ["round_start", "round_end"]
 
     def test_reusable_rules(self):

@@ -76,15 +76,6 @@ class TestTraceRoundTrip:
         with pytest.raises(ValueError):
             list(obs.trace_lines())
 
-    def test_registry_from_trace(self, tmp_path):
-        obs.enable()
-        _run_workload()
-        path = str(tmp_path / "t.jsonl")
-        obs.write_trace(path)
-        live = dict(obs.get_registry().run_counters())
-        rebuilt = obs.registry_from_trace(path)
-        assert dict(rebuilt.run_counters()) == live
-
 
 class TestSummaries:
     def test_live_summary_sections(self):

@@ -1,49 +1,34 @@
-"""Tracer spans and the metrics registry."""
+"""Host-side span wall times and the metrics registry."""
 
 from repro import obs
 
 
 class TestTracer:
-    def test_span_emits_paired_events_with_enclosed_count(self):
-        obs.enable()
-        tracer = obs.get_tracer()
-        with tracer.span("campaign.attempt", attempt=1):
-            obs.emit(obs.ROUND_START, round=0)
-            obs.emit(obs.ROUND_END, round=0, messages=0, injected=0)
-        kinds = [e.kind for e in obs.get_log().events("run")]
-        assert kinds == [
-            obs.SPAN_START,
-            obs.ROUND_START,
-            obs.ROUND_END,
-            obs.SPAN_END,
-        ]
-        end = obs.get_log().events("run")[-1]
-        assert dict(end.fields)["events"] == 2
-
-    def test_enclosed_count_ignores_host_events(self):
-        obs.enable()
-        with obs.get_tracer().span("s"):
-            obs.emit(obs.CACHE_HIT, cache="behavior")
-            obs.emit(obs.ROUND_START, round=0)
-        end = obs.get_log().events("run")[-1]
-        assert dict(end.fields)["events"] == 1
-
     def test_wall_time_aggregates_not_in_events(self):
         obs.enable()
-        with obs.get_tracer().span("s"):
-            pass
+        obs.emit(obs.ROUND_START, round=0)
         obs.observe_span("s", 0.25)
-        stats = obs.get_tracer().stats()["s"]
+        obs.observe_span("s", 0.5)
+        registry = obs.get_registry()
+        stats = registry.snapshot(scope="host")["histograms"]["host.span.s"]
         assert stats["count"] == 2
-        assert stats["total_s"] >= 0.25
-        for event in obs.get_log().events("run"):
+        assert stats["total"] == 0.75
+        assert stats["max"] == 0.5
+        assert obs.get_log().seq == 1 and obs.get_log().host_seq == 0
+        for event in obs.get_log().events():
             assert "seconds" not in dict(event.fields)
-        assert obs.get_tracer().render().startswith("span")
+        assert not registry.snapshot(scope="run")["histograms"]
+        # The --metrics span table reads the same histograms.
+        summary = obs.render_live_summary().splitlines()
+        header = summary.index("-- spans (wall time, this process) --")
+        head, row = summary[header + 1:header + 3]
+        assert head.split() == ["span", "count", "total(s)", "mean(s)", "max(s)"]
+        assert row.split() == ["s", "2", "0.7500", "0.375000", "0.500000"]
 
     def test_span_disabled_is_noop(self):
-        tracer_cls = type(obs.get_tracer()) if obs.get_tracer() else None
-        assert tracer_cls is None  # telemetry off: no tracer exists
+        assert obs.get_registry() is None  # telemetry off: no registry
         obs.observe_span("s", 1.0)  # must not raise
+        assert obs.get_registry() is None
 
 
 class TestRegistryDerivation:
@@ -72,9 +57,9 @@ class TestRegistryDerivation:
         obs.enable()
         with obs.capture() as capsule:
             obs.emit(obs.ROUND_END, round=0, messages=3, injected=0)
-        assert obs.get_registry().get_counter("run.rounds.total") == 0
+        assert "run.rounds.total" not in obs.get_registry().run_counters()
         obs.replay(capsule.payload())
-        assert obs.get_registry().get_counter("run.rounds.total") == 1
+        assert obs.get_registry().run_counters()["run.rounds.total"] == 1
 
     def test_scope_snapshot_filtering(self):
         obs.enable()
