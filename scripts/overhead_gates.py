@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Gate the cost of switched-off telemetry and checkpointing.
 
-Two hard gates, each comparing an instrumented path against a bare
+Three hard gates, each comparing an instrumented path against a bare
 copy of the same work:
 
 * telemetry — ``run()`` on a compiled plan with telemetry disabled
   (K8 majority, 10 rounds) against :func:`bare_execute_plan` below, a
   copy of ``execute_plan`` with the telemetry hooks stripped.
+* telemetry-faulted — the same on K8 over 5 rounds with six faulted
+  links, so the slots that pass through the injector are gated too.
 * checkpoint — ``run_campaign(memoize=False)`` with no run store (a
   surviving EIG campaign on K4, 40 attempts, at most one drop fault)
   against :func:`bare_scan`, a hand-rolled sample-execute-check loop
@@ -14,7 +16,7 @@ copy of the same work:
 
 Each gate times ``PAIRS`` back-to-back (bare, measured) pairs,
 alternating which leg runs first, and takes the median of the
-per-pair measured/bare ratios.  The script exits 1 if either median
+per-pair measured/bare ratios.  The script exits 1 if any median
 exceeds its 1.05 budget or if the two legs of a gate behave
 differently.
 
@@ -42,17 +44,18 @@ from repro.analysis.campaign import (  # noqa: E402
 from repro.graphs.builders import complete_graph  # noqa: E402
 from repro.protocols.eig import eig_devices  # noqa: E402
 from repro.protocols.naive import MajorityVoteDevice  # noqa: E402
+from repro.runtime.faults import (  # noqa: E402
+    FaultPlan,
+    LinkFault,
+    SyncFaultInjector,
+)
 from repro.runtime.plan import compile_sync_plan  # noqa: E402
 from repro.runtime.sync.behavior import (  # noqa: E402
     EdgeBehavior,
     NodeBehavior,
     SyncBehavior,
 )
-from repro.runtime.sync.executor import (  # noqa: E402
-    ExecutionError,
-    _NodeRun,
-    run,
-)
+from repro.runtime.sync.executor import ExecutionError, run  # noqa: E402
 from repro.runtime.sync.system import make_system  # noqa: E402
 
 #: Hard ceiling on the disabled-telemetry / bare hot-path ratio.
@@ -77,70 +80,78 @@ def bare_execute_plan(plan, rounds, injector=None):
     """
     if rounds < 0:
         raise ExecutionError("rounds must be non-negative")
-    compiled = plan.nodes
-    runs = []
-    for cn in compiled:
-        state = cn.device.init_state(cn.ctx)
-        node_run = _NodeRun(states=[state])
-        runs.append(node_run)
-        node_run.observe_choice(cn.device, cn.ctx, 0, cn.node)
-
-    edge_messages = {edge: [] for edge in plan.edges}
-    faulty = injector.faulty_edges if injector is not None else frozenset()
-    routed = []
-    for cn, node_run in zip(compiled, runs):
-        plain = []
-        faulted = []
-        for edge, label in cn.out_routes:
-            route = (edge, label, edge_messages[edge])
-            (faulted if edge in faulty else plain).append(route)
-        routed.append((cn, node_run, tuple(plain), tuple(faulted)))
-
-    for round_index in range(rounds):
-        outboxes = {}
-        for cn, node_run, plain, faulted in routed:
-            out = cn.device.send(cn.ctx, node_run.states[-1], round_index)
-            valid_ports = cn.valid_ports
-            for label in out:
-                if label not in valid_ports:
-                    raise ExecutionError(
-                        f"device at {cn.node!r} sent on unknown port {label!r}"
-                    )
-            for edge, label, sent in plain:
-                message = out.get(label)
-                outboxes[edge] = message
-                sent.append(message)
-            for edge, label, sent in faulted:
-                message = injector.deliver(edge, round_index, out.get(label))
-                outboxes[edge] = message
-                sent.append(message)
-
-        for cn, node_run in zip(compiled, runs):
-            inbox = {
-                label: outboxes[edge] for label, edge in cn.in_routes
-            }
-            state = cn.device.transition(
-                cn.ctx, node_run.states[-1], round_index, inbox
-            )
-            node_run.states.append(state)
-            node_run.observe_choice(cn.device, cn.ctx, round_index + 1, cn.node)
-
-    node_behaviors = {
-        cn.node: NodeBehavior(
-            states=tuple(r.states),
-            decision=r.decision,
-            decided_at=r.decided_at,
+    compiled, edges = plan.nodes, plan.edges
+    faulty = injector.faulty_edges if injector is not None else ()
+    senders = []
+    receivers = []
+    states = []
+    decision = []
+    for i, cn in enumerate(compiled):
+        r = cn.routes
+        faulted = [
+            s for s in range(r.out_slots.start, r.out_slots.stop)
+            if edges[s] in faulty
+        ] if faulty else ()
+        senders.append(
+            (cn.node, cn.device.send, cn.ctx, r.valid_ports, r.out_labels, faulted)
         )
-        for cn, r in zip(compiled, runs)
-    }
-    edge_behaviors = {
-        edge: EdgeBehavior(tuple(msgs)) for edge, msgs in edge_messages.items()
-    }
+        receivers.append((
+            i, cn.node, cn.device.transition, cn.device.choose, cn.ctx,
+            r.in_labels, r.in_slots,
+        ))
+        states.append(cn.device.init_state(cn.ctx))
+        decision.append(cn.device.choose(cn.ctx, states[-1]))
+    decided_at = [None if d is None else 0 for d in decision]
+
+    rows = []
+    state_rows = [states]
+    for round_index in range(rounds):
+        row = []
+        for (node, send, ctx, valid, labels, faulted), state in zip(
+            senders, states
+        ):
+            out = send(ctx, state, round_index)
+            if type(out) is not dict or not valid.issuperset(out):
+                for label in out:
+                    if label not in valid:
+                        raise ExecutionError(
+                            f"device at {node!r} sent on unknown port {label!r}"
+                        )
+            if labels:
+                row += map(out.get, labels)
+            for s in faulted:
+                row[s] = injector.deliver(edges[s], round_index, row[s])
+        rows.append(row)
+
+        slot = row.__getitem__
+        moved = []
+        for (i, node, transition, choose, ctx, labels, slots), state in zip(
+            receivers, states
+        ):
+            state = transition(
+                ctx, state, round_index, dict(zip(labels, map(slot, slots)))
+            )
+            moved.append(state)
+            value = choose(ctx, state)
+            if value is None:
+                continue
+            if decision[i] is None:
+                decision[i], decided_at[i] = value, round_index + 1
+            elif decision[i] != value:
+                raise ExecutionError(
+                    f"device at {node!r} changed its decision from "
+                    f"{decision[i]!r} to {value!r} at round {round_index + 1}"
+                )
+        states = moved
+        state_rows.append(states)
+
+    traces = map(NodeBehavior, zip(*state_rows), decision, decided_at)
+    columns = zip(*rows) if rows else [()] * len(edges)
     return SyncBehavior(
         graph=plan.graph,
         rounds=rounds,
-        node_behaviors=node_behaviors,
-        edge_behaviors=edge_behaviors,
+        node_behaviors=dict(zip((cn.node for cn in compiled), traces)),
+        edge_behaviors=dict(zip(edges, map(EdgeBehavior, columns))),
     )
 
 
@@ -167,20 +178,43 @@ def median_pair_ratio(bare, measured):
     return statistics.median(ratios), results[0], results[1]
 
 
-def telemetry_gate():
-    """Disabled-telemetry ``run()`` vs :func:`bare_execute_plan`."""
-    n, rounds = 8, 10
+def telemetry_gate(faults=False):
+    """Disabled-telemetry ``run()`` vs :func:`bare_execute_plan`.
+
+    Without ``faults``: K8 majority over 10 rounds.  With ``faults``:
+    K8 flooding for 5 rounds under a plan that drops, corrupts and
+    delays six links' slots from round 1 on; both legs' injection
+    traces must match too.
+    """
+    n, rounds = 8, (5 if faults else 10)
     graph = complete_graph(n)
     system = make_system(
         graph,
-        {u: MajorityVoteDevice() for u in graph.nodes},
+        {u: MajorityVoteDevice(rounds=rounds if faults else 1) for u in graph.nodes},
         {u: i % 2 for i, u in enumerate(graph.nodes)},
     )
     plan = compile_sync_plan(system)
+    nodes = graph.nodes
+    fault_plan = FaultPlan(
+        link_faults=tuple(
+            LinkFault(edge=(nodes[i], nodes[i + 1]), kind=kind, start=1)
+            for i, kind in enumerate(("drop", "corrupt", "delay") * 2)
+        ),
+        seed=7,
+    )
+
+    def leg(execute):
+        def timed():
+            injector = SyncFaultInjector(fault_plan) if faults else None
+            behavior = execute(injector)
+            return behavior, injector.trace if faults else None
+
+        return timed
+
     obs.reset()  # telemetry must be off for the measured leg
     ratio, bare, disabled = median_pair_ratio(
-        lambda: bare_execute_plan(plan, rounds),
-        lambda: run(system, rounds),
+        leg(lambda injector: bare_execute_plan(plan, rounds, injector)),
+        leg(lambda injector: run(system, rounds, injector)),
     )
     return ratio, bare == disabled
 
@@ -226,6 +260,12 @@ def checkpoint_gate():
 
 GATES = (
     ("telemetry", "disabled/bare", TELEMETRY_OVERHEAD_BUDGET, telemetry_gate),
+    (
+        "telemetry-faulted",
+        "disabled/bare",
+        TELEMETRY_OVERHEAD_BUDGET,
+        lambda: telemetry_gate(faults=True),
+    ),
     ("checkpoint", "store-less/bare", CHECKPOINT_OVERHEAD_BUDGET, checkpoint_gate),
 )
 

@@ -38,6 +38,7 @@ from collections.abc import Callable, Mapping, Sequence
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from time import perf_counter
+from types import CodeType
 from typing import Any
 
 from .. import obs
@@ -267,15 +268,42 @@ def _sample_node_faults(
 # -- execution -------------------------------------------------------------
 
 
+def _code_digest(code: CodeType) -> str:
+    """Fingerprint of what a code object computes: its bytecode, names
+    and constants, with nested code objects (lambdas, comprehensions)
+    by their own digests.  File names and line numbers are left out, so
+    the same source gives the same digest in any checkout and at any
+    position in its file."""
+
+    def const(value: Any) -> Any:
+        if isinstance(value, CodeType):
+            return _code_digest(value)
+        if isinstance(value, tuple):
+            return tuple(map(const, value))
+        if isinstance(value, frozenset):  # iteration order is hash-seeded
+            return sorted(repr(const(v)) for v in value)
+        return repr(value)
+
+    return fingerprint(
+        code.co_code,
+        code.co_names,
+        code.co_varnames,
+        code.co_freevars,
+        code.co_cellvars,
+        tuple(map(const, code.co_consts)),
+    )
+
+
 def _config_token(config: CampaignConfig) -> str:
     """Canonical fingerprint of the parts of a config that determine an
     attempt's outcome (graph shape, rounds, value pool, spec, and the
-    device factory's source location).  Memoized on the config object.
+    device factory's name and code).  Memoized on the config object.
 
-    Two *distinct* factories defined on the same source line would
-    collide, so sharing one :class:`BehaviorCache` across configs is
-    only safe when their factories live at different definition sites;
-    the default per-campaign cache is always safe.
+    The factory's closure values are not covered: two factories
+    compiled from the same source but closing over different values
+    would collide, so sharing one :class:`BehaviorCache` across configs
+    is only safe when their factories differ in code; the default
+    per-campaign cache is always safe.
     """
     token = config.__dict__.get("_memo_token")
     if token is None:
@@ -288,8 +316,7 @@ def _config_token(config: CampaignConfig) -> str:
             repr(config.spec),
             getattr(factory, "__module__", ""),
             getattr(factory, "__qualname__", repr(factory)),
-            code.co_filename if code is not None else "",
-            code.co_firstlineno if code is not None else -1,
+            _code_digest(code) if code is not None else "",
         )
         config.__dict__["_memo_token"] = token
     return token

@@ -50,6 +50,7 @@ Layout and guarantees
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import tempfile
@@ -85,7 +86,10 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     The temporary file lives in the destination directory (rename is
     only atomic within a filesystem) and is fsynced before the
     ``os.replace``, so a crash at any point leaves either the old file
-    or the complete new one — never a truncated hybrid.
+    or the complete new one — never a truncated hybrid.  A kill between
+    the two leaves ``<name>.<8 random characters>.tmp`` behind; each
+    target has one writer, so once the rename lands every such sibling
+    is a leftover of an earlier write, and is removed.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
@@ -103,6 +107,11 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
         except OSError:
             pass
         raise
+    for stale in path.parent.glob(glob.escape(path.name) + ".????????.tmp"):
+        try:
+            stale.unlink()
+        except OSError:
+            pass
     return path
 
 

@@ -11,13 +11,15 @@ per graph, see below) into flat, precomputed structures, so the
 executors' hot loops touch only local tuples and dict lookups:
 
 * :func:`compile_sync_plan` → :class:`SyncPlan`: per node, the device,
-  its (single, shared) :class:`NodeContext`, the valid-port set for
-  send validation, the ``(edge, port label)`` routing table for the
-  send phase and the ``(port label, edge)`` inbox template for the
-  receive phase.  Compilation is split in two.  The routes, port tuples
-  and valid-port sets depend only on the graph and its port labelling
-  (:class:`NodeRoutes`); for the graph's shared read-only identity
-  labelling (:func:`identity_labelling`, which every
+  its (single, shared) :class:`NodeContext` and its
+  :class:`NodeRoutes`: the valid-port set for send validation and the
+  node's message slots.  Every directed edge has one slot, numbered in
+  graph node order and then ``graph.neighbors(u)`` order, so a node's
+  out-edges fill one contiguous range of a round's message row and its
+  inbox reads the slots of its in-edges.  Compilation is split in two.
+  The routes depend only on the graph and its port labelling; for the
+  graph's shared read-only identity labelling
+  (:func:`identity_labelling`, which every
   :func:`~repro.runtime.sync.system.make_system` system uses) they are
   computed once per graph and cached in its
   :meth:`~repro.graphs.graph.CommunicationGraph.analytics_cache`.  Any
@@ -50,8 +52,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, repeat
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from ..graphs.graph import CommunicationGraph, DirectedEdge, NodeId
 
@@ -74,29 +77,37 @@ _ROUTES_KEY = "sync_routes"
 # -- synchronous plans -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompiledSyncNode:
-    """Everything the round loop needs about one node, pre-resolved.
+class NodeRoutes(NamedTuple):
+    """The part of a compiled node fixed by the graph and the node's
+    port labelling alone.  ``ports`` is the order of
+    ``NodeContext.ports``.  The node's sends fill the slots
+    ``out_slots``, one per port of ``out_labels`` (neighbor order, as
+    the interpretive executor visited them); its inbox maps
+    ``in_labels[k]`` to slot ``in_slots[k]`` in in-neighbor order, so it
+    has the reference's keys in the reference's insertion order."""
 
-    ``out_routes`` lists ``(edge, port label)`` in the graph's neighbor
-    order — the exact order the interpretive executor visited — and
-    ``in_routes`` lists ``(port label at this node, inedge)`` in
-    in-neighbor order, so the inbox dict is built with identical keys
-    and insertion order.
-    """
+    ports: tuple
+    valid_ports: frozenset
+    out_labels: tuple
+    out_slots: slice
+    in_labels: tuple
+    in_slots: tuple[int, ...]
+
+
+class CompiledSyncNode(NamedTuple):
+    """Everything the round loop needs about one node, pre-resolved."""
 
     node: NodeId
     device: "SyncDevice"
     ctx: "NodeContext"
-    valid_ports: frozenset
-    out_routes: tuple[tuple[DirectedEdge, Any], ...]
-    in_routes: tuple[tuple[Any, DirectedEdge], ...]
+    routes: NodeRoutes
 
 
 @dataclass(frozen=True)
 class SyncPlan:
     """A compiled synchronous system: flat per-node tables plus the
-    edge list, ready for the tight loop in ``execute_plan``."""
+    edge of each message slot, ready for the tight loop in
+    ``execute_plan``."""
 
     graph: CommunicationGraph
     nodes: tuple[CompiledSyncNode, ...]
@@ -109,19 +120,6 @@ class SyncPlan:
         from .sync.executor import execute_plan
 
         return execute_plan(self, rounds, injector)
-
-
-@dataclass(frozen=True)
-class NodeRoutes:
-    """The part of a compiled node fixed by the graph and the node's
-    port labelling alone: its port tuple (the order of
-    ``NodeContext.ports``), the valid-port set, and both routing
-    tables."""
-
-    ports: tuple
-    valid_ports: frozenset
-    out_routes: tuple[tuple[DirectedEdge, Any], ...]
-    in_routes: tuple[tuple[Any, DirectedEdge], ...]
 
 
 def identity_labelling(
@@ -143,30 +141,42 @@ def identity_labelling(
 
 def _compile_routes(
     graph: CommunicationGraph, labelling: Mapping[NodeId, Mapping]
-) -> tuple[NodeRoutes, ...]:
+) -> tuple[tuple[NodeRoutes, ...], tuple[DirectedEdge, ...]]:
+    """Each node's routes, in graph node order, and each slot's edge."""
+    edges: list[DirectedEdge] = []
+    for u in graph.nodes:
+        edges += zip(repeat(u), graph.neighbors(u))
+    slot_of = dict(zip(edges, count()))
     routes = []
+    stop = 0
     for u in graph.nodes:
         ports = labelling[u]
         port_tuple = tuple(ports.values())
-        routes.append(
-            NodeRoutes(
-                ports=port_tuple,
-                valid_ports=frozenset(port_tuple),
-                out_routes=tuple(
-                    ((u, v), ports[v]) for v in graph.neighbors(u)
-                ),
-                in_routes=tuple(
-                    (ports[v], (v, u)) for v in graph.in_neighbors(u)
-                ),
-            )
-        )
-    return tuple(routes)
+        out, into = graph.neighbors(u), graph.in_neighbors(u)
+        # Identity-style labellings list their ports in neighbor order.
+        if tuple(ports) != out:
+            out_labels = tuple(map(ports.__getitem__, out))
+        else:
+            out_labels = port_tuple
+        if into != out:
+            in_labels = tuple(map(ports.__getitem__, into))
+        else:
+            in_labels = out_labels
+        start, stop = stop, stop + len(out)
+        in_slots = tuple(map(slot_of.__getitem__, zip(into, repeat(u))))
+        routes.append(NodeRoutes(
+            port_tuple, frozenset(port_tuple), out_labels,
+            slice(start, stop), in_labels, in_slots,
+        ))
+    return tuple(routes), tuple(edges)
 
 
-def _routes_of(system: "SyncSystem") -> tuple[NodeRoutes, ...]:
-    """The system's per-node routes, in graph node order: the graph's
-    cached table when every node uses the shared identity labelling,
-    otherwise compiled for this system."""
+def _routes_of(
+    system: "SyncSystem",
+) -> tuple[tuple[NodeRoutes, ...], tuple[DirectedEdge, ...]]:
+    """The system's routes and slot edges: the graph's cached table when
+    every node uses the shared identity labelling, otherwise compiled
+    for this system."""
     graph = system.graph
     cache = graph.analytics_cache()
     shared = cache.get(_IDENTITY_PORTS_KEY)
@@ -199,18 +209,17 @@ def compile_sync_plan(system: "SyncSystem") -> SyncPlan:
 
     graph = system.graph
     assignments = system.assignments
+    routes, edges = _routes_of(system)
     compiled = tuple(
         CompiledSyncNode(
             node=u,
             device=assignments[u].device,
             ctx=NodeContext(ports=r.ports, input=assignments[u].input),
-            valid_ports=r.valid_ports,
-            out_routes=r.out_routes,
-            in_routes=r.in_routes,
+            routes=r,
         )
-        for u, r in zip(graph.nodes, _routes_of(system))
+        for u, r in zip(graph.nodes, routes)
     )
-    plan = SyncPlan(graph=graph, nodes=compiled, edges=tuple(graph.edges))
+    plan = SyncPlan(graph=graph, nodes=compiled, edges=edges)
     # Frozen dataclasses forbid setattr; writing through __dict__ is the
     # same trick functools.cached_property uses.
     system.__dict__[_SYNC_PLAN_ATTR] = plan

@@ -11,61 +11,36 @@ is the operational guarantee behind the paper's axioms:
   required to be pure; :func:`check_determinism` re-runs a system and
   compares traces.
 
-Since PR 2 the executor runs **compiled plans**
-(:mod:`repro.runtime.plan`): :func:`run` compiles the system once —
-device objects, contexts, valid-port sets, ``(edge, port)`` routing
-tables, inbox templates — and :func:`execute_plan` is the tight loop
-over those flat structures.  The observable behavior is byte-identical
-to the pre-plan interpretive loop (kept as
-:func:`repro.testing.reference_sync_run` and differentially tested);
-with an injector, each round's slots on the edges its plan names
+The executor runs **compiled plans** (:mod:`repro.runtime.plan`):
+:func:`run` compiles the system once and :func:`execute_plan` is the
+tight loop over its flat tables.  Each round's messages live in one
+list, the round's *row*, with one slot per directed edge: a node's send
+fills its contiguous slot range and its inbox reads its in-edges'
+slots.  Behaviors are byte-identical to the interpretive loop kept as
+:func:`repro.testing.reference_sync_run` and differentially tested.
+With an injector, the slots on the edges its plan names
 (:attr:`~repro.runtime.faults.SyncFaultInjector.faulty_edges`) pass
-through :meth:`~repro.runtime.faults.SyncFaultInjector.deliver` between
-the send and receive phases, in the same node-then-route order as
-before; every other slot is delivered as sent, which is exactly what
+through :meth:`~repro.runtime.faults.SyncFaultInjector.deliver` right
+after their sender's send, in the reference's node-then-route order;
+every other slot is delivered as sent, which is exactly what
 ``deliver`` would have done there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
 
 from ... import obs
-from ...graphs.graph import DirectedEdge, NodeId
 from ..faults import SyncFaultInjector
 from ..plan import SyncPlan, compile_sync_plan
 from .behavior import EdgeBehavior, NodeBehavior, SyncBehavior
-from .device import NodeContext, SyncDevice
 from .system import SyncSystem
 
 
 class ExecutionError(RuntimeError):
     """Raised when a device misbehaves structurally (bad port label,
     changed decision, ...)."""
-
-
-@dataclass
-class _NodeRun:
-    states: list[Any]
-    decision: Any | None = None
-    decided_at: int | None = None
-
-    def observe_choice(
-        self, device: SyncDevice, ctx: NodeContext, round_index: int, node: NodeId
-    ) -> None:
-        value = device.choose(ctx, self.states[-1])
-        if value is None:
-            return
-        if self.decision is None:
-            self.decision = value
-            self.decided_at = round_index
-        elif self.decision != value:
-            raise ExecutionError(
-                f"device at {node!r} changed its decision from "
-                f"{self.decision!r} to {value!r} at round {round_index}"
-            )
 
 
 def execute_plan(
@@ -75,44 +50,48 @@ def execute_plan(
 ) -> SyncBehavior:
     """Execute a compiled plan for ``rounds`` rounds.
 
-    This is the hot path: everything per-node and per-edge was resolved
-    at compile time, so each round is two flat passes over the compiled
-    node tuple.  Executing the same plan twice yields equal behaviors
-    (plans carry no per-run state).
-
-    Each node's out-routes are split once per run into plain routes and
-    the routes whose edge the injector's plan names; only the latter
-    reach ``injector.deliver``, so a fault-free run (or an edge no fault
-    touches) pays nothing per slot.
+    This is the hot path: each round is two flat passes over the
+    compiled nodes, one filling the round's message row and one reading
+    every inbox from it, and the edge behaviors are the rows' columns.
+    Executing the same plan twice yields equal behaviors (plans carry
+    no per-run state).  Only the slots whose edge the injector's plan
+    names reach ``injector.deliver``, so a fault-free run (or an edge
+    no fault touches) pays nothing per slot.
     """
     if rounds < 0:
         raise ExecutionError("rounds must be non-negative")
-    compiled = plan.nodes
-    runs: list[_NodeRun] = []
-    for cn in compiled:
-        state = cn.device.init_state(cn.ctx)
-        node_run = _NodeRun(states=[state])
-        runs.append(node_run)
-        node_run.observe_choice(cn.device, cn.ctx, 0, cn.node)
-
-    edge_messages: dict[DirectedEdge, list[Any]] = {
-        edge: [] for edge in plan.edges
-    }
-    faulty = injector.faulty_edges if injector is not None else frozenset()
-    routed = []
-    for cn, node_run in zip(compiled, runs):
-        plain = []
-        faulted = []
-        for edge, label in cn.out_routes:
-            route = (edge, label, edge_messages[edge])
-            (faulted if edge in faulty else plain).append(route)
-        routed.append((cn, node_run, tuple(plain), tuple(faulted)))
+    compiled, edges = plan.nodes, plan.edges
+    faulty = injector.faulty_edges if injector is not None else ()
+    senders = []
+    receivers = []
+    states = []
+    decision: list[Any] = []
+    for i, cn in enumerate(compiled):
+        r = cn.routes
+        faulted = [
+            s for s in range(r.out_slots.start, r.out_slots.stop)
+            if edges[s] in faulty
+        ] if faulty else ()
+        senders.append(
+            (cn.node, cn.device.send, cn.ctx, r.valid_ports, r.out_labels, faulted)
+        )
+        receivers.append((
+            i, cn.node, cn.device.transition, cn.device.choose, cn.ctx,
+            r.in_labels, r.in_slots,
+        ))
+        states.append(cn.device.init_state(cn.ctx))
+        decision.append(cn.device.choose(cn.ctx, states[-1]))
+    decided_at = [None if d is None else 0 for d in decision]
 
     # Telemetry is hoisted to one boolean per call; when off, the only
-    # per-round cost below is this flag check (the per-edge loops are
-    # untouched).
+    # per-round cost below is this flag check.
     obs_on = obs.is_enabled()
+    if obs_on:
+        # Delivery events keep the sorted-edge order traces always had.
+        delivery_order = sorted(range(len(edges)), key=lambda s: repr(edges[s]))
 
+    rows = []
+    state_rows = [states]
     for round_index in range(rounds):
         if obs_on:
             round_t0 = perf_counter()
@@ -121,37 +100,36 @@ def execute_plan(
                 len(injector.trace.records) if injector is not None else 0
             )
 
-        # Phase 1: every node emits this round's messages.
-        outboxes: dict[DirectedEdge, Any] = {}
-        for cn, node_run, plain, faulted in routed:
-            out = cn.device.send(cn.ctx, node_run.states[-1], round_index)
-            valid_ports = cn.valid_ports
-            for label in out:
-                if label not in valid_ports:
-                    raise ExecutionError(
-                        f"device at {cn.node!r} sent on unknown port {label!r}"
-                    )
-            for edge, label, sent in plain:
-                message = out.get(label)
-                outboxes[edge] = message
-                sent.append(message)
-            for edge, label, sent in faulted:
-                message = injector.deliver(edge, round_index, out.get(label))
-                outboxes[edge] = message
-                sent.append(message)
+        # Phase 1: every node fills its slots of this round's row.  A
+        # node's slots follow its predecessors', so appending in node
+        # order fills each range.
+        row: list[Any] = []
+        for (node, send, ctx, valid, labels, faulted), state in zip(
+            senders, states
+        ):
+            out = send(ctx, state, round_index)
+            # A dict's keys are checked in one C call; anything else
+            # (None, a list, ...) fails here exactly as the reference does.
+            if type(out) is not dict or not valid.issuperset(out):
+                for label in out:
+                    if label not in valid:
+                        raise ExecutionError(
+                            f"device at {node!r} sent on unknown port {label!r}"
+                        )
+            if labels:  # a node without out-edges never reads `out`
+                row += map(out.get, labels)
+            for s in faulted:
+                row[s] = injector.deliver(edges[s], round_index, row[s])
+        rows.append(row)
 
         if obs_on:
-            # Delivery/injection events are emitted in sorted-edge
-            # order, not routing order: compiled routing follows
-            # frozenset iteration, which is hash-dependent and so not
-            # stable across interpreter processes.
-            for edge in sorted(outboxes, key=repr):
+            for s in delivery_order:
                 obs.emit(
                     obs.MESSAGE_DELIVERY,
                     round=round_index,
-                    src=str(edge[0]),
-                    dst=str(edge[1]),
-                    empty=outboxes[edge] is None,
+                    src=str(edges[s][0]),
+                    dst=str(edges[s][1]),
+                    empty=row[s] is None,
                 )
             injected = 0
             if injector is not None:
@@ -170,41 +148,44 @@ def execute_plan(
                     )
 
         # Phase 2: every node consumes its inbox and moves.
-        for cn, node_run in zip(compiled, runs):
-            inbox = {
-                label: outboxes[edge] for label, edge in cn.in_routes
-            }
-            state = cn.device.transition(
-                cn.ctx, node_run.states[-1], round_index, inbox
+        slot = row.__getitem__
+        moved = []
+        for (i, node, transition, choose, ctx, labels, slots), state in zip(
+            receivers, states
+        ):
+            state = transition(
+                ctx, state, round_index, dict(zip(labels, map(slot, slots)))
             )
-            node_run.states.append(state)
-            node_run.observe_choice(cn.device, cn.ctx, round_index + 1, cn.node)
+            moved.append(state)
+            value = choose(ctx, state)
+            if value is None:
+                continue
+            if decision[i] is None:
+                decision[i], decided_at[i] = value, round_index + 1
+            elif decision[i] != value:
+                raise ExecutionError(
+                    f"device at {node!r} changed its decision from "
+                    f"{decision[i]!r} to {value!r} at round {round_index + 1}"
+                )
+        states = moved
+        state_rows.append(states)
 
         if obs_on:
             obs.emit(
                 obs.ROUND_END,
                 round=round_index,
-                messages=len(outboxes),
+                messages=len(edges),
                 injected=injected,
             )
             obs.observe_span("executor.round", perf_counter() - round_t0)
 
-    node_behaviors = {
-        cn.node: NodeBehavior(
-            states=tuple(r.states),
-            decision=r.decision,
-            decided_at=r.decided_at,
-        )
-        for cn, r in zip(compiled, runs)
-    }
-    edge_behaviors = {
-        edge: EdgeBehavior(tuple(msgs)) for edge, msgs in edge_messages.items()
-    }
+    traces = map(NodeBehavior, zip(*state_rows), decision, decided_at)
+    columns = zip(*rows) if rows else [()] * len(edges)
     return SyncBehavior(
         graph=plan.graph,
         rounds=rounds,
-        node_behaviors=node_behaviors,
-        edge_behaviors=edge_behaviors,
+        node_behaviors=dict(zip((cn.node for cn in compiled), traces)),
+        edge_behaviors=dict(zip(edges, map(EdgeBehavior, columns))),
     )
 
 

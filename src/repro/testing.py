@@ -15,9 +15,11 @@ covering nodes at once).
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import Any
 
 from .runtime.sync.device import FunctionDevice, SyncDevice
+from .runtime.sync.executor import ExecutionError
 
 
 def constant_device(value: Any) -> SyncDevice:
@@ -184,6 +186,26 @@ def averaging_device_families():
 # -- differential oracle for the compiled executor -------------------------
 
 
+@dataclass
+class _NodeRun:
+    states: list[Any]
+    decision: Any | None = None
+    decided_at: int | None = None
+
+    def observe_choice(self, device, ctx, round_index, node) -> None:
+        value = device.choose(ctx, self.states[-1])
+        if value is None:
+            return
+        if self.decision is None:
+            self.decision = value
+            self.decided_at = round_index
+        elif self.decision != value:
+            raise ExecutionError(
+                f"device at {node!r} changed its decision from "
+                f"{self.decision!r} to {value!r} at round {round_index}"
+            )
+
+
 def reference_sync_run(system, rounds, injector=None):
     """The pre-compilation interpretive executor, kept verbatim as a
     differential-testing oracle.
@@ -196,7 +218,6 @@ def reference_sync_run(system, rounds, injector=None):
     function's, for the same system, rounds and fault plan.
     """
     from .runtime.sync.behavior import EdgeBehavior, NodeBehavior, SyncBehavior
-    from .runtime.sync.executor import ExecutionError, _NodeRun
 
     if rounds < 0:
         raise ExecutionError("rounds must be non-negative")

@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -302,6 +303,40 @@ class TestInterruptedResume:
         assert calls == [(2, n) for n in range(3, 9)]
         assert resumed == golden
         assert resumed_trace == golden_trace
+
+
+_FACTORY_SOURCE = """
+def factory(graph):
+    return {u: MajorityVoteDevice() for u in graph.nodes}
+"""
+
+
+class TestStoreKeyIgnoresSourceLocation:
+    """A campaign's shard name depends on what its device factory
+    computes, not on where the factory's source sits: another checkout
+    or an edit that moves the factory down its file keeps the name, so
+    ``repro resume`` still finds the journal."""
+
+    def _key(self, filename, offset, source=_FACTORY_SOURCE):
+        namespace = {"MajorityVoteDevice": MajorityVoteDevice}
+        exec(compile("\n" * offset + source, filename, "exec"), namespace)
+        return campaign_store_key(
+            replace(_breaking_config(), device_factory=namespace["factory"])
+        )
+
+    def test_same_source_anywhere_gives_one_key(self):
+        keys = {
+            self._key(filename, offset)
+            for filename in ("one/src/repro/cli.py", "two/src/repro/cli.py")
+            for offset in (0, 40)
+        }
+        assert len(keys) == 1
+
+    def test_changed_code_gives_another_key(self):
+        # The edit is inside the comprehension, a nested code object
+        # before Python 3.12.
+        changed = _FACTORY_SOURCE.replace("Device()", "Device(default=1)")
+        assert self._key("cli.py", 0) != self._key("cli.py", 0, changed)
 
 
 class TestOlderStoreResume:

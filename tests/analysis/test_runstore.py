@@ -35,6 +35,18 @@ class TestAtomicWriteText:
         atomic_write_text(tmp_path / "out.json", "x")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
+    def test_removes_a_killed_writes_leftover(self, tmp_path):
+        # What a SIGKILL between mkstemp and os.replace leaves behind,
+        # next to files that only look similar.
+        (tmp_path / "out.json.0o98oj7m.tmp").write_text("torn")
+        others = ["out.json.x.tmp", "out.jsonl.0o98oj7m.tmp", "other.0o98oj7m.tmp"]
+        for name in others:
+            (tmp_path / name).write_text("keep")
+        atomic_write_text(tmp_path / "out.json", "x")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["out.json", *others]
+        )
+
     def test_failed_write_leaves_no_droppings(self, tmp_path):
         with pytest.raises(TypeError):
             atomic_write_text(tmp_path / "out.json", object())  # not str

@@ -462,6 +462,21 @@ SYNC = [
      lambda g, d, f: refute_epsilon_delta_connectivity(
          g, d, f, 0.25, 1.0, 1.0, 3)),
 ]
+# Every other graph perfbench's `engines` workload refutes: the node
+# bound on K5..K12 at f = ceil(n/3) (K3 and K4 are above) and the
+# connectivity bound on its circulants (C8{1,2} is above).
+SYNC += [
+    (f"thm1-nodes-K{n}-f{-(-n // 3)}", lambda n=n: complete_graph(n),
+     -(-n // 3), MajorityVoteDevice,
+     lambda g, d, f: refute_node_bound(g, d, f, 3))
+    for n in range(5, 13)
+]
+SYNC += [
+    (f"thm1-connectivity-C{n}{{{','.join(map(str, offsets))}}}-f{f}",
+     lambda n=n, offsets=offsets: circulant(n, offsets), f,
+     MajorityVoteDevice, lambda g, d, f: refute_connectivity(g, d, f, 4))
+    for n, offsets, f in ((8, (1,), 1), (10, (1, 2), 2), (12, (1, 2, 3), 3))
+]
 
 
 @pytest.mark.parametrize(

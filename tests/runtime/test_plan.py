@@ -46,14 +46,46 @@ def _fault_plan(graph):
     )
 
 
+def _outcome(execute, system, rounds, injector):
+    """What ``execute`` returned, or the type and text of what it
+    raised, plus the injector's trace."""
+    try:
+        result = execute(system, rounds, injector)
+    except Exception as exc:  # compared, never swallowed
+        result = (type(exc), str(exc))
+    return result, injector.trace
+
+
+def _bad_sender(graph, bad):
+    """Every node floods its input on round 0; on round 1 the last node
+    in graph order returns ``bad(ctx)``, after the others have sent."""
+    last = graph.nodes[-1]
+
+    def send(ctx, state, r):
+        if r == 1 and state[0] == last:
+            return bad(ctx)
+        return {p: state[1] for p in ctx.ports}
+
+    device = FunctionDevice(
+        init=lambda ctx: ctx.input,
+        send=send,
+        transition=lambda ctx, state, r, inbox: state,
+    )
+    return uniform_system(graph, device, {u: (u, i) for i, u in enumerate(graph.nodes)})
+
+
 class TestSyncPlanEquivalence:
     def test_fault_free_matches_reference(self):
         system = _majority_system()
-        assert run(system, 4) == reference_sync_run(system, 4)
+        behavior = run(system, 4)
+        assert behavior == reference_sync_run(system, 4)
+        assert set(behavior.edge_behaviors) == set(system.graph.edges)
 
     def test_zero_rounds_matches_reference(self):
         system = _majority_system()
-        assert run(system, 0) == reference_sync_run(system, 0)
+        behavior = run(system, 0)
+        assert behavior == reference_sync_run(system, 0)
+        assert set(behavior.edge_behaviors) == set(system.graph.edges)
 
     @pytest.mark.parametrize("n", [3, 4, 6, 8])
     def test_matches_reference_across_sizes(self, n):
@@ -99,6 +131,74 @@ class TestSyncPlanEquivalence:
         with pytest.raises(ExecutionError, match="unknown port"):
             reference_sync_run(system, 1)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda ctx: None,
+            lambda ctx: [],
+            lambda ctx: list(ctx.ports),
+            lambda ctx: [[1]],  # an unhashable port label
+            lambda ctx: [{1}],  # a set: `in` retries it as a frozenset
+            lambda ctx: {**{p: 1 for p in ctx.ports}, "no-such-port": 1},
+        ],
+        ids=["none", "empty-list", "list", "unhashable", "set", "unknown"],
+    )
+    def test_malformed_send_raises_as_reference(self, bad):
+        # Campaigns copy str(exc) into their `execution` violation and
+        # keep the injector's trace, so both must match the reference.
+        system = _bad_sender(complete_graph(4), bad)
+        plan = _fault_plan(system.graph)
+        compiled = _outcome(run, system, 3, SyncFaultInjector(plan))
+        reference = _outcome(
+            reference_sync_run, system, 3, SyncFaultInjector(plan)
+        )
+        assert isinstance(compiled[0], tuple)
+        assert compiled == reference
+
+    def test_changed_decision_raises_as_reference(self):
+        # Decides the round count from round 1 on, so it changes its
+        # decision at round 2.
+        fickle = FunctionDevice(
+            init=lambda ctx: 0,
+            send=lambda ctx, state, r: {},
+            transition=lambda ctx, state, r, inbox: state + 1,
+            choose=lambda ctx, state: state or None,
+        )
+        graph = complete_graph(3)
+        system = uniform_system(graph, fickle, {u: 0 for u in graph.nodes})
+        plan = FaultPlan(link_faults=(), seed=0)
+        compiled = _outcome(run, system, 4, SyncFaultInjector(plan))
+        reference = _outcome(
+            reference_sync_run, system, 4, SyncFaultInjector(plan)
+        )
+        assert compiled[0][0] is ExecutionError
+        assert "changed its decision from 1 to 2 at round 2" in compiled[0][1]
+        assert compiled == reference
+
+    def test_delay_due_after_last_round_matches_reference(self):
+        g = complete_graph(4)
+        system = make_system(
+            g,
+            {u: MajorityVoteDevice(rounds=4) for u in g.nodes},
+            {u: i % 2 for i, u in enumerate(g.nodes)},
+        )
+        nodes = g.nodes
+        plan = FaultPlan(
+            link_faults=(
+                LinkFault(
+                    edge=(nodes[0], nodes[1]), kind="delay", start=2, delay=3
+                ),
+            ),
+            seed=5,
+        )
+        i_planned, i_reference = SyncFaultInjector(plan), SyncFaultInjector(plan)
+        planned = run(system, 4, injector=i_planned)
+        assert planned == reference_sync_run(system, 4, injector=i_reference)
+        assert i_planned.trace == i_reference.trace
+        assert [r.action for r in i_planned.trace.records] == ["delay", "delay"]
+        # The delayed messages never arrive: both slots stay empty.
+        assert planned.edge(nodes[0], nodes[1]).messages[2:] == (None, None)
+
     def test_negative_rounds_rejected(self):
         system = _majority_system()
         with pytest.raises(ExecutionError, match="non-negative"):
@@ -119,10 +219,22 @@ class TestSyncPlanCompilation:
         plan = compile_sync_plan(system)
         g = system.graph
         assert set(plan.edges) == set(g.edges)
-        out_edges = {e for cn in plan.nodes for (e, _) in cn.out_routes}
-        in_edges = {e for cn in plan.nodes for (_, e) in cn.in_routes}
-        assert out_edges == set(g.edges)
-        assert in_edges == set(g.edges)
+        assert len(plan.edges) == len(g.edges)
+        # Each node's out-edges are one contiguous slot range, in slot
+        # order; its inbox reads exactly its in-edges.
+        stop = 0
+        for cn in plan.nodes:
+            r = cn.routes
+            assert r.out_slots.start == stop
+            stop = r.out_slots.stop
+            assert plan.edges[r.out_slots] == g.outedges(cn.node)
+            assert r.out_labels == tuple(
+                system.port(cn.node, v) for v in g.neighbors(cn.node)
+            )
+            assert tuple(plan.edges[s] for s in r.in_slots) == g.inedges(
+                cn.node
+            )
+        assert stop == len(plan.edges)
 
     def test_plan_run_matches_executor_run(self):
         system = _majority_system()
