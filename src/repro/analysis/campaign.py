@@ -268,37 +268,45 @@ def _sample_node_faults(
 # -- execution -------------------------------------------------------------
 
 
+def _const_key(value: Any) -> Any:
+    """A code constant or default value in a form that hashes the same
+    in every process: nested code objects by their digests, frozensets
+    in sorted order (their iteration order is hash-seeded)."""
+    if isinstance(value, CodeType):
+        return _code_digest(value)
+    if isinstance(value, tuple):
+        return tuple(map(_const_key, value))
+    if isinstance(value, frozenset):
+        return sorted(repr(_const_key(v)) for v in value)
+    return repr(value)
+
+
 def _code_digest(code: CodeType) -> str:
     """Fingerprint of what a code object computes: its bytecode, names
     and constants, with nested code objects (lambdas, comprehensions)
     by their own digests.  File names and line numbers are left out, so
     the same source gives the same digest in any checkout and at any
-    position in its file."""
-
-    def const(value: Any) -> Any:
-        if isinstance(value, CodeType):
-            return _code_digest(value)
-        if isinstance(value, tuple):
-            return tuple(map(const, value))
-        if isinstance(value, frozenset):  # iteration order is hash-seeded
-            return sorted(repr(const(v)) for v in value)
-        return repr(value)
-
+    position in its file.  Bytecode differs between Python minor
+    versions, so the digest does too."""
     return fingerprint(
         code.co_code,
         code.co_names,
         code.co_varnames,
         code.co_freevars,
         code.co_cellvars,
-        tuple(map(const, code.co_consts)),
+        _const_key(code.co_consts),
     )
 
 
 def _config_token(config: CampaignConfig) -> str:
     """Canonical fingerprint of the parts of a config that determine an
     attempt's outcome (graph shape, rounds, value pool, spec, and the
-    device factory's name and code).  Memoized on the config object.
+    device factory's name, code and default argument values).  Memoized
+    on the config object.
 
+    The factory's code is hashed as bytecode (see :func:`_code_digest`),
+    so a store written under one Python minor version gets other shard
+    names under another, and ``repro resume`` there reruns its items.
     The factory's closure values are not covered: two factories
     compiled from the same source but closing over different values
     would collide, so sharing one :class:`BehaviorCache` across configs
@@ -317,6 +325,10 @@ def _config_token(config: CampaignConfig) -> str:
             getattr(factory, "__module__", ""),
             getattr(factory, "__qualname__", repr(factory)),
             _code_digest(code) if code is not None else "",
+            _const_key(getattr(factory, "__defaults__", None)),
+            _const_key(tuple(sorted(
+                (getattr(factory, "__kwdefaults__", None) or {}).items()
+            ))),
         )
         config.__dict__["_memo_token"] = token
     return token

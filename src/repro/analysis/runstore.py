@@ -71,6 +71,11 @@ SHARD_DIR = "shards"
 #: failure; a plain SIGKILL loses nothing past the buffered write).
 FSYNC_EVERY = 64
 
+#: Age past which :func:`atomic_write_text` takes a sibling temp file
+#: for a killed write's leftover.  A live write modifies its temp file
+#: milliseconds before renaming it.
+STALE_TMP_SECONDS = 60.0
+
 
 class RunStoreError(ValueError):
     """A run store is missing, malformed, or corrupt.
@@ -87,14 +92,17 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     only atomic within a filesystem) and is fsynced before the
     ``os.replace``, so a crash at any point leaves either the old file
     or the complete new one — never a truncated hybrid.  A kill between
-    the two leaves ``<name>.<8 random characters>.tmp`` behind; each
-    target has one writer, so once the rename lands every such sibling
-    is a leftover of an earlier write, and is removed.
+    the two leaves ``<name>.<8 random characters>.tmp`` behind.  Once
+    the rename lands, such siblings last modified more than
+    :data:`STALE_TMP_SECONDS` before this write began are removed; a
+    younger one may be another process's write in flight (runs may
+    share a store, and so its ``meta.json``), and is kept.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(
         dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp"
     )
+    cutoff = os.fstat(fd).st_mtime - STALE_TMP_SECONDS
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -109,7 +117,8 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
         raise
     for stale in path.parent.glob(glob.escape(path.name) + ".????????.tmp"):
         try:
-            stale.unlink()
+            if stale.stat().st_mtime < cutoff:
+                stale.unlink()
         except OSError:
             pass
     return path

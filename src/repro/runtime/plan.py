@@ -153,20 +153,12 @@ def _compile_routes(
         ports = labelling[u]
         port_tuple = tuple(ports.values())
         out, into = graph.neighbors(u), graph.in_neighbors(u)
-        # Identity-style labellings list their ports in neighbor order.
-        if tuple(ports) != out:
-            out_labels = tuple(map(ports.__getitem__, out))
-        else:
-            out_labels = port_tuple
-        if into != out:
-            in_labels = tuple(map(ports.__getitem__, into))
-        else:
-            in_labels = out_labels
         start, stop = stop, stop + len(out)
-        in_slots = tuple(map(slot_of.__getitem__, zip(into, repeat(u))))
         routes.append(NodeRoutes(
-            port_tuple, frozenset(port_tuple), out_labels,
-            slice(start, stop), in_labels, in_slots,
+            port_tuple, frozenset(port_tuple),
+            tuple(map(ports.__getitem__, out)), slice(start, stop),
+            tuple(map(ports.__getitem__, into)),
+            tuple(map(slot_of.__getitem__, zip(into, repeat(u)))),
         ))
     return tuple(routes), tuple(edges)
 

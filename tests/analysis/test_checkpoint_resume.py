@@ -332,11 +332,17 @@ class TestStoreKeyIgnoresSourceLocation:
         }
         assert len(keys) == 1
 
-    def test_changed_code_gives_another_key(self):
-        # The edit is inside the comprehension, a nested code object
-        # before Python 3.12.
-        changed = _FACTORY_SOURCE.replace("Device()", "Device(default=1)")
-        assert self._key("cli.py", 0) != self._key("cli.py", 0, changed)
+    @pytest.mark.parametrize("old, before, after", [
+        # Inside the comprehension, a nested code object before 3.12.
+        ("Device()", "Device()", "Device(default=1)"),
+        ("(graph)", "(graph)", "(graph, rounds=1)"),
+        ("(graph)", "(graph, rounds=1)", "(graph, rounds=2)"),
+        ("(graph)", "(graph, *, rounds=1)", "(graph, *, rounds=2)"),
+    ])
+    def test_changed_code_or_default_gives_another_key(self, old, before, after):
+        assert self._key(
+            "cli.py", 0, _FACTORY_SOURCE.replace(old, before)
+        ) != self._key("cli.py", 0, _FACTORY_SOURCE.replace(old, after))
 
 
 class TestOlderStoreResume:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 from contextlib import closing
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro import obs
 from repro.analysis.parallel import ParallelRunner
 from repro.analysis.runstore import (
+    STALE_TMP_SECONDS,
     RunStore,
     RunStoreError,
     Shard,
@@ -37,11 +39,15 @@ class TestAtomicWriteText:
 
     def test_removes_a_killed_writes_leftover(self, tmp_path):
         # What a SIGKILL between mkstemp and os.replace leaves behind,
-        # next to files that only look similar.
-        (tmp_path / "out.json.0o98oj7m.tmp").write_text("torn")
+        # next to files that only look similar, and next to a young
+        # temp file that may be another process's write in flight.
+        old = time.time() - STALE_TMP_SECONDS - 10
         others = ["out.json.x.tmp", "out.jsonl.0o98oj7m.tmp", "other.0o98oj7m.tmp"]
-        for name in others:
-            (tmp_path / name).write_text("keep")
+        for name in ["out.json.0o98oj7m.tmp", *others]:
+            (tmp_path / name).write_text("torn")
+            os.utime(tmp_path / name, (old, old))
+        (tmp_path / "out.json.inflight.tmp").write_text("partial")
+        others.append("out.json.inflight.tmp")
         atomic_write_text(tmp_path / "out.json", "x")
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["out.json", *others]
