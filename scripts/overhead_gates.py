@@ -2,11 +2,12 @@
 """Gate the cost of switched-off telemetry and checkpointing.
 
 Three hard gates, each comparing an instrumented path against a bare
-copy of the same work:
+version of the same work:
 
 * telemetry — ``run()`` on a compiled plan with telemetry disabled
-  (K8 majority, 10 rounds) against :func:`bare_execute_plan` below, a
-  copy of ``execute_plan`` with the telemetry hooks stripped.
+  (K8 majority, 10 rounds) against the bare executor that
+  :func:`derive_bare_execute_plan` below derives from
+  ``execute_plan``'s source by dropping its telemetry statements.
 * telemetry-faulted — the same on K8 over 5 rounds with six faulted
   links, so the slots that pass through the injector are gated too.
 * checkpoint — ``run_campaign(memoize=False)`` with no run store (a
@@ -25,10 +26,15 @@ Usage::
     python scripts/overhead_gates.py
 """
 
+import __future__
+import ast
+import inspect
 import pathlib
 import statistics
 import sys
+import textwrap
 import time
+import types
 
 sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -50,12 +56,8 @@ from repro.runtime.faults import (  # noqa: E402
     SyncFaultInjector,
 )
 from repro.runtime.plan import compile_sync_plan  # noqa: E402
-from repro.runtime.sync.behavior import (  # noqa: E402
-    EdgeBehavior,
-    NodeBehavior,
-    SyncBehavior,
-)
-from repro.runtime.sync.executor import ExecutionError, run  # noqa: E402
+from repro.runtime.sync import executor  # noqa: E402
+from repro.runtime.sync.executor import run  # noqa: E402
 from repro.runtime.sync.system import make_system  # noqa: E402
 
 #: Hard ceiling on the disabled-telemetry / bare hot-path ratio.
@@ -67,92 +69,75 @@ CHECKPOINT_OVERHEAD_BUDGET = 1.05
 #: Timed (bare, measured) pairs per gate.
 PAIRS = 101
 
+#: Names whose statements the bare executor drops: the telemetry
+#: module, the hoisted on/off flag and the round timer.
+STRIPPED_NAMES = frozenset({"obs", "obs_on", "perf_counter"})
 
-def bare_execute_plan(plan, rounds, injector=None):
-    """``execute_plan`` with the telemetry hooks stripped out entirely.
+
+class _StripTelemetry(ast.NodeTransformer):
+    """Drop every statement that mentions a :data:`STRIPPED_NAMES` name.
+
+    Children are visited first, so a compound statement (the round
+    loop, say) loses only its telemetry statements and is itself
+    dropped only if what is left of it still mentions one, like an
+    ``if obs_on:`` test.  A body emptied this way becomes ``pass``.
+    """
+
+    def generic_visit(self, node):
+        node = super().generic_visit(node)
+        if isinstance(node, ast.stmt) and _mentions_stripped(node):
+            return None
+        if getattr(node, "body", None) == []:
+            node.body = [ast.Pass()]
+        return node
+
+
+def _mentions_stripped(node):
+    return any(
+        isinstance(n, ast.Name) and n.id in STRIPPED_NAMES
+        for n in ast.walk(node)
+    )
+
+
+def _code_names(code):
+    """Every name and local of ``code`` and its nested code objects."""
+    names = set(code.co_names) | set(code.co_varnames)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _code_names(const)
+    return names
+
+
+def derive_bare_execute_plan():
+    """``execute_plan`` with its telemetry statements stripped out.
 
     The instrumented executor's disabled-telemetry cost is supposed to
     be one hoisted boolean check per call plus one flag test per round;
-    this copy is the baseline that claim is measured against (the
-    telemetry gate bounds the ratio).  Keep it in lockstep with
-    :func:`repro.runtime.sync.executor.execute_plan` — the gate also
-    asserts equal behaviors.
+    the function returned here is the baseline that claim is measured
+    against (the telemetry gate bounds the ratio).  It is derived from the
+    executor's own source on every call, with :class:`_StripTelemetry`,
+    and compiled against a copy of the executor module's globals, so it
+    cannot drift from the code it gates.  Raises ``RuntimeError`` if a
+    stripped name survives in the derived code.
     """
-    if rounds < 0:
-        raise ExecutionError("rounds must be non-negative")
-    compiled, edges = plan.nodes, plan.edges
-    faulty = injector.faulty_edges if injector is not None else ()
-    senders = []
-    receivers = []
-    states = []
-    decision = []
-    for i, cn in enumerate(compiled):
-        r = cn.routes
-        faulted = [
-            s for s in range(r.out_slots.start, r.out_slots.stop)
-            if edges[s] in faulty
-        ] if faulty else ()
-        senders.append(
-            (cn.node, cn.device.send, cn.ctx, r.valid_ports, r.out_labels, faulted)
-        )
-        receivers.append((
-            i, cn.node, cn.device.transition, cn.device.choose, cn.ctx,
-            r.in_labels, r.in_slots,
-        ))
-        states.append(cn.device.init_state(cn.ctx))
-        decision.append(cn.device.choose(cn.ctx, states[-1]))
-    decided_at = [None if d is None else 0 for d in decision]
-
-    rows = []
-    state_rows = [states]
-    for round_index in range(rounds):
-        row = []
-        for (node, send, ctx, valid, labels, faulted), state in zip(
-            senders, states
-        ):
-            out = send(ctx, state, round_index)
-            if type(out) is not dict or not valid.issuperset(out):
-                for label in out:
-                    if label not in valid:
-                        raise ExecutionError(
-                            f"device at {node!r} sent on unknown port {label!r}"
-                        )
-            if labels:
-                row += map(out.get, labels)
-            for s in faulted:
-                row[s] = injector.deliver(edges[s], round_index, row[s])
-        rows.append(row)
-
-        slot = row.__getitem__
-        moved = []
-        for (i, node, transition, choose, ctx, labels, slots), state in zip(
-            receivers, states
-        ):
-            state = transition(
-                ctx, state, round_index, dict(zip(labels, map(slot, slots)))
-            )
-            moved.append(state)
-            value = choose(ctx, state)
-            if value is None:
-                continue
-            if decision[i] is None:
-                decision[i], decided_at[i] = value, round_index + 1
-            elif decision[i] != value:
-                raise ExecutionError(
-                    f"device at {node!r} changed its decision from "
-                    f"{decision[i]!r} to {value!r} at round {round_index + 1}"
-                )
-        states = moved
-        state_rows.append(states)
-
-    traces = map(NodeBehavior, zip(*state_rows), decision, decided_at)
-    columns = zip(*rows) if rows else [()] * len(edges)
-    return SyncBehavior(
-        graph=plan.graph,
-        rounds=rounds,
-        node_behaviors=dict(zip((cn.node for cn in compiled), traces)),
-        edge_behaviors=dict(zip(edges, map(EdgeBehavior, columns))),
+    source = textwrap.dedent(inspect.getsource(executor.execute_plan))
+    tree = ast.fix_missing_locations(_StripTelemetry().visit(ast.parse(source)))
+    namespace = dict(vars(executor))
+    exec(
+        compile(
+            tree,
+            "<bare execute_plan>",
+            "exec",
+            flags=__future__.annotations.compiler_flag,
+            dont_inherit=True,
+        ),
+        namespace,
     )
+    bare = namespace["execute_plan"]
+    leaked = _code_names(bare.__code__) & STRIPPED_NAMES
+    if leaked:
+        raise RuntimeError(f"derived executor still mentions {sorted(leaked)}")
+    return bare
 
 
 def median_pair_ratio(bare, measured):
@@ -179,7 +164,7 @@ def median_pair_ratio(bare, measured):
 
 
 def telemetry_gate(faults=False):
-    """Disabled-telemetry ``run()`` vs :func:`bare_execute_plan`.
+    """Disabled-telemetry ``run()`` vs the derived bare executor.
 
     Without ``faults``: K8 majority over 10 rounds.  With ``faults``:
     K8 flooding for 5 rounds under a plan that drops, corrupts and
@@ -211,6 +196,7 @@ def telemetry_gate(faults=False):
 
         return timed
 
+    bare_execute_plan = derive_bare_execute_plan()
     obs.reset()  # telemetry must be off for the measured leg
     ratio, bare, disabled = median_pair_ratio(
         leg(lambda injector: bare_execute_plan(plan, rounds, injector)),

@@ -47,10 +47,6 @@ class RelayNodeDevice(SyncDevice):
         self.default = default
         self.deadline = max(len(p) for p in self.paths) - 1
 
-    def _position(self, path_id: int) -> int | None:
-        path = self.paths[path_id]
-        return path.index(self.my_id) if self.my_id in path else None
-
     # State: (pending_sends, per_path_values, decided)
     # pending_sends: tuple of (next_hop, message) to emit next round.
 

@@ -18,7 +18,7 @@ the paper's sense iff ``==`` holds here.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -68,6 +68,49 @@ class EdgeBehavior:
         if rounds > self.rounds:
             raise GraphError(f"edge behavior has only {self.rounds} rounds")
         return EdgeBehavior(self.messages[:rounds])
+
+
+class EdgeColumns(Mapping[DirectedEdge, EdgeBehavior]):
+    """The edge behaviors of one synchronous run, read from its rows.
+
+    The executor records each round's messages as one *row* with a slot
+    per directed edge; edge ``edges[s]``'s behavior is the rows' column
+    ``s``.  Many readers (fault campaigns among them) look only at the
+    decisions, so the columns are built on the first lookup, not at the
+    end of the run: then this mapping builds exactly the dict
+    ``{edge: EdgeBehavior(column)}`` the executor used to return, keeps
+    it, and drops the rows.
+
+    Iteration follows ``edges`` (the plan's slot order) and ``len`` is
+    the edge count, neither of which builds anything.  ``==`` against a
+    plain dict, ``dict(...)`` and ``repr`` behave as that dict's.
+    """
+
+    __slots__ = ("_edges", "_rows", "_built")
+
+    def __init__(
+        self, edges: tuple[DirectedEdge, ...], rows: list[list[Any]]
+    ) -> None:
+        self._edges = edges
+        self._rows: list[list[Any]] | None = rows
+        self._built: dict[DirectedEdge, EdgeBehavior] | None = None
+
+    def __getitem__(self, edge: DirectedEdge) -> EdgeBehavior:
+        if self._built is None:
+            rows = self._rows
+            columns = zip(*rows) if rows else [()] * len(self._edges)
+            self._built = dict(zip(self._edges, map(EdgeBehavior, columns)))
+            self._rows = None
+        return self._built[edge]
+
+    def __iter__(self) -> Iterator[DirectedEdge]:
+        return iter(self._edges)
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True)
@@ -120,7 +163,13 @@ class Scenario:
 @dataclass(frozen=True)
 class SyncBehavior:
     """The (unique) behavior of a synchronous system: every node's state
-    trace and every directed edge's message trace."""
+    trace and every directed edge's message trace.
+
+    The executor hands ``edge_behaviors`` over as an
+    :class:`EdgeColumns`, whose :class:`EdgeBehavior` values are built
+    from the run's message rows on first read; it compares equal to
+    (and copies into) the plain dict of those behaviors.
+    """
 
     graph: CommunicationGraph
     rounds: int

@@ -34,7 +34,7 @@ from typing import Any
 from ... import obs
 from ..faults import SyncFaultInjector
 from ..plan import SyncPlan, compile_sync_plan
-from .behavior import EdgeBehavior, NodeBehavior, SyncBehavior
+from .behavior import EdgeColumns, NodeBehavior, SyncBehavior
 from .system import SyncSystem
 
 
@@ -52,7 +52,10 @@ def execute_plan(
 
     This is the hot path: each round is two flat passes over the
     compiled nodes, one filling the round's message row and one reading
-    every inbox from it, and the edge behaviors are the rows' columns.
+    every inbox from it.  The edge behaviors are the rows' columns,
+    built on their first read (see
+    :class:`~repro.runtime.sync.behavior.EdgeColumns`), so a caller
+    that reads only the decisions never pays for them.
     Executing the same plan twice yields equal behaviors (plans carry
     no per-run state).  Only the slots whose edge the injector's plan
     names reach ``injector.deliver``, so a fault-free run (or an edge
@@ -180,12 +183,11 @@ def execute_plan(
             obs.observe_span("executor.round", perf_counter() - round_t0)
 
     traces = map(NodeBehavior, zip(*state_rows), decision, decided_at)
-    columns = zip(*rows) if rows else [()] * len(edges)
     return SyncBehavior(
         graph=plan.graph,
         rounds=rounds,
         node_behaviors=dict(zip((cn.node for cn in compiled), traces)),
-        edge_behaviors=dict(zip(edges, map(EdgeBehavior, columns))),
+        edge_behaviors=EdgeColumns(edges, rows),
     )
 
 

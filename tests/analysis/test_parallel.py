@@ -464,16 +464,18 @@ def _alive(pid: int) -> bool:
         return False
 
 
-#: A forced two-worker pool map whose workers print ``pid item`` as
+#: A forced two-worker pool map whose workers write ``pid item`` as
 #: each item starts; each item takes 0.5 s, so by item 7 the second
-#: worker holds an eight-item chunk.
+#: worker holds an eight-item chunk.  Each line goes out in one
+#: ``os.write`` on the shared pipe, so the two workers' lines cannot
+#: interleave mid-line (writes up to PIPE_BUF bytes are atomic).
 _ORPHAN_SCRIPT = """
 import os, time
 import repro.analysis.parallel as parallel
 parallel.available_parallelism = lambda: 2
 
 def slow(x):
-    print(os.getpid(), x, flush=True)
+    os.write(1, f"{os.getpid()} {x}\\n".encode())
     time.sleep(0.5)
     return x
 

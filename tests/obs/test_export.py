@@ -14,13 +14,14 @@ from repro.runtime.plan import compile_sync_plan
 
 
 def _bare_execute_plan():
-    """The telemetry-free executor copy that ``overhead_gates.py``
-    gates the disabled-telemetry overhead against."""
+    """The telemetry-free executor that ``overhead_gates.py`` derives
+    from ``execute_plan``'s source and gates the disabled-telemetry
+    overhead against."""
     path = Path(__file__).resolve().parents[2] / "scripts" / "overhead_gates.py"
     spec = importlib.util.spec_from_file_location("overhead_gates", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.bare_execute_plan
+    return module.derive_bare_execute_plan()
 
 
 def _run_workload():

@@ -128,6 +128,11 @@ class TestCampaignMemoization:
         assert first == uncached
         assert second == first
         assert cache.stats()["hits"] == 1
+        # The cached behavior's edges are built from its rows on first
+        # read, and a later hit returns them built.
+        assert dict(second[0].edge_behaviors) == dict(uncached[0].edge_behaviors)
+        third = execute_attempt(config, inputs, (), plan, cache)
+        assert third[0].edge_behaviors == uncached[0].edge_behaviors
 
     def test_run_campaign_memoize_on_off_identical(self):
         config = self._config()

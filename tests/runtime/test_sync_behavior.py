@@ -1,11 +1,18 @@
-"""Sync behavior data-structure tests: prefixes, scenarios, renaming."""
+"""Sync behavior data-structure tests: prefixes, scenarios, renaming,
+and the executor's lazily built edge behaviors."""
+
+import pickle
 
 import pytest
 
-from repro.graphs import GraphError, triangle
+from repro.graphs import CommunicationGraph, GraphError, triangle
+from repro.graphs.builders import complete_graph
 from repro.protocols import MajorityVoteDevice
-from repro.runtime.sync import run, uniform_system
-from repro.runtime.sync.behavior import EdgeBehavior, NodeBehavior
+from repro.runtime.faults import FaultPlan, LinkFault, SyncFaultInjector
+from repro.runtime.plan import compile_sync_plan
+from repro.runtime.sync import check_determinism, run, uniform_system
+from repro.runtime.sync.behavior import EdgeBehavior, EdgeColumns, NodeBehavior
+from repro.testing import reference_sync_run
 
 
 @pytest.fixture
@@ -100,3 +107,137 @@ class TestWitnessExplain:
         assert "full trace" in text
         assert "messages per round" in text
         assert "decisions" in text
+
+
+def _k4_system():
+    g = complete_graph(4)
+    return uniform_system(
+        g, MajorityVoteDevice(rounds=3), {u: i % 2 for i, u in enumerate(g.nodes)}
+    )
+
+
+def _faulted_runs(rounds=3):
+    """A fresh executor run and a reference run of K4 under one drop
+    fault, so some edge behaviors hold ``None``."""
+    system = _k4_system()
+    nodes = system.graph.nodes
+    plan = FaultPlan(
+        link_faults=(LinkFault(edge=(nodes[0], nodes[1]), kind="drop"),),
+        seed=3,
+    )
+    return (
+        system,
+        run(system, rounds, SyncFaultInjector(plan)),
+        reference_sync_run(system, rounds, SyncFaultInjector(plan)),
+    )
+
+
+class TestEdgeColumns:
+    """``execute_plan`` hands the edge behaviors over as an
+    :class:`EdgeColumns` over its round rows; every reader must see the
+    plain dict the executor used to build."""
+
+    def test_is_lazy_mapping(self):
+        _, behavior, _ = _faulted_runs()
+        assert isinstance(behavior.edge_behaviors, EdgeColumns)
+
+    def test_equals_plain_dict_in_both_orders(self):
+        _, behavior, reference = _faulted_runs()
+        assert behavior.edge_behaviors == reference.edge_behaviors
+        _, behavior, reference = _faulted_runs()
+        assert reference.edge_behaviors == behavior.edge_behaviors
+        assert not (behavior.edge_behaviors != reference.edge_behaviors)
+        # ... and as a field of the frozen dataclass, both ways round.
+        _, behavior, reference = _faulted_runs()
+        assert behavior == reference and reference == behavior
+
+    def test_unequal_to_a_different_dict(self):
+        _, behavior, reference = _faulted_runs()
+        other = dict(reference.edge_behaviors)
+        edge = next(iter(other))
+        other[edge] = EdgeBehavior(("x",) * 3)
+        assert behavior.edge_behaviors != other
+        assert other != behavior.edge_behaviors
+        assert behavior.edge_behaviors != list(other)
+
+    def test_two_lazy_mappings_compare_by_content(self):
+        system = _k4_system()
+        assert run(system, 3).edge_behaviors == run(system, 3).edge_behaviors
+        assert run(system, 3).edge_behaviors != run(system, 2).edge_behaviors
+
+    def test_dict_len_and_order_follow_the_plan(self):
+        system, behavior, reference = _faulted_runs()
+        edges = compile_sync_plan(system).edges
+        assert len(behavior.edge_behaviors) == len(edges) == 12
+        assert list(behavior.edge_behaviors) == list(edges)
+        copied = dict(behavior.edge_behaviors)
+        assert type(copied) is dict
+        assert list(copied) == list(edges)
+        assert copied == dict(reference.edge_behaviors)
+        assert [k for k, _ in behavior.edge_behaviors.items()] == list(edges)
+        assert list(behavior.edge_behaviors.keys()) == list(edges)
+        assert list(behavior.edge_behaviors.values()) == [
+            reference.edge_behaviors[e] for e in edges
+        ]
+
+    def test_lookups(self):
+        system, behavior, reference = _faulted_runs()
+        columns = behavior.edge_behaviors
+        u, v = system.graph.nodes[:2]
+        assert columns[(u, v)] == reference.edge(u, v)
+        assert columns[(u, v)].messages == (None, None, None)
+        assert columns[(u, v)] is columns[(u, v)]  # built once, kept
+        assert behavior.edge(v, u) == reference.edge(v, u)
+        assert (u, v) in columns and (u, u) not in columns
+        assert columns.get((u, u)) is None
+        with pytest.raises(KeyError):
+            columns[(u, "ghost")]
+
+    def test_missing_edge_raises_before_any_read(self):
+        system, behavior, _ = _faulted_runs()
+        with pytest.raises(KeyError):
+            behavior.edge(system.graph.nodes[0], "ghost")
+
+    def test_zero_rounds(self):
+        system = _k4_system()
+        behavior = run(system, 0)
+        assert len(behavior.edge_behaviors) == 12
+        assert set(behavior.edge_behaviors) == set(system.graph.edges)
+        assert dict(behavior.edge_behaviors) == {
+            e: EdgeBehavior(()) for e in system.graph.edges
+        }
+        assert behavior == reference_sync_run(system, 0)
+
+    def test_edgeless_graph(self):
+        g = CommunicationGraph(["solo"], [])
+        behavior = run(uniform_system(g, MajorityVoteDevice(), {"solo": 1}), 2)
+        assert len(behavior.edge_behaviors) == 0
+        assert dict(behavior.edge_behaviors) == {}
+        assert not behavior.edge_behaviors
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["lazy", "built"])
+    def test_pickle_round_trip(self, read_first):
+        # Pool workers pickle what they return to the parent.
+        _, behavior, reference = _faulted_runs()
+        columns = behavior.edge_behaviors
+        if read_first:
+            dict(columns)
+        restored = pickle.loads(pickle.dumps(columns))
+        assert isinstance(restored, EdgeColumns)
+        assert restored == reference.edge_behaviors
+        assert list(restored) == list(columns)
+
+    def test_repr_is_the_dict_repr(self):
+        _, behavior, _ = _faulted_runs()
+        columns = behavior.edge_behaviors
+        text = repr(columns)
+        assert text == repr(dict(columns))
+        assert "EdgeColumns" not in repr(behavior)
+
+    def test_check_determinism(self):
+        assert check_determinism(_k4_system(), 4)
+
+    def test_scenario_reads_edges(self):
+        system, behavior, reference = _faulted_runs()
+        nodes = system.graph.nodes[:3]
+        assert behavior.scenario(nodes) == reference.scenario(nodes)
