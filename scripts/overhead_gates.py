@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Gate the cost of switched-off telemetry and checkpointing.
 
-Three hard gates, each comparing an instrumented path against a bare
+Four hard gates, each comparing an instrumented path against a bare
 version of the same work:
 
 * telemetry — ``run()`` on a compiled plan with telemetry disabled
@@ -10,6 +10,10 @@ version of the same work:
   ``execute_plan``'s source by dropping its telemetry statements.
 * telemetry-faulted — the same on K8 over 5 rounds with six faulted
   links, so the slots that pass through the injector are gated too.
+* telemetry-rounds — the same on one node over 500 rounds, where a
+  round costs little more than the loop itself: one switched-off
+  ``obs.emit`` call left unconditional in every round (about 9% there)
+  fails this gate, while on K8 it hides in the per-node work.
 * checkpoint — ``run_campaign(memoize=False)`` with no run store (a
   surviving EIG campaign on K4, 40 attempts, at most one drop fault)
   against :func:`bare_scan`, a hand-rolled sample-execute-check loop
@@ -163,15 +167,16 @@ def median_pair_ratio(bare, measured):
     return statistics.median(ratios), results[0], results[1]
 
 
-def telemetry_gate(faults=False):
-    """Disabled-telemetry ``run()`` vs the derived bare executor.
+def telemetry_gate(n=8, rounds=10, faults=False):
+    """Disabled-telemetry ``run()`` vs the derived bare executor, on
+    majority devices over ``K_n`` for ``rounds`` rounds.
 
-    Without ``faults``: K8 majority over 10 rounds.  With ``faults``:
-    K8 flooding for 5 rounds under a plan that drops, corrupts and
-    delays six links' slots from round 1 on; both legs' injection
-    traces must match too.
+    Without ``faults`` the devices exchange once and then idle, so
+    later rounds cost little besides the round loop itself.  With
+    ``faults``: flooding for every round under a plan that drops,
+    corrupts and delays six links' slots from round 1 on; both legs'
+    injection traces must match too.
     """
-    n, rounds = 8, (5 if faults else 10)
     graph = complete_graph(n)
     system = make_system(
         graph,
@@ -186,7 +191,7 @@ def telemetry_gate(faults=False):
             for i, kind in enumerate(("drop", "corrupt", "delay") * 2)
         ),
         seed=7,
-    )
+    ) if faults else None
 
     def leg(execute):
         def timed():
@@ -250,7 +255,13 @@ GATES = (
         "telemetry-faulted",
         "disabled/bare",
         TELEMETRY_OVERHEAD_BUDGET,
-        lambda: telemetry_gate(faults=True),
+        lambda: telemetry_gate(rounds=5, faults=True),
+    ),
+    (
+        "telemetry-rounds",
+        "disabled/bare",
+        TELEMETRY_OVERHEAD_BUDGET,
+        lambda: telemetry_gate(n=1, rounds=500),
     ),
     ("checkpoint", "store-less/bare", CHECKPOINT_OVERHEAD_BUDGET, checkpoint_gate),
 )

@@ -121,7 +121,7 @@ def build_base_behavior(
                 continue
             u = representative[g]
             source = covering.lift_neighbor(u, w)
-            scripts[g] = cover_behavior.edge(source, u)
+            scripts[g] = cover_behavior.column(source, u)
         assignments[w] = NodeAssignment(
             device=ReplayDevice(scripts),
             input=None,
@@ -153,7 +153,9 @@ def _verify_locality(
 ) -> None:
     """Check that each correct node's behavior in the assembled base
     system is identical to its covering counterpart's — the paper's
-    Locality-axiom step, executed rather than assumed."""
+    Locality-axiom step, executed rather than assumed.  Edges are
+    compared as message columns, so neither run builds its
+    :class:`~repro.runtime.sync.behavior.EdgeBehavior` dict here."""
     for g, u in representative.items():
         got = base_behavior.node(g)
         expected = cover_behavior.node(u)
@@ -174,7 +176,7 @@ def _verify_locality(
                     f"{label}: representatives {u!r}, {u2!r} not adjacent "
                     "in the covering"
                 )
-            if base_behavior.edge(g, g2) != cover_behavior.edge(u, u2):
+            if base_behavior.column(g, g2) != cover_behavior.column(u, u2):
                 raise CoveringArgumentError(
                     f"{label}: edge behavior mismatch on ({g!r}, {g2!r})"
                 )

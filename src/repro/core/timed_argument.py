@@ -183,7 +183,8 @@ def _verify_timed_locality(
     covering counterpart's, with times mapped.
 
     Without a time map or tolerance, equal event prefixes settle a node
-    at once (they pass the per-event check below); only a node whose
+    at once (they pass the per-event check below; events are tuples,
+    so the prefixes compare in one tuple comparison); only a node whose
     prefixes differ is compared event by event.
     """
     from ..runtime.timed.behavior import payloads_close

@@ -168,6 +168,20 @@ class CommunicationGraph:
         """
         return self._analytics
 
+    def __getstate__(self) -> dict:
+        # The analytics cache may hold unpicklable values (read-only
+        # mapping proxies, compiled routes); it is rebuilt on demand.
+        return {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name != "_analytics"
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._analytics = {}
+
     # -- subgraphs and borders (paper Section 2) -------------------------
 
     def subgraph(self, nodes: Iterable[NodeId]) -> "CommunicationGraph":

@@ -16,8 +16,10 @@ executors' hot loops touch only local tuples and dict lookups:
   node's message slots.  Every directed edge has one slot, numbered in
   graph node order and then ``graph.neighbors(u)`` order, so a node's
   out-edges fill one contiguous range of a round's message row and its
-  inbox reads the slots of its in-edges.  Compilation is split in two.
-  The routes depend only on the graph and its port labelling; for the
+  inbox reads the slots of its in-edges; ``SyncPlan.slot_of`` maps each
+  edge back to its slot, for readers of one edge's messages.
+  Compilation is split in two.  The routes and slots depend only on
+  the graph and its port labelling (the slots on the graph alone); for the
   graph's shared read-only identity labelling
   (:func:`identity_labelling`, which every
   :func:`~repro.runtime.sync.system.make_system` system uses) they are
@@ -106,12 +108,13 @@ class CompiledSyncNode(NamedTuple):
 @dataclass(frozen=True)
 class SyncPlan:
     """A compiled synchronous system: flat per-node tables plus the
-    edge of each message slot, ready for the tight loop in
-    ``execute_plan``."""
+    edge of each message slot (and its inverse, ``slot_of``), ready for
+    the tight loop in ``execute_plan``."""
 
     graph: CommunicationGraph
     nodes: tuple[CompiledSyncNode, ...]
     edges: tuple[DirectedEdge, ...]
+    slot_of: Mapping[DirectedEdge, int]
 
     def run(
         self, rounds: int, injector: "SyncFaultInjector | None" = None
@@ -139,10 +142,16 @@ def identity_labelling(
     return labelling
 
 
+_Routes = tuple[
+    tuple[NodeRoutes, ...], tuple[DirectedEdge, ...], dict[DirectedEdge, int]
+]
+
+
 def _compile_routes(
     graph: CommunicationGraph, labelling: Mapping[NodeId, Mapping]
-) -> tuple[tuple[NodeRoutes, ...], tuple[DirectedEdge, ...]]:
-    """Each node's routes, in graph node order, and each slot's edge."""
+) -> _Routes:
+    """Each node's routes, in graph node order, each slot's edge and
+    each edge's slot (the numbering depends on the graph alone)."""
     edges: list[DirectedEdge] = []
     for u in graph.nodes:
         edges += zip(repeat(u), graph.neighbors(u))
@@ -160,13 +169,11 @@ def _compile_routes(
             tuple(map(ports.__getitem__, into)),
             tuple(map(slot_of.__getitem__, zip(into, repeat(u)))),
         ))
-    return tuple(routes), tuple(edges)
+    return tuple(routes), tuple(edges), slot_of
 
 
-def _routes_of(
-    system: "SyncSystem",
-) -> tuple[tuple[NodeRoutes, ...], tuple[DirectedEdge, ...]]:
-    """The system's routes and slot edges: the graph's cached table when
+def _routes_of(system: "SyncSystem") -> _Routes:
+    """The system's routes and slots: the graph's cached table when
     every node uses the shared identity labelling, otherwise compiled
     for this system."""
     graph = system.graph
@@ -201,7 +208,7 @@ def compile_sync_plan(system: "SyncSystem") -> SyncPlan:
 
     graph = system.graph
     assignments = system.assignments
-    routes, edges = _routes_of(system)
+    routes, edges, slot_of = _routes_of(system)
     compiled = tuple(
         CompiledSyncNode(
             node=u,
@@ -211,7 +218,7 @@ def compile_sync_plan(system: "SyncSystem") -> SyncPlan:
         )
         for u, r in zip(graph.nodes, routes)
     )
-    plan = SyncPlan(graph=graph, nodes=compiled, edges=edges)
+    plan = SyncPlan(graph=graph, nodes=compiled, edges=edges, slot_of=slot_of)
     # Frozen dataclasses forbid setattr; writing through __dict__ is the
     # same trick functools.cached_property uses.
     system.__dict__[_SYNC_PLAN_ATTR] = plan

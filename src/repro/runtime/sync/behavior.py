@@ -75,25 +75,42 @@ class EdgeColumns(Mapping[DirectedEdge, EdgeBehavior]):
 
     The executor records each round's messages as one *row* with a slot
     per directed edge; edge ``edges[s]``'s behavior is the rows' column
-    ``s``.  Many readers (fault campaigns among them) look only at the
-    decisions, so the columns are built on the first lookup, not at the
-    end of the run: then this mapping builds exactly the dict
-    ``{edge: EdgeBehavior(column)}`` the executor used to return, keeps
-    it, and drops the rows.
+    ``s`` (``slot_of`` maps each edge to its slot).  Many readers (fault
+    campaigns among them) look only at the decisions, so the columns
+    are built on the first lookup, not at the end of the run: then this
+    mapping builds exactly the dict ``{edge: EdgeBehavior(column)}`` the
+    executor used to return, keeps it, and drops the rows.  A reader
+    that needs only some edges' messages (the engines' Locality checks
+    and replay scripts) takes them one :meth:`column` at a time, which
+    builds nothing.
 
     Iteration follows ``edges`` (the plan's slot order) and ``len`` is
     the edge count, neither of which builds anything.  ``==`` against a
     plain dict, ``dict(...)`` and ``repr`` behave as that dict's.
     """
 
-    __slots__ = ("_edges", "_rows", "_built")
+    __slots__ = ("_edges", "_slot_of", "_rows", "_built")
 
     def __init__(
-        self, edges: tuple[DirectedEdge, ...], rows: list[list[Any]]
+        self,
+        edges: tuple[DirectedEdge, ...],
+        rows: list[list[Any]],
+        slot_of: Mapping[DirectedEdge, int],
     ) -> None:
         self._edges = edges
+        self._slot_of = slot_of
         self._rows: list[list[Any]] | None = rows
         self._built: dict[DirectedEdge, EdgeBehavior] | None = None
+
+    def column(self, edge: DirectedEdge) -> tuple[Any, ...]:
+        """The messages sent over ``edge``, one per round: the
+        ``messages`` of its behavior, read from the rows while they are
+        unbuilt."""
+        rows = self._rows
+        if rows is None:
+            return self._built[edge].messages
+        slot = self._slot_of[edge]
+        return tuple([row[slot] for row in rows])
 
     def __getitem__(self, edge: DirectedEdge) -> EdgeBehavior:
         if self._built is None:
@@ -169,6 +186,7 @@ class SyncBehavior:
     :class:`EdgeColumns`, whose :class:`EdgeBehavior` values are built
     from the run's message rows on first read; it compares equal to
     (and copies into) the plain dict of those behaviors.
+    :meth:`column` reads one edge's messages without that build.
     """
 
     graph: CommunicationGraph
@@ -183,6 +201,15 @@ class SyncBehavior:
 
     def edge(self, u: NodeId, v: NodeId) -> EdgeBehavior:
         return self.edge_behaviors[(u, v)]
+
+    def column(self, u: NodeId, v: NodeId) -> tuple[Any, ...]:
+        """``edge(u, v).messages``, without building any
+        :class:`EdgeBehavior` when the edges are an
+        :class:`EdgeColumns`."""
+        edges = self.edge_behaviors
+        if type(edges) is EdgeColumns:
+            return edges.column((u, v))
+        return edges[(u, v)].messages
 
     def decision(self, u: NodeId) -> Any | None:
         return self.node_behaviors[u].decision

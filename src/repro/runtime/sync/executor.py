@@ -187,7 +187,7 @@ def execute_plan(
         graph=plan.graph,
         rounds=rounds,
         node_behaviors=dict(zip((cn.node for cn in compiled), traces)),
-        edge_behaviors=EdgeColumns(edges, rows),
+        edge_behaviors=EdgeColumns(edges, rows, plan.slot_of),
     )
 
 

@@ -45,6 +45,14 @@ class NodeAssignment:
             for neighbor, port in self.port_of_neighbor.items()
         }
 
+    def __reduce__(self):
+        # A shared identity labelling is a read-only mapping proxy,
+        # which cannot be pickled; its plain copy labels the same ports.
+        return (
+            NodeAssignment,
+            (self.device, self.input, dict(self.port_of_neighbor)),
+        )
+
 
 @dataclass(frozen=True)
 class SyncSystem:

@@ -8,27 +8,26 @@ timestamped with real time.  Two behaviors are identical through time
 ``t`` iff their event prefixes up to ``t`` are equal — the form in
 which the Bounded-Delay Locality axiom and Lemma 3 are checked.
 
-Every record class here is a frozen slotted dataclass.  The executor
-builds events through :func:`_event`, which fills a
-:class:`TimedEvent`'s slots directly instead of going through the
-frozen ``__init__``; the result is indistinguishable from the
-constructor's.
+A :class:`TimedEvent` is an immutable named tuple, so event prefixes
+compare (and hash) as tuples, in C; every other record class here is
+a frozen slotted dataclass.  The executor builds events through
+:func:`_event`, a single ``tuple.__new__`` call whose result is
+indistinguishable from the constructor's.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ...graphs.graph import CommunicationGraph, DirectedEdge, GraphError, NodeId
 from .clocks import ClockFunction
 from .device import LogicalClockFn
 
 
-@dataclass(frozen=True, slots=True)
-class TimedEvent:
+class TimedEvent(NamedTuple):
     """One observable event at a node."""
 
     time: float
@@ -37,21 +36,11 @@ class TimedEvent:
 
 
 def _event(
-    time: float,
-    kind: str,
-    payload: Any,
-    _new=object.__new__,
-    _time=TimedEvent.time.__set__,
-    _kind=TimedEvent.kind.__set__,
-    _payload=TimedEvent.payload.__set__,
+    time: float, kind: str, payload: Any, _new=tuple.__new__
 ) -> TimedEvent:
-    """``TimedEvent(time, kind, payload)`` without the frozen
-    ``__init__``: the slot descriptors are written directly."""
-    event = _new(TimedEvent)
-    _time(event, time)
-    _kind(event, kind)
-    _payload(event, payload)
-    return event
+    """``TimedEvent(time, kind, payload)`` without the generated
+    ``__new__``'s keyword handling: one ``tuple.__new__`` call."""
+    return _new(TimedEvent, (time, kind, payload))
 
 
 def events_equal(
@@ -156,6 +145,43 @@ class TimedEdgeBehavior:
 
     def messages(self) -> tuple[Any, ...]:
         return tuple(m for _, m, _ in self.sends)
+
+
+class TimedEdgeSends(Mapping[DirectedEdge, TimedEdgeBehavior]):
+    """The edge behaviors of one timed run, built on first read.
+
+    The executor records each directed edge's sends in one list; most
+    runs (every base behavior an engine only checks node by node) never
+    read them.  The first lookup replaces the lists with exactly the
+    dict ``{edge: TimedEdgeBehavior(tuple(sends))}`` the executor used
+    to return, and keeps it.  Iteration (in the lists' order, that is
+    ``graph.edges`` order) and ``len`` build nothing; ``==`` against a
+    plain dict, ``dict(...)`` and ``repr`` behave as that dict's.
+    """
+
+    __slots__ = ("_edges", "_built")
+
+    def __init__(self, sends: dict[DirectedEdge, list]) -> None:
+        self._edges: dict = sends
+        self._built = False
+
+    def __getitem__(self, edge: DirectedEdge) -> TimedEdgeBehavior:
+        if not self._built:
+            self._edges = {
+                e: TimedEdgeBehavior(tuple(sends))
+                for e, sends in self._edges.items()
+            }
+            self._built = True
+        return self._edges[edge]
+
+    def __iter__(self) -> Iterator[DirectedEdge]:
+        return iter(self._edges)
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,10 @@ Hot path: the event loop reads a compiled
 once per run into ``port → (neighbor rank, receiver port, edge
 record)``, so :meth:`_Api.send` records the send and pushes the
 delivery itself.  Device *instances* remain per-run (factories are
-called inside :func:`run_timed`), so behaviors are unchanged.  A run
+called inside :func:`run_timed`), so behaviors are unchanged.  The
+per-edge send lists are handed over as a
+:class:`~repro.runtime.timed.behavior.TimedEdgeSends`, which builds
+the edge behaviors only when a reader first asks for one.  A run
 builds no reference cycle: its device APIs live only for the call, and
 everything it leaves behind is freed by reference counting.
 """
@@ -50,7 +53,7 @@ from ..plan import CompiledTimedNode, compile_timed_plan
 from .adversary import TimedReplayDevice
 from .behavior import (
     TimedBehavior,
-    TimedEdgeBehavior,
+    TimedEdgeSends,
     TimedEvent,
     TimedNodeBehavior,
     _event,
@@ -298,7 +301,5 @@ def run_timed(system: TimedSystem, horizon: float) -> TimedBehavior:
         graph=graph,
         horizon=horizon,
         node_behaviors=node_behaviors,
-        edge_behaviors={
-            e: TimedEdgeBehavior(tuple(sends)) for e, sends in edge_sends.items()
-        },
+        edge_behaviors=TimedEdgeSends(edge_sends),
     )

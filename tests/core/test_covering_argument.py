@@ -1,5 +1,7 @@
 """Unit tests of the covering-argument machinery itself."""
 
+from itertools import count
+
 import pytest
 
 from repro.core import (
@@ -19,6 +21,7 @@ from repro.graphs import (
 )
 from repro.protocols import MajorityVoteDevice
 from repro.runtime.sync import install_in_covering, run
+from repro.runtime.sync.device import SyncDevice
 
 
 def hexagon_setup():
@@ -29,6 +32,24 @@ def hexagon_setup():
     cover_inputs.update({dc.copy_of(v, 1): 1 for v in g.nodes})
     cover_system = install_in_covering(dc.covering, devices, cover_inputs)
     return g, dc, devices, cover_system
+
+
+class _CountingSender(SyncDevice):
+    """Its state never changes, but every ``send`` carries the next
+    number of a counter the device instance keeps: the same instance
+    sends other messages in the base run than in the cover run."""
+
+    def __init__(self):
+        self._sent = count()
+
+    def init_state(self, ctx):
+        return "idle"
+
+    def send(self, ctx, state, round_index):
+        return {port: next(self._sent) for port in ctx.ports}
+
+    def transition(self, ctx, state, round_index, inbox):
+        return state
 
 
 class TestScenarioSets:
@@ -93,6 +114,22 @@ class TestBuildBaseBehavior:
                 devices,
             )
 
+    def test_edge_mismatch_with_equal_states_raises(self):
+        """Node behaviors agree (the state never changes), so only the
+        comparison of message columns can catch the base run's sends."""
+        g = triangle()
+        dc = node_bound_double_cover(g, {"a"}, {"b"}, {"c"})
+        devices = {u: _CountingSender() for u in g.nodes}
+        cover_system = install_in_covering(
+            dc.covering, devices, {u: 0 for u in dc.covering.cover.nodes}
+        )
+        cover_behavior = run(cover_system, 2)
+        scenario = node_bound_scenarios(dc, {"a"}, {"b"}, {"c"})[0]
+        with pytest.raises(CoveringArgumentError, match="edge behavior mismatch"):
+            build_base_behavior(
+                dc.covering, cover_system, cover_behavior, scenario, devices
+            )
+
     def test_works_with_plain_covering_map(self):
         """The machinery accepts any CoveringMap, not only the double
         covers — e.g. the handwritten hexagon."""
@@ -120,6 +157,25 @@ class TestChain:
         )
         assert [c.label for c in chain.constructed] == ["E1", "E2", "E3"]
         assert [link.node for link in chain.links] == ["c", "a"]
+
+    def test_chain_builds_no_edge_behaviors(self):
+        """Locality and the replay scripts read message columns, so no
+        run of a chain builds its ``EdgeBehavior`` dict; a later reader
+        still gets the same behaviors."""
+        g, dc, devices, cover_system = hexagon_setup()
+        chain = run_scenario_chain(
+            dc.covering,
+            cover_system,
+            devices,
+            node_bound_scenarios(dc, {"a"}, {"b"}, {"c"}),
+            rounds=2,
+        )
+        behaviors = [chain.cover_behavior]
+        behaviors += [c.behavior for c in chain.constructed]
+        assert all(b.edge_behaviors._built is None for b in behaviors)
+        assert chain.cover_behavior == run(cover_system, 2)
+        for c in chain.constructed:
+            assert c.behavior == run(c.system, 2)
 
     def test_shared_links_empty_without_overlap(self):
         g, dc, devices, cover_system = hexagon_setup()

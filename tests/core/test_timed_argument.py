@@ -1,5 +1,7 @@
 """Unit tests of the timed covering-argument machinery."""
 
+from itertools import count
+
 import pytest
 
 from repro.core import (
@@ -12,6 +14,7 @@ from repro.runtime.timed import (
     install_in_covering_timed,
     run_timed,
 )
+from repro.runtime.timed.device import TimedDevice
 
 
 def ring_setup(delta=1.0, horizon=4.0):
@@ -29,6 +32,19 @@ def ring_setup(delta=1.0, horizon=4.0):
     )
     cover_behavior = run_timed(cover_system, horizon)
     return covering, factories, cover_system, cover_behavior
+
+
+class _CountingSender(TimedDevice):
+    """Sends the next number of a shared counter on each port at start:
+    the base run's sends differ from the cover run's, though the device
+    reads nothing."""
+
+    def __init__(self, sent):
+        self._sent = sent
+
+    def on_start(self, ctx, api):
+        for port in ctx.ports:
+            api.send(port, next(self._sent))
 
 
 class TestBuildTimedBaseBehavior:
@@ -96,4 +112,25 @@ class TestBuildTimedBaseBehavior:
                 factories,
                 time_map=lambda t: t / 2,
                 time_tolerance=1e-9,
+            )
+
+    def test_send_mismatch_raises(self):
+        """The timed analogue of the synchronous edge-column check: a
+        correct node's sends are events of its trace, so different
+        sends fail the Locality identification."""
+        covering = ring_cover_of_triangle(12)
+        sent = count()
+        factories = {
+            u: (lambda: _CountingSender(sent)) for u in triangle().nodes
+        }
+        cover_system = install_in_covering_timed(
+            covering, factories, {u: 0 for u in covering.cover.nodes},
+            delay=1.0,
+        )
+        cover_behavior = run_timed(cover_system, 2.0)
+        nodes = covering.cover.nodes
+        with pytest.raises(TimedArgumentError, match="timed Locality"):
+            build_base_behavior_timed(
+                covering, cover_system, cover_behavior, [nodes[2], nodes[3]],
+                factories,
             )

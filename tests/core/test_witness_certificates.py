@@ -24,7 +24,9 @@ run (Lemma 9).  Sync: every ``ConstructedBehavior`` of the Theorem 1,
 
 A mutant engine that installs a constant device at one correct node
 (and skips its own Locality check, so it gets that far) must fail (b),
-in either model.
+in either model.  A mutant whose faulty nodes replay the cover's
+messages one round late passes (a)–(d) and must fail (f) once the
+engine's Locality check is off, and raise while it is on.
 """
 
 from __future__ import annotations
@@ -551,3 +553,32 @@ def test_sync_constant_device_mutant_fails_b(monkeypatch):
     for c in _sync_constructed(witness):
         with pytest.raises(AssertionError, match=r"^\(b\)"):
             certify_sync(c, graph, witness.max_faults, devices)
+
+
+def _one_round_late(scripts):
+    """A replay device that plays every script one round late."""
+    return ReplayDevice(
+        {port: (None, *tuple(script)[:-1]) for port, script in scripts.items()}
+    )
+
+
+def test_sync_late_replay_mutant_fails_f(monkeypatch):
+    """Faulty nodes replay the cover's messages one round late.  The
+    engine's own Locality check raises; with it switched off, every
+    behavior still passes (a)–(d), and only (f) notices."""
+    graph = triangle()
+    devices = _each(graph, MajorityVoteDevice)
+    monkeypatch.setattr(covering_argument, "ReplayDevice", _one_round_late)
+    with pytest.raises(
+        covering_argument.CoveringArgumentError, match="Locality"
+    ):
+        refute_node_bound(graph, devices, 1, 3, require_violation=False)
+    monkeypatch.setattr(
+        covering_argument, "_verify_locality", lambda *args: None
+    )
+    witness = refute_node_bound(graph, devices, 1, 3, require_violation=False)
+    monkeypatch.undo()
+    for c in _sync_constructed(witness):
+        certify_sync(c, graph, witness.max_faults, devices)
+    with pytest.raises(AssertionError, match=r"^\(f\)"):
+        certify_links(witness)

@@ -7,7 +7,6 @@ collection.  With the collector disabled and ``gc.DEBUG_SAVEALL`` set,
 each workload below must leave none.
 """
 
-import dataclasses
 import gc
 
 import pytest
@@ -110,12 +109,24 @@ class TestEventAllocator:
             assert hash(allocated) == hash(built)
             assert repr(allocated) == repr(built)
             assert type(allocated) is TimedEvent
+        # The repr names each field; the constructor takes keywords and
+        # defaults the payload to None.
+        assert repr(_event(1.5, "receive", ("p", 1))) == (
+            "TimedEvent(time=1.5, kind='receive', payload=('p', 1))"
+        )
+        assert TimedEvent(time=0.0, kind="start") == _event(0.0, "start", None)
 
     def test_has_slots_and_is_frozen(self):
+        # Setting, adding or deleting an attribute raises.
         event = _event(1.0, "send", ("p", "m"))
         assert not hasattr(event, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             event.time = 2.0
+        with pytest.raises(AttributeError):
+            event.extra = 1
+        with pytest.raises(AttributeError):
+            del event.kind
+        assert event == TimedEvent(1.0, "send", ("p", "m"))
 
     def test_events_equal_reads_allocated_events(self):
         event = _event(4.0, "timer", "t")

@@ -198,6 +198,17 @@ class TestEdgeColumns:
         with pytest.raises(KeyError):
             behavior.edge(system.graph.nodes[0], "ghost")
 
+    @pytest.mark.parametrize("read_first", [False, True], ids=["lazy", "built"])
+    def test_column_reads(self, read_first):
+        system, behavior, reference = _faulted_runs()
+        if read_first:
+            dict(behavior.edge_behaviors)
+        for u, v in system.graph.edges:
+            assert behavior.column(u, v) == reference.edge(u, v).messages
+            assert reference.column(u, v) == reference.edge(u, v).messages
+        with pytest.raises(KeyError):
+            behavior.column(system.graph.nodes[0], "ghost")
+
     def test_zero_rounds(self):
         system = _k4_system()
         behavior = run(system, 0)
@@ -241,3 +252,47 @@ class TestEdgeColumns:
         system, behavior, reference = _faulted_runs()
         nodes = system.graph.nodes[:3]
         assert behavior.scenario(nodes) == reference.scenario(nodes)
+
+
+class TestPickleAfterRun:
+    """A run caches read-only port labellings and routes on its graph;
+    graphs, behaviors and witnesses must still pickle (a spawned pool
+    or a cached witness would), dropping the cache."""
+
+    def test_graph(self):
+        g = complete_graph(4)
+        run(uniform_system(g, MajorityVoteDevice(), {u: 0 for u in g}), 2)
+        assert g.analytics_cache()
+        restored = pickle.loads(pickle.dumps(g))
+        assert restored == g
+        assert restored.nodes == g.nodes
+        assert [restored.neighbors(u) for u in g] == [g.neighbors(u) for u in g]
+        assert restored.analytics_cache() == {}
+        assert run(
+            uniform_system(restored, MajorityVoteDevice(), {u: 0 for u in g}), 2
+        ).decisions() == {u: 0 for u in g}
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["lazy", "built"])
+    def test_behavior(self, read_first):
+        system, behavior, reference = _faulted_runs()
+        if read_first:
+            dict(behavior.edge_behaviors)
+        restored = pickle.loads(pickle.dumps(behavior))
+        assert restored == reference
+        assert restored.graph == system.graph
+
+    def test_witness(self):
+        from repro.analysis.witness_io import witness_to_dict
+        from repro.core import refute_node_bound
+
+        g = triangle()
+        witness = refute_node_bound(
+            g, {u: MajorityVoteDevice() for u in g.nodes}, 1, rounds=3
+        )
+        restored = pickle.loads(pickle.dumps(witness))
+        assert witness_to_dict(restored, include_traces=True) == (
+            witness_to_dict(witness, include_traces=True)
+        )
+        for checked in restored.checked:
+            c = checked.constructed
+            assert run(c.system, 3) == c.behavior

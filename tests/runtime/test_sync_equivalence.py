@@ -304,13 +304,18 @@ def assert_equivalent(system, plan, rounds):
         }
         return
     assert c_events == expected
-    # Read the untraced run's edge behaviors one lookup at a time, so
-    # the lazy build from the rows is what gets compared.
+    # Read the untraced run's message columns from its rows, then its
+    # edge behaviors one lookup at a time, so the lazy build from the
+    # rows is what gets compared, and then the columns again, now
+    # taken from the built behaviors.
     edges = plain.edge_behaviors
+    columns = {(u, v): reference.edge(u, v).messages for u, v in edges}
+    assert {(u, v): plain.column(u, v) for u, v in edges} == columns
     assert len(edges) == len(reference.edge_behaviors)
     assert {e: edges[e] for e in reference.edge_behaviors} == dict(
         reference.edge_behaviors
     )
+    assert {(u, v): plain.column(u, v) for u, v in edges} == columns
     assert set(edges) == set(system.graph.edges)
     assert plain == reference
     assert compiled == reference

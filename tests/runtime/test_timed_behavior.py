@@ -2,17 +2,27 @@
 payload comparison, edge restriction."""
 
 import math
+import pickle
 
 import pytest
 
-from repro.graphs import GraphError
-from repro.runtime.timed import LinearClock, TimedEvent
+from repro.graphs import GraphError, diamond
+from repro.protocols import ExchangeOnceWeakDevice
+from repro.runtime.timed import (
+    LinearClock,
+    TimedEvent,
+    make_timed_system,
+    run_timed,
+)
 from repro.runtime.timed.behavior import (
     TimedEdgeBehavior,
+    TimedEdgeSends,
     TimedNodeBehavior,
     events_equal,
     payloads_close,
 )
+
+from .reference_timed import reference_run_timed
 
 
 def node_behavior(events, clock=None, segments=()):
@@ -87,6 +97,63 @@ class TestEdgeBehavior:
         )
         assert eb.through(2.0).messages() == ("a", "b")
         assert eb.through(0.5).messages() == ("a",)
+
+
+def _weak_runs():
+    """One diamond run of the weak-agreement exchange, from the executor
+    and from the reference executor."""
+    g = diamond()
+    system = make_timed_system(
+        g,
+        {u: (lambda: ExchangeOnceWeakDevice(decide_at=2.0)) for u in g.nodes},
+        {u: i % 2 for i, u in enumerate(g.nodes)},
+        delay=1.0,
+    )
+    return system, run_timed(system, 3.0), reference_run_timed(system, 3.0)
+
+
+class TestTimedEdgeSends:
+    """The executor hands its per-edge send lists over as a mapping
+    built on first read; every reader must see the reference's dict."""
+
+    def test_equals_plain_dict_in_both_orders(self):
+        _, behavior, reference = _weak_runs()
+        edges = behavior.edge_behaviors
+        assert isinstance(edges, TimedEdgeSends)
+        assert type(reference.edge_behaviors) is dict
+        assert edges == reference.edge_behaviors
+        _, behavior, reference = _weak_runs()
+        assert reference.edge_behaviors == behavior.edge_behaviors
+        assert behavior == reference and reference == behavior
+        other = dict(reference.edge_behaviors)
+        other[next(iter(other))] = TimedEdgeBehavior(((0.0, "x", 1.0),))
+        assert behavior.edge_behaviors != other
+        assert other != behavior.edge_behaviors
+
+    def test_order_len_and_lookups(self):
+        system, behavior, reference = _weak_runs()
+        edges = behavior.edge_behaviors
+        order = list(system.graph.edges)
+        assert list(edges) == order and len(edges) == len(order)
+        assert any(edges[e].sends for e in order)  # builds the dict
+        assert list(edges) == order
+        assert [k for k, _ in edges.items()] == order
+        assert list(dict(edges)) == order
+        assert edges[order[0]] is edges[order[0]]  # built once, kept
+        assert repr(edges) == repr(dict(reference.edge_behaviors))
+        with pytest.raises(KeyError):
+            edges[("a", "ghost")]
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["lazy", "built"])
+    def test_pickle_round_trip(self, read_first):
+        system, behavior, reference = _weak_runs()
+        edges = behavior.edge_behaviors
+        if read_first:
+            dict(edges)
+        restored = pickle.loads(pickle.dumps(edges))
+        assert isinstance(restored, TimedEdgeSends)
+        assert list(restored) == list(system.graph.edges)
+        assert restored == reference.edge_behaviors
 
 
 class TestPayloadsClose:
