@@ -117,6 +117,11 @@ class CampaignConfig:
                 f"max_node_faults {self.max_node_faults} exceeds the node "
                 f"count {len(self.graph)}"
             )
+        if self.rounds == 0 and self.max_link_faults > 0:
+            raise ValueError(
+                f"max_link_faults {self.max_link_faults} needs rounds > 0: "
+                "a link fault's window is drawn from the rounds"
+            )
 
 
 @dataclass(frozen=True)
@@ -179,6 +184,25 @@ class CampaignResult:
 
 # -- deterministic sampling ------------------------------------------------
 
+_SAMPLE_ORDERS_KEY = "campaign_sample_orders"
+
+
+def _sample_orders(
+    graph: CommunicationGraph,
+) -> tuple[tuple[NodeId, ...], tuple[DirectedEdge, ...]]:
+    """The graph's nodes and edges sorted by ``repr``: the orders every
+    draw reads, part of the sample format.  Sorted once per graph and
+    cached in its :meth:`~repro.graphs.graph.CommunicationGraph.
+    analytics_cache`."""
+    cache = graph.analytics_cache()
+    orders = cache.get(_SAMPLE_ORDERS_KEY)
+    if orders is None:
+        orders = cache[_SAMPLE_ORDERS_KEY] = (
+            tuple(sorted(graph.nodes, key=repr)),
+            tuple(sorted(graph.edges, key=repr)),
+        )
+    return orders
+
 
 def _sample_link_fault(
     edge: DirectedEdge,
@@ -214,7 +238,7 @@ def sample_fault_plan(
     budget, so plans containing one are only drawn when the budget
     affords the cut.
     """
-    edges = sorted(graph.edges, key=repr)
+    nodes, edges = _sample_orders(graph)
     budget = rng.randrange(max_link_faults + 1) if edges else 0
     link_faults: list[LinkFault] = []
     partitions: list[Partition] = []
@@ -224,10 +248,7 @@ def sample_fault_plan(
             break
         kind = rng.choice(tuple(kinds))
         if kind == "partition":
-            side = rng.sample(
-                sorted(graph.nodes, key=repr),
-                rng.randrange(1, len(graph.nodes)),
-            )
+            side = rng.sample(nodes, rng.randrange(1, len(nodes)))
             start = rng.randrange(rounds)
             end = rng.randrange(start + 1, rounds + 1)
             cut = partition_between(graph, side, start, end)
@@ -254,7 +275,7 @@ def _sample_node_faults(
     config: CampaignConfig, attempt: int, rng: random.Random
 ) -> tuple[NodeFault, ...]:
     count = rng.randrange(config.max_node_faults + 1)
-    nodes = rng.sample(sorted(config.graph.nodes, key=repr), count)
+    nodes = rng.sample(_sample_orders(config.graph)[0], count)
     return tuple(
         NodeFault(
             node=node,
@@ -643,7 +664,7 @@ def _sample_attempt(
     )
     inputs = {
         u: rng.choice(config.value_pool)
-        for u in sorted(config.graph.nodes, key=repr)
+        for u in _sample_orders(config.graph)[0]
     }
     return (node_faults, plan, inputs)
 

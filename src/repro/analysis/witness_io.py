@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any
 
 from ..core.witness import ImpossibilityWitness
+from ..runtime.timed.behavior import TimedEdgeBehavior
 from .runstore import atomic_write_text
 
 
@@ -79,9 +80,13 @@ def witness_to_dict(
             behavior = getattr(constructed, "behavior", None)
             edge_behaviors = getattr(behavior, "edge_behaviors", None)
             if edge_behaviors:
+                # A timed edge is its (send time, message, arrival)
+                # triples; a synchronous edge its per-round messages.
                 entry["message_traces"] = {
                     f"{u}->{v}": _jsonable(
-                        getattr(eb, "messages", getattr(eb, "sends", ()))
+                        eb.sends
+                        if isinstance(eb, TimedEdgeBehavior)
+                        else eb.messages
                     )
                     for (u, v), eb in edge_behaviors.items()
                 }

@@ -12,7 +12,7 @@ same horizon.  This module provides:
   strings to results, with hit/miss counters (``cache.stats()``).
 * :func:`fingerprint` / :func:`plan_fingerprint` /
   :func:`graph_fingerprint` — canonical content keys.  Fingerprints
-  hash *values* (sorted node/edge names, the fault plan's JSON form),
+  hash *values* (sorted node/edge names, the fault plan's fields),
   never object identities, so a rebuilt-but-equal configuration hits.
 
 Correctness contract: a cache hit returns the *same objects* a fresh
@@ -115,10 +115,9 @@ def json_fingerprint(value: Any) -> str:
     """Fingerprint of any JSON-serialisable value, via its canonical
     (sorted-keys) JSON form.
 
-    The shared primitive behind :func:`plan_fingerprint` and the run
-    store's content-addressed shard keys: equal values fingerprint
-    identically however they were assembled, and the key survives a
-    round-trip through JSON persistence.
+    The primitive behind the run store's content-addressed shard keys:
+    equal values fingerprint identically however they were assembled,
+    and the key survives a round-trip through JSON persistence.
     """
     return fingerprint(json.dumps(value, sort_keys=True))
 
@@ -126,12 +125,29 @@ def json_fingerprint(value: Any) -> str:
 def plan_fingerprint(plan: FaultPlan | None) -> str:
     """Canonical fingerprint of a fault plan (``None`` = fault-free).
 
-    Uses the plan's JSON form with sorted keys, so plans that are equal
-    as values fingerprint identically however they were assembled.
+    Hashes a tuple of every field of the plan and of its atoms, with
+    each partition's edges sorted, so plans that are equal as values
+    fingerprint identically however they were assembled (and in every
+    process: no part depends on hash order).  Values enter by ``repr``,
+    which keeps ``1``, ``1.0`` and ``True`` apart.  It keys the
+    in-process memo only; the run store's persistent keys use
+    :func:`json_fingerprint`.
     """
     if plan is None:
         return "fault-free"
-    return json_fingerprint(plan.to_dict())
+    return fingerprint(
+        plan.seed,
+        plan.corrupt_pool,
+        tuple(
+            (f.edge, f.kind, f.start, f.end, f.delay, f.burst, f.period,
+             f.probability)
+            for f in plan.link_faults
+        ),
+        tuple(
+            (tuple(sorted(map(repr, p.edges))), p.start, p.end)
+            for p in plan.partitions
+        ),
+    )
 
 
 def graph_fingerprint(graph: "CommunicationGraph") -> str:

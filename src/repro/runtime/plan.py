@@ -142,6 +142,14 @@ def identity_labelling(
     return labelling
 
 
+def shared_identity_labelling(
+    graph: CommunicationGraph,
+) -> Mapping[NodeId, Mapping[NodeId, Any]] | None:
+    """The graph's shared identity labelling if one was built, else
+    ``None`` (builds nothing)."""
+    return graph.analytics_cache().get(_IDENTITY_PORTS_KEY)
+
+
 _Routes = tuple[
     tuple[NodeRoutes, ...], tuple[DirectedEdge, ...], dict[DirectedEdge, int]
 ]
@@ -177,8 +185,7 @@ def _routes_of(system: "SyncSystem") -> _Routes:
     every node uses the shared identity labelling, otherwise compiled
     for this system."""
     graph = system.graph
-    cache = graph.analytics_cache()
-    shared = cache.get(_IDENTITY_PORTS_KEY)
+    shared = shared_identity_labelling(graph)
     assignments = system.assignments
     if shared is None or any(
         assignments[u].port_of_neighbor is not shared[u] for u in graph.nodes
@@ -187,6 +194,7 @@ def _routes_of(system: "SyncSystem") -> _Routes:
             graph,
             {u: assignments[u].port_of_neighbor for u in graph.nodes},
         )
+    cache = graph.analytics_cache()
     routes = cache.get(_ROUTES_KEY)
     if routes is None:
         routes = cache[_ROUTES_KEY] = _compile_routes(graph, shared)
@@ -296,4 +304,5 @@ __all__ = [
     "compile_sync_plan",
     "compile_timed_plan",
     "identity_labelling",
+    "shared_identity_labelling",
 ]

@@ -104,21 +104,34 @@ class SilentDevice(SyncDevice):
 class RandomLiarDevice(SyncDevice):
     """Sends pseudo-random values drawn from a pool, independently per
     port and round.  Deterministic given the seed (so systems containing
-    it still have a single behavior)."""
+    it still have a single behavior).
+
+    Each port's value is drawn from its own rng, seeded by ``(seed,
+    round, port)``.  The draws for one ``(round, ports)`` pair are made
+    on its first send and kept in a table on the instance, so a system
+    run many times (the campaign shrinker's) draws once.  The table
+    holds only what the seed determines, so it never changes a send.
+    """
 
     def __init__(self, seed: int, value_pool: Sequence[Any] = (0, 1)) -> None:
         self._seed = seed
         self._pool = tuple(value_pool)
+        self._sends: dict[tuple[int, tuple], dict[PortLabel, Message]] = {}
 
     def init_state(self, ctx: NodeContext) -> State:
         return ("liar", self._seed)
 
     def send(self, ctx, state, round_index) -> dict[PortLabel, Message]:
-        out = {}
-        for label in ctx.ports:
-            rng = random.Random(f"{self._seed}:{round_index}:{label!r}")
-            out[label] = rng.choice(self._pool)
-        return out
+        key = (round_index, ctx.ports)
+        out = self._sends.get(key)
+        if out is None:
+            out = self._sends[key] = {
+                label: random.Random(
+                    f"{self._seed}:{round_index}:{label!r}"
+                ).choice(self._pool)
+                for label in ctx.ports
+            }
+        return dict(out)
 
     def transition(self, ctx, state, round_index, inbox) -> State:
         return state

@@ -19,7 +19,7 @@ from typing import Any
 
 from ...graphs.coverings import CoveringMap
 from ...graphs.graph import CommunicationGraph, GraphError, NodeId
-from ..plan import identity_labelling
+from ..plan import identity_labelling, shared_identity_labelling
 from .device import NodeContext, PortLabel, SyncDevice
 
 
@@ -62,10 +62,15 @@ class SyncSystem:
     assignments: Mapping[NodeId, NodeAssignment]
 
     def __post_init__(self) -> None:
+        # The graph's own shared identity labelling is correct by
+        # construction; every other labelling is checked.
+        shared = shared_identity_labelling(self.graph)
         for u in self.graph.nodes:
             if u not in self.assignments:
                 raise GraphError(f"node {u!r} has no assignment")
             assignment = self.assignments[u]
+            if shared is not None and assignment.port_of_neighbor is shared[u]:
+                continue
             labeled = set(assignment.port_of_neighbor)
             actual = set(self.graph.neighbors(u))
             if labeled != actual:

@@ -2,12 +2,14 @@
 them to minimal plans, replays deterministically, and sweeps the
 graceful-degradation frontier."""
 
+import hashlib
 import json
 
 import pytest
 
 from repro.analysis.campaign import (
     CampaignConfig,
+    _sample_attempt,
     counterexample_from_dict,
     counterexample_to_dict,
     degradation_frontier,
@@ -160,6 +162,65 @@ class TestSampling:
 
         plan = sample_fault_plan(complete_graph(4), 3, 0, random.Random(1))
         assert plan.is_trivial()
+
+    def test_sampled_attempts_are_pinned(self):
+        """200 attempts at K8 with every link kind, in the benchmark's
+        shape (6 links, where no partition fits: cutting one node off
+        takes 14 edges) and with 16 links (where some do).  The digest
+        was recorded before the sample orders were cached per graph;
+        any change to a draw changes it."""
+        draws = []
+        for links in (6, 16):
+            config = naive_config(
+                graph=complete_graph(8),
+                rounds=5,
+                max_node_faults=2,
+                max_link_faults=links,
+                attempts=200,
+                seed=28,
+            )
+            for attempt in range(1, 201):
+                node_faults, plan, inputs = _sample_attempt(config, attempt)
+                draws.append({
+                    "node_faults": [
+                        [nf.node, nf.kind, nf.key] for nf in node_faults
+                    ],
+                    "plan": plan.to_dict(),
+                    "inputs": list(inputs.items()),
+                })
+        kinds = {
+            f["kind"] for d in draws for f in d["plan"]["link_faults"]
+        }
+        assert kinds == {"drop", "corrupt", "delay", "omit"}
+        assert sum(len(d["plan"]["partitions"]) for d in draws) == 5
+        digest = hashlib.sha256(
+            json.dumps(draws, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == (
+            "1227c539a95bb8b76d95ae55c17b036fa24a3ea8eac64c18d63e688817c76a55"
+        )
+
+
+class TestConfigValidation:
+    def test_link_faults_need_rounds(self):
+        with pytest.raises(ValueError, match="max_link_faults 2 needs rounds > 0"):
+            naive_config(rounds=0, max_link_faults=2)
+        naive_config(rounds=0, max_link_faults=0, max_node_faults=1)
+
+    def test_cli_rejects_link_faults_without_rounds(self, capsys, tmp_path):
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        argv = [
+            "--seed", "3", "campaign", "--protocol", "naive",
+            "--graph", "complete:4", "--links", "2", "--rounds", "0",
+        ]
+        for extra in ([], ["--frontier"], ["--checkpoint", str(store)]):
+            assert main(argv + extra) == 2, extra
+            err = capsys.readouterr().err
+            assert "error: max_link_faults 2 needs rounds > 0" in err, extra
+            assert "Traceback" not in err
+        assert not store.exists()
 
 
 class TestFrontier:

@@ -49,6 +49,33 @@ class TestWitnessToDict:
         json.dumps(data)
         assert data["extra"]["k"] == witness.extra["k"]
 
+    def test_timed_traces_hold_the_sends(self):
+        g = triangle()
+        witness = refute_weak_agreement(
+            {u: (lambda: ExchangeOnceWeakDevice(2.0)) for u in g.nodes},
+            delta=1.0,
+            decision_deadline=3.0,
+        )
+        data = witness_to_dict(witness, include_traces=True)
+        traced = [b for b in data["behaviors"] if "message_traces" in b]
+        assert traced
+        for entry in traced:
+            checked = next(
+                c for c in witness.checked if c.label == entry["label"]
+            )
+            edges = checked.constructed.behavior.edge_behaviors
+            expected = {
+                f"{u}->{v}": eb.sends for (u, v), eb in edges.items()
+            }
+            assert entry["message_traces"] == json.loads(json.dumps(expected))
+        sends = [
+            send
+            for entry in traced
+            for trace in entry["message_traces"].values()
+            for send in trace
+        ]
+        assert sends and all(len(send) == 3 for send in sends)
+
     def test_links_present(self):
         data = witness_to_dict(sync_witness())
         assert data["links"][0]["between"] == ["E1", "E2"]

@@ -6,8 +6,16 @@ equivalence contract (cached results equal fresh executions, through
 the campaign engine's shrink/replay paths).
 """
 
+import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.analysis.campaign import (
     CampaignConfig,
     execute_attempt,
@@ -15,7 +23,7 @@ from repro.analysis.campaign import (
 )
 from repro.graphs.builders import complete_graph
 from repro.protocols.naive import MajorityVoteDevice
-from repro.runtime.faults import FaultPlan, LinkFault
+from repro.runtime.faults import FaultPlan, LinkFault, Partition
 from repro.runtime.memo import (
     BehaviorCache,
     fingerprint,
@@ -96,6 +104,79 @@ class TestFingerprints:
             _plan(g, seed=99)
         )
         assert plan_fingerprint(None) == "fault-free"
+
+    def test_plan_fingerprint_covers_every_field(self):
+        base_fault = LinkFault(
+            edge=("n0", "n1"), kind="omit", start=1, end=4,
+            delay=2.0, burst=1, period=3, probability=0.5,
+        )
+        cut = Partition(
+            edges=frozenset({("n2", "n3"), ("n3", "n2")}), start=0, end=2
+        )
+        base = FaultPlan(
+            link_faults=(base_fault,), partitions=(cut,), seed=5,
+            corrupt_pool=(0, 1),
+        )
+        variants = [
+            replace(base, link_faults=(replace(base_fault, **change),))
+            for change in (
+                {"edge": ("n1", "n0")},
+                {"kind": "drop"},
+                {"start": 2},
+                {"end": math.inf},
+                {"delay": 3.0},
+                {"burst": 2},
+                {"period": 4},
+                {"probability": 1.0},
+            )
+        ] + [
+            replace(base, partitions=(replace(cut, **change),))
+            for change in (
+                {"edges": frozenset({("n2", "n3")})},
+                {"start": 1},
+                {"end": 3},
+            )
+        ] + [
+            replace(base, seed=6),
+            replace(base, link_faults=()),
+            replace(base, partitions=()),
+        ] + [
+            replace(base, corrupt_pool=pool)
+            for pool in ((1,), (1.0,), (True,), ("1",))
+        ]
+        keys = [plan_fingerprint(p) for p in [base] + variants]
+        assert len(set(keys)) == len(keys)
+
+    def test_plan_fingerprint_ignores_partition_build_order(self):
+        edges = [(f"n{i}", f"n{j}") for i in range(4) for j in range(4, 8)]
+        forward = FaultPlan(partitions=(Partition(frozenset(edges), 0, 3),))
+        backward = FaultPlan(
+            partitions=(Partition(frozenset(reversed(edges)), 0, 3),)
+        )
+        assert forward == backward
+        assert plan_fingerprint(forward) == plan_fingerprint(backward)
+
+    def test_plan_fingerprint_is_hash_seed_independent(self):
+        script = (
+            "from repro.runtime.faults import FaultPlan, LinkFault, Partition\n"
+            "from repro.runtime.memo import plan_fingerprint\n"
+            "edges = frozenset((f'n{i}', f'n{j}') for i in range(4)"
+            " for j in range(4, 8))\n"
+            "plan = FaultPlan(link_faults=(LinkFault(('n0', 'n4'), 'drop'),),"
+            " partitions=(Partition(edges, 1, 3),), seed=9)\n"
+            "print(plan_fingerprint(plan))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        keys = set()
+        for hash_seed in ("0", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            keys.add(done.stdout.strip())
+        assert len(keys) == 1
 
     def test_graph_fingerprint_distinguishes_shapes(self):
         assert graph_fingerprint(complete_graph(4)) == graph_fingerprint(

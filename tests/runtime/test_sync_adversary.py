@@ -1,11 +1,15 @@
 """Edge-case coverage for the synchronous adversary devices: crashing
 at round zero, degenerate two-faced splits, and replay scripts shorter
-than the horizon."""
+than the horizon; the random liar's table of draws."""
+
+import random
 
 from repro.graphs import triangle
 from repro.protocols import MajorityVoteDevice
 from repro.runtime.sync import (
     CrashDevice,
+    NodeContext,
+    RandomLiarDevice,
     ReplayDevice,
     TwoFacedDevice,
     run,
@@ -90,3 +94,43 @@ class TestReplayDevice:
         system = _with_faulty_a(replay)
         behavior = run(system, 2)
         assert behavior.edge("a", "c").messages == (None, None)
+
+
+class TestRandomLiarDevice:
+    POOL = (0, 1, "x")
+
+    def _expected(self, seed, round_index, ports):
+        # One rng per (seed, round, port): the device's documented draw.
+        return {
+            label: random.Random(f"{seed}:{round_index}:{label!r}").choice(
+                self.POOL
+            )
+            for label in ports
+        }
+
+    def test_sends_equal_cold_warm_and_fresh(self):
+        ctx = NodeContext(ports=("b", "c", "d"), input=0)
+        liar = RandomLiarDevice(41, self.POOL)
+        state = liar.init_state(ctx)
+        cold = [liar.send(ctx, state, r) for r in range(6)]
+        warm = [liar.send(ctx, state, r) for r in range(6)]
+        fresh = RandomLiarDevice(41, self.POOL)
+        again = [fresh.send(ctx, state, r) for r in reversed(range(6))][::-1]
+        expected = [self._expected(41, r, ctx.ports) for r in range(6)]
+        assert cold == warm == again == expected
+        assert len({tuple(out.values()) for out in cold}) > 1
+
+    def test_table_is_keyed_by_port_order(self):
+        liar = RandomLiarDevice(7, self.POOL)
+        for ports in (("b", "c", "d"), ("d", "c", "b"), ("c",), ()):
+            out = liar.send(NodeContext(ports=ports, input=0), None, 2)
+            assert list(out) == list(ports)
+            assert out == self._expected(7, 2, ports)
+
+    def test_sends_are_copies(self):
+        ctx = NodeContext(ports=("b", "c"), input=0)
+        liar = RandomLiarDevice(3, self.POOL)
+        first = liar.send(ctx, None, 0)
+        first["b"] = "tampered"
+        del first["c"]
+        assert liar.send(ctx, None, 0) == self._expected(3, 0, ctx.ports)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.graphs import GraphError, triangle
+from repro.graphs import CommunicationGraph, GraphError, triangle
+from repro.runtime.plan import identity_labelling
 from repro.protocols import MajorityVoteDevice
 from repro.runtime.sync import (
     NodeAssignment,
@@ -46,6 +47,33 @@ class TestSyncSystemGuards:
             MajorityVoteDevice(), 0, {"b": "x", "c": "x"}
         )
         with pytest.raises(GraphError):
+            SyncSystem(g, bad)
+
+    def test_shared_labelling_of_another_graph_rejected(self):
+        # Only this graph's own shared labelling skips the check.
+        path = CommunicationGraph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+        identity_labelling(path)  # path's own shared labelling exists
+        star = CommunicationGraph(["a", "b", "c"], [("a", "b"), ("a", "c")])
+        for other in (triangle(), star):
+            labelling = identity_labelling(other)
+            assignments = {
+                u: NodeAssignment(MajorityVoteDevice(), 0, labelling[u])
+                for u in path.nodes
+            }
+            with pytest.raises(GraphError, match="port labeling of 'a'"):
+                SyncSystem(path, assignments)
+
+    def test_shared_labelling_skips_only_its_own_nodes(self):
+        g = triangle()
+        base = uniform_system(g, MajorityVoteDevice(), {u: 0 for u in g.nodes})
+        shared = identity_labelling(g)
+        assert all(
+            base.assignments[u].port_of_neighbor is shared[u] for u in g.nodes
+        )
+        # Node b's shared labelling handed to node a is still checked.
+        bad = dict(base.assignments)
+        bad["a"] = NodeAssignment(MajorityVoteDevice(), 0, shared["b"])
+        with pytest.raises(GraphError, match="port labeling of 'a'"):
             SyncSystem(g, bad)
 
     def test_with_inputs_preserves_devices(self):
