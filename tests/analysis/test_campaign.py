@@ -203,7 +203,7 @@ class TestSampling:
 
 class TestConfigValidation:
     def test_link_faults_need_rounds(self):
-        with pytest.raises(ValueError, match="max_link_faults 2 needs rounds > 0"):
+        with pytest.raises(ValueError, match="2 needs rounds > 0"):
             naive_config(rounds=0, max_link_faults=2)
         naive_config(rounds=0, max_link_faults=0, max_node_faults=1)
 

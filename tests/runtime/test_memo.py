@@ -158,7 +158,8 @@ class TestFingerprints:
 
     def test_plan_fingerprint_is_hash_seed_independent(self):
         script = (
-            "from repro.runtime.faults import FaultPlan, LinkFault, Partition\n"
+            "from repro.runtime.faults import"
+            " FaultPlan, LinkFault, Partition\n"
             "from repro.runtime.memo import plan_fingerprint\n"
             "edges = frozenset((f'n{i}', f'n{j}') for i in range(4)"
             " for j in range(4, 8))\n"
