@@ -5,19 +5,21 @@ Four hard gates, each comparing an instrumented path against a bare
 version of the same work:
 
 * telemetry — ``run()`` on a compiled plan with telemetry disabled
-  (K8 majority, 10 rounds) against the bare executor that
-  :func:`derive_bare_execute_plan` below derives from
-  ``execute_plan``'s source by dropping its telemetry statements.
+  (K8 majority, 10 rounds) against ``execute_plan`` on that plan.
 * telemetry-faulted — the same on K8 over 5 rounds with six faulted
   links, so the slots that pass through the injector are gated too.
 * telemetry-rounds — the same on one node over 500 rounds, where a
-  round costs little more than the loop itself: one switched-off
-  ``obs.emit`` call left unconditional in every round (about 9% there)
-  fails this gate, while on K8 it hides in the per-node work.
+  round costs little more than the loop itself.
 * checkpoint — ``run_campaign(memoize=False)`` with no run store (a
   surviving EIG campaign on K4, 40 attempts, at most one drop fault)
   against :func:`bare_scan`, a hand-rolled sample-execute-check loop
   with no journal branches.
+
+The round loop emits nothing (a traced ``run()`` derives its round
+events from what the run recorded), and both legs of the telemetry
+gates run it, so those gates bound what ``run()`` adds around it.
+That no telemetry reaches the loop is a structural test in the tier-1
+suite (``tests/obs/test_export.py``).
 
 Each gate times ``PAIRS`` back-to-back (bare, measured) pairs,
 alternating which leg runs first, and takes the median of the
@@ -30,15 +32,10 @@ Usage::
     python scripts/overhead_gates.py
 """
 
-import __future__
-import ast
-import inspect
 import pathlib
 import statistics
 import sys
-import textwrap
 import time
-import types
 
 sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -60,8 +57,7 @@ from repro.runtime.faults import (  # noqa: E402
     SyncFaultInjector,
 )
 from repro.runtime.plan import compile_sync_plan  # noqa: E402
-from repro.runtime.sync import executor  # noqa: E402
-from repro.runtime.sync.executor import run  # noqa: E402
+from repro.runtime.sync.executor import execute_plan, run  # noqa: E402
 from repro.runtime.sync.system import make_system  # noqa: E402
 
 #: Hard ceiling on the disabled-telemetry / bare hot-path ratio.
@@ -72,77 +68,6 @@ CHECKPOINT_OVERHEAD_BUDGET = 1.05
 
 #: Timed (bare, measured) pairs per gate.
 PAIRS = 101
-
-#: Names whose statements the bare executor drops: the telemetry
-#: module, the hoisted on/off flag and the round timer.
-STRIPPED_NAMES = frozenset({"obs", "obs_on", "perf_counter"})
-
-
-class _StripTelemetry(ast.NodeTransformer):
-    """Drop every statement that mentions a :data:`STRIPPED_NAMES` name.
-
-    Children are visited first, so a compound statement (the round
-    loop, say) loses only its telemetry statements and is itself
-    dropped only if what is left of it still mentions one, like an
-    ``if obs_on:`` test.  A body emptied this way becomes ``pass``.
-    """
-
-    def generic_visit(self, node):
-        node = super().generic_visit(node)
-        if isinstance(node, ast.stmt) and _mentions_stripped(node):
-            return None
-        if getattr(node, "body", None) == []:
-            node.body = [ast.Pass()]
-        return node
-
-
-def _mentions_stripped(node):
-    return any(
-        isinstance(n, ast.Name) and n.id in STRIPPED_NAMES
-        for n in ast.walk(node)
-    )
-
-
-def _code_names(code):
-    """Every name and local of ``code`` and its nested code objects."""
-    names = set(code.co_names) | set(code.co_varnames)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= _code_names(const)
-    return names
-
-
-def derive_bare_execute_plan():
-    """``execute_plan`` with its telemetry statements stripped out.
-
-    The instrumented executor's disabled-telemetry cost is supposed to
-    be one hoisted boolean check per call plus one flag test per round;
-    the function returned here is the baseline that claim is measured
-    against (the telemetry gate bounds the ratio).  It is derived from the
-    executor's own source on every call, with :class:`_StripTelemetry`,
-    and compiled against a copy of the executor module's globals, so it
-    cannot drift from the code it gates.  Raises ``RuntimeError`` if a
-    stripped name survives in the derived code.
-    """
-    source = textwrap.dedent(inspect.getsource(executor.execute_plan))
-    tree = ast.fix_missing_locations(_StripTelemetry().visit(ast.parse(source)))
-    namespace = dict(vars(executor))
-    exec(
-        compile(
-            tree,
-            "<bare execute_plan>",
-            "exec",
-            flags=__future__.annotations.compiler_flag,
-            dont_inherit=True,
-        ),
-        namespace,
-    )
-    bare = namespace["execute_plan"]
-    leaked = _code_names(bare.__code__) & STRIPPED_NAMES
-    if leaked:
-        raise RuntimeError(f"derived executor still mentions {sorted(leaked)}")
-    return bare
-
 
 def median_pair_ratio(bare, measured):
     """Median measured/bare wall-time ratio over ``PAIRS`` pairs.
@@ -168,8 +93,8 @@ def median_pair_ratio(bare, measured):
 
 
 def telemetry_gate(n=8, rounds=10, faults=False):
-    """Disabled-telemetry ``run()`` vs the derived bare executor, on
-    majority devices over ``K_n`` for ``rounds`` rounds.
+    """Disabled-telemetry ``run()`` vs ``execute_plan``, on majority
+    devices over ``K_n`` for ``rounds`` rounds.
 
     Without ``faults`` the devices exchange once and then idle, so
     later rounds cost little besides the round loop itself.  With
@@ -201,10 +126,9 @@ def telemetry_gate(n=8, rounds=10, faults=False):
 
         return timed
 
-    bare_execute_plan = derive_bare_execute_plan()
     obs.reset()  # telemetry must be off for the measured leg
     ratio, bare, disabled = median_pair_ratio(
-        leg(lambda injector: bare_execute_plan(plan, rounds, injector)),
+        leg(lambda injector: execute_plan(plan, rounds, injector)),
         leg(lambda injector: run(system, rounds, injector)),
     )
     return ratio, bare == disabled

@@ -837,7 +837,6 @@ def degradation_frontier(
     max_link_faults: int | None = None,
     attempts_per_level: int | None = None,
     jobs: int = 1,
-    cache: BehaviorCache | None = None,
     store: Shard | None = None,
 ) -> DegradationFrontier:
     """Sweep the link budget 0..max and report, per spec clause, the
@@ -874,7 +873,7 @@ def degradation_frontier(
             link_kinds=config.link_kinds,
             spec=config.spec,
         )
-        result = run_campaign(level, cache=cache)
+        result = run_campaign(level)
         broken: tuple[str, ...] = ()
         if result.broken:
             assert result.shrunk is not None

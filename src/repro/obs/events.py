@@ -12,9 +12,11 @@ Design rules
 ------------
 * **Off by default, near-zero when off.**  All emission funnels through
   :func:`emit`, which returns after one attribute check when telemetry
-  is disabled.  Hot loops (the executors) additionally hoist a single
-  :func:`is_enabled` check per call so the per-round/per-edge cost of
-  disabled telemetry is a pointer comparison.
+  is disabled.  The synchronous round loop emits nothing: its ``run()``
+  checks :func:`is_enabled` once and, when on, derives the round
+  events from the run's recorded rows and injections.  The timed
+  executor hoists one :func:`is_enabled` check per call, so its
+  per-event cost of disabled telemetry is a pointer comparison.
 * **Two scopes.**  ``run``-scope events describe the *execution itself*
   (rounds, deliveries, injections, attempts) and are a pure
   function of the workload — the same campaign emits the same

@@ -61,9 +61,7 @@ from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 from ..graphs.graph import CommunicationGraph, DirectedEdge, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .sync.behavior import SyncBehavior
     from .sync.device import NodeContext, PortLabel, SyncDevice
-    from .faults import SyncFaultInjector
     from .sync.system import SyncSystem
     from .timed.clocks import ClockFunction
     from .timed.device import TimedContext
@@ -115,14 +113,6 @@ class SyncPlan:
     nodes: tuple[CompiledSyncNode, ...]
     edges: tuple[DirectedEdge, ...]
     slot_of: Mapping[DirectedEdge, int]
-
-    def run(
-        self, rounds: int, injector: "SyncFaultInjector | None" = None
-    ) -> "SyncBehavior":
-        """Execute this plan (delegates to the synchronous executor)."""
-        from .sync.executor import execute_plan
-
-        return execute_plan(self, rounds, injector)
 
 
 def identity_labelling(

@@ -28,7 +28,6 @@ from .executor import ExecutionError, check_determinism, execute_plan, run
 from .system import (
     NodeAssignment,
     SyncSystem,
-    identity_ports,
     install_in_covering,
     make_system,
     uniform_system,
@@ -60,7 +59,6 @@ __all__ = [
     "TwoFacedDevice",
     "check_determinism",
     "execute_plan",
-    "identity_ports",
     "install_in_covering",
     "make_system",
     "run",

@@ -59,8 +59,17 @@ def execute_plan(
     Executing the same plan twice yields equal behaviors (plans carry
     no per-run state).  Only the slots whose edge the injector's plan
     names reach ``injector.deliver``, so a fault-free run (or an edge
-    no fault touches) pays nothing per slot.
+    no fault touches) pays nothing per slot.  It emits no telemetry;
+    :func:`run` derives a traced run's round events from its record.
     """
+    return _execute(plan, rounds, injector, [], [])
+
+
+def _execute(plan, rounds, injector, rows, state_rows):
+    """:func:`execute_plan`, recording into the caller's lists: each
+    round's row once every node has sent, and its states (after the
+    initial ones) once every node has moved.  What a run that raises
+    left in them is what it did."""
     if rounds < 0:
         raise ExecutionError("rounds must be non-negative")
     compiled, edges = plan.nodes, plan.edges
@@ -86,23 +95,8 @@ def execute_plan(
         decision.append(cn.device.choose(cn.ctx, states[-1]))
     decided_at = [None if d is None else 0 for d in decision]
 
-    # Telemetry is hoisted to one boolean per call; when off, the only
-    # per-round cost below is this flag check.
-    obs_on = obs.is_enabled()
-    if obs_on:
-        # Delivery events keep the sorted-edge order traces always had.
-        delivery_order = sorted(range(len(edges)), key=lambda s: repr(edges[s]))
-
-    rows = []
-    state_rows = [states]
+    state_rows.append(states)
     for round_index in range(rounds):
-        if obs_on:
-            round_t0 = perf_counter()
-            obs.emit(obs.ROUND_START, round=round_index)
-            trace_mark = (
-                len(injector.trace.records) if injector is not None else 0
-            )
-
         # Phase 1: every node fills its slots of this round's row.  A
         # node's slots follow its predecessors', so appending in node
         # order fills each range.
@@ -124,31 +118,6 @@ def execute_plan(
             for s in faulted:
                 row[s] = injector.deliver(edges[s], round_index, row[s])
         rows.append(row)
-
-        if obs_on:
-            for s in delivery_order:
-                obs.emit(
-                    obs.MESSAGE_DELIVERY,
-                    round=round_index,
-                    src=str(edges[s][0]),
-                    dst=str(edges[s][1]),
-                    empty=row[s] is None,
-                )
-            injected = 0
-            if injector is not None:
-                fresh = injector.trace.records[trace_mark:]
-                injected = len(fresh)
-                for rec in sorted(
-                    fresh, key=lambda r: (repr(r.edge), r.action, r.time)
-                ):
-                    obs.emit(
-                        obs.FAULT_INJECTION,
-                        round=round_index,
-                        src=str(rec.edge[0]),
-                        dst=str(rec.edge[1]),
-                        action=rec.action,
-                        time=rec.time,
-                    )
 
         # Phase 2: every node consumes its inbox and moves.
         slot = row.__getitem__
@@ -173,15 +142,6 @@ def execute_plan(
         states = moved
         state_rows.append(states)
 
-        if obs_on:
-            obs.emit(
-                obs.ROUND_END,
-                round=round_index,
-                messages=len(edges),
-                injected=injected,
-            )
-            obs.observe_span("executor.round", perf_counter() - round_t0)
-
     traces = map(NodeBehavior, zip(*state_rows), decision, decided_at)
     return SyncBehavior(
         graph=plan.graph,
@@ -189,6 +149,56 @@ def execute_plan(
         node_behaviors=dict(zip((cn.node for cn in compiled), traces)),
         edge_behaviors=EdgeColumns(edges, rows, plan.slot_of),
     )
+
+
+def _emit_rounds(edges, rows, completed, rounds, records):
+    """Emit a run's round events from its record: the ``rows`` that
+    :func:`_execute` stored, the number of rounds it ``completed``
+    (every node moved), and the injection ``records`` the run appended.
+
+    Per round: its start, one delivery per edge in ``repr`` order, its
+    injections in ``(repr(edge), action, time)`` order, and its end.  A
+    round whose sends raised has only its start; one whose moves raised
+    (a transition, or a decision that changed) has no end.
+    """
+    order = sorted(range(len(edges)), key=lambda s: repr(edges[s]))
+    injected: dict[Any, list] = {}
+    for rec in records:
+        injected.setdefault(rec.time, []).append(rec)
+    for round_index in range(min(completed + 1, rounds)):
+        obs.emit(obs.ROUND_START, round=round_index)
+        if round_index == len(rows):
+            return
+        row = rows[round_index]
+        for s in order:
+            obs.emit(
+                obs.MESSAGE_DELIVERY,
+                round=round_index,
+                src=str(edges[s][0]),
+                dst=str(edges[s][1]),
+                empty=row[s] is None,
+            )
+        fresh = sorted(
+            injected.get(round_index, ()),
+            key=lambda r: (repr(r.edge), r.action, r.time),
+        )
+        for rec in fresh:
+            obs.emit(
+                obs.FAULT_INJECTION,
+                round=round_index,
+                src=str(rec.edge[0]),
+                dst=str(rec.edge[1]),
+                action=rec.action,
+                time=rec.time,
+            )
+        if round_index == completed:
+            return
+        obs.emit(
+            obs.ROUND_END,
+            round=round_index,
+            messages=len(edges),
+            injected=len(fresh),
+        )
 
 
 def run(
@@ -208,8 +218,27 @@ def run(
     records what it did.
     Without one, the code path is the classic reliable-channel
     executor, byte-for-byte.
+
+    With telemetry on, the run's round events are emitted once it has
+    returned or raised, from what it recorded (see
+    :func:`_emit_rounds`), and its wall time goes to the
+    ``executor.run`` host span.
     """
-    return execute_plan(compile_sync_plan(system), rounds, injector)
+    plan = compile_sync_plan(system)
+    rows: list[list[Any]] = []
+    state_rows: list[list[Any]] = []
+    if not obs.is_enabled():
+        return _execute(plan, rounds, injector, rows, state_rows)
+    records = injector.trace.records if injector is not None else []
+    mark = len(records)
+    started = perf_counter()
+    try:
+        return _execute(plan, rounds, injector, rows, state_rows)
+    finally:
+        _emit_rounds(
+            plan.edges, rows, len(state_rows) - 1, rounds, records[mark:]
+        )
+        obs.observe_span("executor.run", perf_counter() - started)
 
 
 def check_determinism(system: SyncSystem, rounds: int) -> bool:

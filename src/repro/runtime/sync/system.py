@@ -133,11 +133,6 @@ class SyncSystem:
         return SyncSystem(self.graph, new_assignments)
 
 
-def identity_ports(graph: CommunicationGraph, u: NodeId) -> dict[NodeId, PortLabel]:
-    """The default labeling: each port named after the actual neighbor."""
-    return {v: v for v in graph.neighbors(u)}
-
-
 def make_system(
     graph: CommunicationGraph,
     devices: Mapping[NodeId, SyncDevice],

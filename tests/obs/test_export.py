@@ -1,27 +1,37 @@
 """Trace export: JSONL round-trip, summaries, executor instrumentation."""
 
-import importlib.util
+import inspect
 import json
-from pathlib import Path
+import sys
+import types
 
 import pytest
 
 from repro import obs
 from repro.graphs import complete_graph
 from repro.protocols import MajorityVoteDevice
-from repro.runtime.sync import make_system, run
-from repro.runtime.plan import compile_sync_plan
+from repro.runtime.sync import executor, make_system, run
 
 
-def _bare_execute_plan():
-    """The telemetry-free executor that ``overhead_gates.py`` derives
-    from ``execute_plan``'s source and gates the disabled-telemetry
-    overhead against."""
-    path = Path(__file__).resolve().parents[2] / "scripts" / "overhead_gates.py"
-    spec = importlib.util.spec_from_file_location("overhead_gates", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.derive_bare_execute_plan()
+def _names_reached(function):
+    """The global and attribute names that ``function``'s code, its
+    nested code, and (transitively) every function of its own module
+    that it names mention."""
+    module = sys.modules[function.__module__]
+    names = set()
+    todo = [function.__code__]
+    while todo:
+        code = todo.pop()
+        fresh = set(code.co_names) - names
+        names |= fresh
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        todo += [
+            callee.__code__
+            for callee in map(vars(module).get, fresh)
+            if inspect.isfunction(callee)
+            and callee.__module__ == module.__name__
+        ]
+    return names
 
 
 def _run_workload():
@@ -106,15 +116,15 @@ class TestSummaries:
 
 
 class TestExecutorInstrumentation:
-    def test_disabled_run_matches_bare_executor(self):
-        graph = complete_graph(4)
-        system = make_system(
-            graph,
-            {u: MajorityVoteDevice() for u in graph.nodes},
-            {u: i % 2 for i, u in enumerate(graph.nodes)},
-        )
-        plan = compile_sync_plan(system)
-        assert _bare_execute_plan()(plan, 3) == run(system, 3)
+    def test_execute_plan_names_no_telemetry(self):
+        # The round loop records; only run() emits.  A telemetry call
+        # (or a timer) anywhere execute_plan reaches would be paid by
+        # every untraced run.
+        telemetry = {"obs", "perf_counter"}
+        reached = _names_reached(executor.execute_plan)
+        assert "_execute" in reached
+        assert not reached & telemetry
+        assert telemetry <= _names_reached(executor.run)
 
     def test_instrumentation_does_not_change_behavior(self):
         baseline = _run_workload()

@@ -236,11 +236,6 @@ class TestSyncPlanCompilation:
             )
         assert stop == len(plan.edges)
 
-    def test_plan_run_matches_executor_run(self):
-        system = _majority_system()
-        plan = compile_sync_plan(system)
-        assert plan.run(3) == run(system, 3)
-
     def test_check_determinism_on_compiled_plan(self):
         # check_determinism now doubles as a plan-layer self-check: it
         # compiles once and executes the same plan twice.

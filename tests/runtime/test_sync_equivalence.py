@@ -13,6 +13,7 @@ and text, and, with telemetry on, on the run-scope event stream.
 """
 
 import math
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -254,33 +255,61 @@ def _event(kind, **fields):
 
 
 def _reference_events(system, rounds, plan):
-    """The run-scope stream the executor emits, rebuilt from reference
+    """The run-scope stream a traced run emits, rebuilt from reference
     runs of each prefix length: per round, its start, one delivery per
     edge in ``repr`` order, the round's injections (the records a
     one-round-longer run adds) in ``(repr(edge), action, time)``
-    order, and its end.  A round that raises stops after its start."""
+    order, and its end.  A round whose sends raise stops after its
+    start.  A round whose moves raise (a transition, or a decision
+    that changes) has its deliveries and injections but no end."""
+
+    def sends_only(k):
+        """The system with round ``k``'s moves and every decision left
+        out, so that a run through round ``k`` raises only if a send
+        does; its round-``k`` messages are the real ones."""
+
+        def still(device):
+            def transition(ctx, state, r, inbox):
+                if r == k:
+                    return state
+                return device.transition(ctx, state, r, inbox)
+
+            return FunctionDevice(device.init_state, device.send, transition)
+
+        return SyncSystem(system.graph, {
+            u: replace(a, device=still(a.device))
+            for u, a in system.assignments.items()
+        })
+
+    def injector():
+        return SyncFaultInjector(plan) if plan is not None else None
+
     events = []
     seen = 0
     edges = sorted(system.graph.edges, key=repr)
     for k in range(rounds):
         events.append(_event(obs.ROUND_START, round=k))
-        injector = SyncFaultInjector(plan) if plan is not None else None
+        injected = injector()
         try:
-            behavior = reference_sync_run(system, k + 1, injector)
-        except Exception:  # noqa: BLE001 - the compared run raises too
+            behavior = reference_sync_run(sends_only(k), k + 1, injected)
+        except Exception:  # noqa: BLE001 - a send raised
             return events
         for u, v in edges:
             events.append(_event(
                 obs.MESSAGE_DELIVERY, round=k, src=str(u), dst=str(v),
                 empty=behavior.edge(u, v).messages[k] is None,
             ))
-        fresh = injector.trace.records[seen:] if injector is not None else []
+        fresh = injected.trace.records[seen:] if injected is not None else []
         seen += len(fresh)
         for rec in sorted(fresh, key=lambda r: (repr(r.edge), r.action, r.time)):
             events.append(_event(
                 obs.FAULT_INJECTION, round=k, src=str(rec.edge[0]),
                 dst=str(rec.edge[1]), action=rec.action, time=rec.time,
             ))
+        try:
+            reference_sync_run(system, k + 1, injector())
+        except Exception:  # noqa: BLE001 - a move raised
+            return events
         events.append(_event(
             obs.ROUND_END, round=k, messages=len(edges), injected=len(fresh),
         ))
@@ -293,17 +322,10 @@ def assert_equivalent(system, plan, rounds):
     compiled, c_trace, c_events = _outcome(run, system, rounds, plan)
     assert p_trace == c_trace == r_trace
     assert p_events == []
-    expected = _reference_events(system, rounds, plan)
+    assert c_events == _reference_events(system, rounds, plan)
     if isinstance(reference, tuple):
         assert plain == compiled == reference
-        # A decision change raises after the round's deliveries and
-        # injections went out; nothing past them may follow.
-        assert c_events[: len(expected)] == expected
-        assert {kind for kind, _ in c_events[len(expected):]} <= {
-            obs.MESSAGE_DELIVERY, obs.FAULT_INJECTION,
-        }
         return
-    assert c_events == expected
     # Read the untraced run's message columns from its rows, then its
     # edge behaviors one lookup at a time, so the lazy build from the
     # rows is what gets compared, and then the columns again, now
@@ -321,16 +343,15 @@ def assert_equivalent(system, plan, rounds):
     assert compiled == reference
 
 
-def _pinned_case():
-    """K3 on reversed integer ports whose last node sends a set at round
-    1, after the first node's slots went through a drop fault: a run
-    that delivers faulted slots only after every send, or that checks
-    ports with ``issuperset`` alone, differs from the reference here."""
+def _k3_case(last_device):
+    """K3 on reversed integer ports, label echoes everywhere but at the
+    last node, and a drop fault on the first node's first link, for
+    three rounds."""
     graph = complete_graph(3)
     last = graph.nodes[-1]
     assignments = {
         u: NodeAssignment(
-            device=_label_echo(1, _MALFORMED["set"]) if u == last else _label_echo(),
+            device=last_device if u == last else _label_echo(),
             input=i % 2,
             port_of_neighbor=dict(zip(graph.neighbors(u), (1, 0))),
         )
@@ -342,8 +363,35 @@ def _pinned_case():
     return SyncSystem(graph, assignments), plan, 3
 
 
+def _pinned_case():
+    """The last node sends a set at round 1, after the first node's
+    slots went through the drop fault: a run that delivers faulted
+    slots only after every send, or that checks ports with
+    ``issuperset`` alone, differs from the reference here."""
+    return _k3_case(_label_echo(1, _MALFORMED["set"]))
+
+
 @given(_random_systems())
 @example(_pinned_case())
+@example(_k3_case(_fickle(2)))  # round 1 injects, then a decision moves
 @settings(max_examples=150, deadline=None)
 def test_random_systems_match_reference(case):
     assert_equivalent(*case)
+
+
+def test_reused_injector_emits_only_this_runs_injections():
+    # The injector's trace already holds a whole run's records when the
+    # traced run starts; only the ones that run appends are its events.
+    system, plan, rounds = _k3_case(_label_echo())
+    injector = SyncFaultInjector(plan)
+    run(system, rounds, injector)
+    held = len(injector.trace)
+    assert held
+    obs.enable()
+    try:
+        run(system, rounds, injector)
+        events = [(e.kind, e.fields) for e in obs.get_log().events("run")]
+    finally:
+        obs.reset()
+    assert len(injector.trace) == 2 * held
+    assert events == _reference_events(system, rounds, plan)
