@@ -154,7 +154,7 @@ def checkpoint_gate():
         oks = []
         for attempt in range(1, config.attempts + 1):
             node_faults, plan, inputs = _sample_attempt(config, attempt)
-            _, verdict, _ = execute_attempt(
+            verdict, _ = execute_attempt(
                 config, inputs, node_faults, plan, None
             )
             oks.append(verdict.ok)

@@ -17,9 +17,13 @@ scenarios as you can imagine", with every run replayable.
 
 Every attempt is deterministic given its content, so
 :func:`execute_attempt` memoizes through a content-addressed
-:class:`~repro.runtime.memo.BehaviorCache`: the shrinker's and
-replayer's re-executions of identical ``(inputs, node faults, plan)``
-configurations become cache hits.
+:class:`~repro.runtime.memo.BehaviorCache`: the shrinker's and the
+final replay's re-executions of identical ``(inputs, node faults,
+plan)`` configurations become cache hits.  An entry holds what every
+caller reads, the verdict and the injection trace; the run's behavior
+is dropped once the spec is checked.  :func:`replay_counterexample` is
+the one entry point that hands out a behavior, and it always runs
+afresh.
 
 :func:`run_campaign` is one pipeline for every ``jobs`` value: sample
 each attempt from ``(seed, attempt)``, execute, journal and merge
@@ -450,19 +454,21 @@ def execute_attempt(
     plan: FaultPlan,
     cache: BehaviorCache | None = None,
     system: SyncSystem | None = None,
-) -> tuple[SyncBehavior, SpecVerdict, InjectionTrace]:
-    """Run one fully specified configuration and check the spec.
+) -> tuple[SpecVerdict, InjectionTrace]:
+    """Run one fully specified configuration, check the spec, and
+    return ``(verdict, injection trace)``.
 
-    This is the single entry point used by search, shrinking, replay
-    and the frontier sweep, so all four see byte-identical executions.
-    A device that crashes on injected garbage is itself a robustness
-    finding and is reported as an ``execution`` violation rather than
-    as a campaign error.
+    This is the single entry point used by search, shrinking and the
+    frontier sweep, so all three see byte-identical executions.  The
+    run's behavior is dropped once the spec has been checked; only
+    :func:`replay_counterexample` hands one out.  A device that crashes
+    on injected garbage is itself a robustness finding and is reported
+    as an ``execution`` violation rather than as a campaign error.
 
     With a ``cache``, the attempt is keyed by its *content* — inputs,
     node faults, fault plan, and the config's fingerprint — and a
-    repeat execution (the shrinker and replayer produce many) returns
-    the cached ``(behavior, verdict, trace)`` without re-running.
+    repeat execution (the shrinker and the final replay produce many)
+    returns the cached ``(verdict, trace)`` without re-running.
     Determinism makes this sound: equal content ⇒ equal results.
 
     ``system``, when given, must be ``_build_system(config, inputs,
@@ -472,14 +478,16 @@ def execute_attempt(
     enters the memo key.
     """
     if cache is None:
-        return _execute_attempt_uncached(
+        _, verdict, trace = _run_attempt(
             config, inputs, node_faults, plan, system
         )
-    # Telemetry-transparent caching: an entry is ``(result, run-scope
-    # events of the original execution)``, replayed on every hit, so the
-    # trace never depends on cache warmth.  Entries made with telemetry
-    # off hold no events, so traced runs key theirs apart.  The hit/miss
-    # facts are host-scope (and no-ops with telemetry off).
+        return (verdict, trace)
+    # Telemetry-transparent caching: an entry is ``((verdict, trace),
+    # run-scope events of the original execution)``, replayed on every
+    # hit, so the trace never depends on cache warmth.  Entries made
+    # with telemetry off hold no events, so traced runs key theirs
+    # apart.  The hit/miss facts are host-scope (and no-ops with
+    # telemetry off).
     key = _attempt_key(config, inputs, node_faults, plan)
     if obs.is_enabled():
         key += ":obs"
@@ -491,16 +499,17 @@ def execute_attempt(
         return result
     obs.emit(obs.CACHE_MISS, cache="attempt", op="execute")
     with obs.capture() as capsule:
-        result = _execute_attempt_uncached(
+        _, verdict, trace = _run_attempt(
             config, inputs, node_faults, plan, system
         )
+    result = (verdict, trace)
     payload = capsule.payload()
     obs.replay(payload)
     cache.put(key, (result, obs.run_payload(payload)))
     return result
 
 
-def _execute_attempt_uncached(
+def _run_attempt(
     config: CampaignConfig,
     inputs: Mapping[NodeId, Any],
     node_faults: Sequence[NodeFault],
@@ -535,17 +544,20 @@ def _execution_violation(exc: Exception, correct: Sequence[NodeId]) -> SpecVerdi
 
 
 def replay_counterexample(
-    config: CampaignConfig,
-    counterexample: Counterexample,
-    cache: BehaviorCache | None = None,
+    config: CampaignConfig, counterexample: Counterexample
 ) -> tuple[SyncBehavior, SpecVerdict, InjectionTrace]:
-    """Re-run a counterexample exactly; deterministic by construction."""
-    return execute_attempt(
+    """Re-run a counterexample exactly and return ``(behavior, verdict,
+    injection trace)``.
+
+    The one entry point that hands out a run's behavior, so it always
+    runs afresh: memo entries keep only verdicts and traces.  The
+    verdict and trace equal :func:`execute_attempt`'s, by determinism.
+    """
+    return _run_attempt(
         config,
         counterexample.inputs,
         counterexample.node_faults,
         counterexample.plan,
-        cache,
     )
 
 
@@ -583,7 +595,7 @@ def shrink_counterexample(
                     config, current.inputs, current.node_faults
                 )
             candidate_plan = current.plan.without_atoms([i])
-            _, verdict, _ = execute_attempt(
+            verdict, _ = execute_attempt(
                 config, current.inputs, current.node_faults, candidate_plan,
                 cache, system=system,
             )
@@ -611,7 +623,7 @@ def shrink_counterexample(
             candidate_nodes = (
                 current.node_faults[:i] + current.node_faults[i + 1 :]
             )
-            _, verdict, _ = execute_attempt(
+            verdict, _ = execute_attempt(
                 config, current.inputs, candidate_nodes, current.plan, cache
             )
             if not verdict.ok:
@@ -678,10 +690,13 @@ def _finish_campaign(
 
     Re-executes the attempt in the parent (a forked worker returned
     only its verdict bit), so the found/shrunk counterexamples and the
-    trace come from an in-process run of *this* configuration.
+    trace come from an in-process run of *this* configuration.  The
+    final trace is the shrunk attempt's through :func:`execute_attempt`
+    with ``cache``: the shrinker's last failing run, so a memo hit
+    whenever there is a cache.
     """
     node_faults, plan, inputs = _sample_attempt(config, attempt)
-    _, verdict, _ = execute_attempt(config, inputs, node_faults, plan, cache)
+    verdict, _ = execute_attempt(config, inputs, node_faults, plan, cache)
     found = Counterexample(
         inputs=inputs,
         node_faults=node_faults,
@@ -690,7 +705,9 @@ def _finish_campaign(
         attempt=attempt,
     )
     shrunk, steps = shrink_counterexample(config, found, cache)
-    _, _, trace = replay_counterexample(config, shrunk, cache)
+    _, trace = execute_attempt(
+        config, shrunk.inputs, shrunk.node_faults, shrunk.plan, cache
+    )
     return CampaignResult(
         config=config,
         attempts=attempt,
@@ -724,8 +741,9 @@ def run_campaign(
     every ``jobs``.  Shrinking stays in the parent.
 
     ``cache`` (created fresh when ``memoize`` and not supplied)
-    memoizes every in-process execution by content; forked workers run
-    uncached, so they never hold their own copy.  Pass your own
+    memoizes every in-process execution's verdict and injection trace
+    by content (never its behavior); forked workers run uncached, so
+    they never hold their own copy.  Pass your own
     :class:`~repro.runtime.memo.BehaviorCache` to read hit/miss
     statistics afterwards, or ``memoize=False`` to measure uncached
     cost.  When telemetry is on, the cache's counters are folded into
@@ -749,7 +767,7 @@ def run_campaign(
 
     def probe(attempt: int) -> bool:
         node_faults, plan, inputs = _sample_attempt(config, attempt)
-        _, verdict, _ = execute_attempt(
+        verdict, _ = execute_attempt(
             config, inputs, node_faults, plan, probe_cache
         )
         return verdict.ok

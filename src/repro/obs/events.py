@@ -21,7 +21,7 @@ Design rules
   (rounds, deliveries, injections, attempts) and are a pure
   function of the workload — the same campaign emits the same
   ``run``-scope stream whether it executed serially, under ``--jobs
-  N``, or through the behavior cache.
+  N``, or through the attempt memo.
   ``host``-scope events (:data:`HOST_KINDS`) describe *this process's*
   optimization luck — cache hits, worker pools — and are
   excluded from exported traces, which is what makes trace files

@@ -22,8 +22,9 @@
     (synchronous routes once per graph for its identity labelling).
 
 :mod:`repro.runtime.memo`
-    Bounded, content-addressed behavior memoization (determinism makes
-    re-execution a cache lookup), with hit/miss counters.
+    Bounded, content-addressed memoization of campaign attempts'
+    verdicts and injection traces (determinism makes re-execution a
+    cache lookup), with hit/miss counters.
 
 The synchronous round loop lives in exactly one place,
 :func:`repro.runtime.sync.executor.execute_plan`; the interpretive

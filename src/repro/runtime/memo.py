@@ -1,12 +1,11 @@
-"""Bounded, content-addressed behavior memoization.
+"""Bounded, content-addressed memoization of campaign attempts.
 
 Systems here are deterministic by axiom — a (system, rounds,
 FaultPlan) triple has exactly **one** behavior and one injection
 trace.  That turns re-execution into a pure cache-lookup problem: the
 campaign engine's delta-debugging shrinker re-runs hundreds of
-overlapping plan subsets, a replay re-runs the exact shrunk
-configuration, and scenario cut-outs re-run the same system at the
-same horizon.  This module provides:
+overlapping plan subsets, and the campaign's final replay re-runs the
+exact shrunk configuration.  This module provides:
 
 * :class:`BehaviorCache` — a bounded LRU mapping canonical fingerprint
   strings to results, with hit/miss counters (``cache.stats()``).
@@ -15,11 +14,17 @@ same horizon.  This module provides:
   hash *values* (sorted node/edge names, the fault plan's fields),
   never object identities, so a rebuilt-but-equal configuration hits.
 
+What an entry holds is up to its one user,
+:func:`~repro.analysis.campaign.execute_attempt`: ``((verdict,
+injection trace), run-scope events)``, which is all any caller reads.
+The run's behavior (every node's states, the message rows) is dropped
+once the spec is checked, so an entry costs a few small objects, not
+a run's worth.
+
 Correctness contract: a cache hit returns the *same objects* a fresh
 execution would have produced equal objects to.  That is only sound
-because devices are pure and behaviors/traces are treated as immutable
-values everywhere in this repo — the executors never mutate a behavior
-after returning it.
+because devices are pure and verdicts/traces are treated as immutable
+values everywhere in this repo.
 """
 
 from __future__ import annotations

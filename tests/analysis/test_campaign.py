@@ -9,6 +9,7 @@ import pytest
 
 from repro.analysis.campaign import (
     CampaignConfig,
+    Counterexample,
     _sample_attempt,
     counterexample_from_dict,
     counterexample_to_dict,
@@ -64,7 +65,7 @@ class TestCampaign:
         # 1-minimality: removing any remaining atom heals the run.
         config = naive_config()
         for i in range(shrunk.plan.size):
-            _, verdict, _ = execute_attempt(
+            verdict, _ = execute_attempt(
                 config,
                 shrunk.inputs,
                 shrunk.node_faults,
@@ -128,7 +129,7 @@ class TestCampaign:
 class TestFaultFreeEquivalence:
     def test_campaign_machinery_never_perturbs_clean_runs(self):
         """Acceptance check: a fault-free execution through the campaign
-        entry point is byte-identical to the plain executor."""
+        entry points is byte-identical to the plain executor."""
         config = naive_config()
         graph = config.graph
         inputs = {u: 1 for u in graph.nodes}
@@ -138,11 +139,21 @@ class TestFaultFreeEquivalence:
         )
         from repro.runtime.faults import FaultPlan
 
-        behavior, verdict, trace = execute_attempt(
-            config, inputs, (), FaultPlan()
-        )
+        verdict, trace = execute_attempt(config, inputs, (), FaultPlan())
         assert verdict.ok
         assert len(trace) == 0
+        clean = Counterexample(
+            inputs=inputs,
+            node_faults=(),
+            plan=FaultPlan(),
+            verdict=verdict,
+            attempt=0,
+        )
+        behavior, replayed, replayed_trace = replay_counterexample(
+            config, clean
+        )
+        assert replayed == verdict
+        assert replayed_trace == trace
         assert dict(behavior.node_behaviors) == dict(plain.node_behaviors)
         assert dict(behavior.edge_behaviors) == dict(plain.edge_behaviors)
 
@@ -291,6 +302,6 @@ class TestCrashReporting:
             corrupt_pool=("poison",),
         )
         inputs = {u: 1 for u in graph.nodes}
-        _, verdict, _ = execute_attempt(config, inputs, (), plan)
+        verdict, _ = execute_attempt(config, inputs, (), plan)
         assert not verdict.ok
         assert verdict.violations[0].condition == "execution"

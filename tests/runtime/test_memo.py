@@ -6,10 +6,12 @@ equivalence contract (cached results equal fresh executions, through
 the campaign engine's shrink/replay paths).
 """
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,14 +24,17 @@ from repro.analysis.campaign import (
     run_campaign,
 )
 from repro.graphs.builders import complete_graph
+from repro.problems.spec import SpecVerdict
+from repro.protocols import eig_devices
 from repro.protocols.naive import MajorityVoteDevice
-from repro.runtime.faults import FaultPlan, LinkFault, Partition
+from repro.runtime.faults import FaultPlan, InjectionTrace, LinkFault, Partition
 from repro.runtime.memo import (
     BehaviorCache,
     fingerprint,
     graph_fingerprint,
     plan_fingerprint,
 )
+from repro.runtime.sync.behavior import EdgeColumns, NodeBehavior, SyncBehavior
 
 
 def _factory(graph):
@@ -207,14 +212,52 @@ class TestCampaignMemoization:
         uncached = execute_attempt(config, inputs, (), plan)
         first = execute_attempt(config, inputs, (), plan, cache)
         second = execute_attempt(config, inputs, (), plan, cache)
+        verdict, trace = uncached
+        assert not verdict.ok
+        assert len(trace) > 0
         assert first == uncached
         assert second == first
         assert cache.stats()["hits"] == 1
-        # The cached behavior's edges are built from its rows on first
-        # read, and a later hit returns them built.
-        assert dict(second[0].edge_behaviors) == dict(uncached[0].edge_behaviors)
-        third = execute_attempt(config, inputs, (), plan, cache)
-        assert third[0].edge_behaviors == uncached[0].edge_behaviors
+
+    def test_cache_entries_hold_no_behavior(self):
+        # An entry keeps what its callers read, the verdict and the
+        # injection trace; no object of the run's behavior survives in
+        # it.  One cache serves a surviving EIG campaign and a breaking
+        # naive one (which shrinks and replays through the memo).
+        eig = CampaignConfig(
+            graph=complete_graph(7),
+            device_factory=lambda graph: dict(eig_devices(graph, 2)),
+            rounds=3,
+            max_node_faults=2,
+            max_link_faults=0,
+            attempts=60,
+            seed=3,
+        )
+        cache = BehaviorCache()
+        assert not run_campaign(eig, cache=cache).broken
+        assert run_campaign(self._config(), cache=cache).broken
+        assert cache.stats()["hits"] > 0
+        entries = list(cache._data.values())
+        assert len(entries) == len(cache) > 60
+        for (verdict, trace), payload in entries:
+            assert isinstance(verdict, SpecVerdict)
+            assert isinstance(trace, InjectionTrace)
+            assert isinstance(payload, tuple)
+        # Walk the data the entries reference; classes, modules and
+        # code lead out of it into the whole interpreter.
+        opaque = (type, types.ModuleType, types.FunctionType, types.CodeType)
+        seen = set()
+        stack = list(entries)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, opaque):
+                continue
+            seen.add(id(obj))
+            assert not isinstance(
+                obj, (SyncBehavior, NodeBehavior, EdgeColumns)
+            ), type(obj)
+            stack.extend(gc.get_referents(obj))
+        assert len(seen) > len(entries)
 
     def test_run_campaign_memoize_on_off_identical(self):
         config = self._config()
@@ -239,8 +282,6 @@ class TestCampaignMemoization:
         # The shrunk counterexample replays to the same verdict.
         from repro.analysis.campaign import replay_counterexample
 
-        _, verdict, trace = replay_counterexample(
-            config, result.shrunk, cache
-        )
+        _, verdict, trace = replay_counterexample(config, result.shrunk)
         assert not verdict.ok
         assert trace == result.injection_trace
