@@ -121,6 +121,14 @@ class CampaignConfig:
                 f"max_node_faults {self.max_node_faults} exceeds the node "
                 f"count {len(self.graph)}"
             )
+        if not self.link_kinds:
+            raise ValueError("link_kinds must name at least one kind")
+        unknown = [k for k in self.link_kinds if k not in DEFAULT_LINK_KINDS]
+        if unknown:
+            raise ValueError(
+                f"unknown link-fault kind {unknown[0]!r}; choose from "
+                f"{', '.join(DEFAULT_LINK_KINDS)}"
+            )
         if self.rounds == 0 and self.max_link_faults > 0:
             raise ValueError(
                 f"max_link_faults {self.max_link_faults} needs rounds > 0: "

@@ -308,7 +308,7 @@ def _cmd_campaign(args) -> int:
     graph = parse_graph(args.graph)
     factory, default_rounds = _campaign_factory(args.protocol, args.faults)
     rounds = args.rounds if args.rounds is not None else default_rounds
-    kinds = tuple(args.kinds.split(",")) if args.kinds else None
+    kinds = None if args.kinds is None else tuple(args.kinds.split(","))
     config = CampaignConfig(
         graph=graph,
         device_factory=factory,
@@ -317,7 +317,7 @@ def _cmd_campaign(args) -> int:
         max_link_faults=args.links,
         attempts=args.attempts,
         seed=args.seed,
-        **({"link_kinds": kinds} if kinds else {}),
+        **({} if kinds is None else {"link_kinds": kinds}),
     )
 
     if args.replay:

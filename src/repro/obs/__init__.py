@@ -35,7 +35,6 @@ from .events import (
     RUN_KINDS,
     SHRINK_STEP,
     SWEEP_POINT,
-    TIMED_EVENT,
     WORKER_MERGE,
     WORKER_POOL,
     WORKER_RETRY,
@@ -88,7 +87,6 @@ __all__ = [
     "RUN_KINDS",
     "SHRINK_STEP",
     "SWEEP_POINT",
-    "TIMED_EVENT",
     "TRACE_FORMAT",
     "WORKER_MERGE",
     "WORKER_POOL",

@@ -12,11 +12,11 @@ Design rules
 ------------
 * **Off by default, near-zero when off.**  All emission funnels through
   :func:`emit`, which returns after one attribute check when telemetry
-  is disabled.  The synchronous round loop emits nothing: its ``run()``
-  checks :func:`is_enabled` once and, when on, derives the round
-  events from the run's recorded rows and injections.  The timed
-  executor hoists one :func:`is_enabled` check per call, so its
-  per-event cost of disabled telemetry is a pointer comparison.
+  is disabled.  Neither executor emits per-event telemetry: the
+  synchronous round loop only records, and its ``run()`` checks
+  :func:`is_enabled` once and, when on, derives the round events from
+  the run's recorded rows and injections; the timed executor's loop
+  only records and emits nothing at all.
 * **Two scopes.**  ``run``-scope events describe the *execution itself*
   (rounds, deliveries, injections, attempts) and are a pure
   function of the workload — the same campaign emits the same
@@ -51,7 +51,6 @@ ROUND_START = "round_start"
 ROUND_END = "round_end"
 MESSAGE_DELIVERY = "message_delivery"
 FAULT_INJECTION = "fault_injection"
-TIMED_EVENT = "timed_event"
 ATTEMPT_START = "attempt_start"
 ATTEMPT_END = "attempt_end"
 SHRINK_STEP = "shrink_step"
@@ -89,7 +88,6 @@ RUN_KINDS = frozenset(
         ROUND_END,
         MESSAGE_DELIVERY,
         FAULT_INJECTION,
-        TIMED_EVENT,
         ATTEMPT_START,
         ATTEMPT_END,
         SHRINK_STEP,
@@ -368,7 +366,6 @@ __all__ = [
     "RUN_KINDS",
     "SHRINK_STEP",
     "SWEEP_POINT",
-    "TIMED_EVENT",
     "WORKER_MERGE",
     "WORKER_POOL",
     "WORKER_RETRY",

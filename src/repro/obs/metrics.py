@@ -120,8 +120,6 @@ class MetricsRegistry:
                 self.inc("run.attempts.violations")
         elif kind == ev.SHRINK_STEP:
             self.inc("run.shrink.deletions")
-        elif kind == ev.TIMED_EVENT:
-            self.inc("run.timed.events")
         elif kind == ev.SWEEP_POINT:
             self.inc("run.sweep.points")
         elif kind == ev.FRONTIER_LEVEL:

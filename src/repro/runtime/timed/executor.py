@@ -44,10 +44,8 @@ import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from time import perf_counter
 from typing import Any
 
-from ... import obs
 from ...graphs.graph import GraphError, NodeId
 from ..plan import CompiledTimedNode, compile_timed_plan
 from .adversary import TimedReplayDevice
@@ -67,9 +65,8 @@ class TimedExecutionError(RuntimeError):
     decisions, ...)."""
 
 
-# Heap entries are ``(time, rank, kind, seq, payload)``; ``kind`` is the
-# index of its name in ``_KINDS`` (the canonical kind order).
-_KINDS = ("start", "scripted", "timer", "deliver")
+# Heap entries are ``(time, rank, kind, seq, payload)``; ``kind`` orders
+# start, scripted send, timer, delivery (the canonical kind order).
 _START, _SCRIPTED, _TIMER, _DELIVER = range(4)
 
 
@@ -233,12 +230,6 @@ def run_timed(system: TimedSystem, horizon: float) -> TimedBehavior:
                 )
         heappush(queue, (0.0, rank, _START, next(seq), None))
 
-    # One flag for the whole event loop; when telemetry is off the
-    # per-event cost is a single boolean check.
-    obs_on = obs.is_enabled()
-    if obs_on:
-        loop_t0 = perf_counter()
-
     while queue:
         entry = heappop(queue)
         if queue:
@@ -249,14 +240,6 @@ def run_timed(system: TimedSystem, horizon: float) -> TimedBehavior:
         if time > horizon:
             break
         api = apis[rank]
-        if obs_on:
-            # Simulated time only — the dispatch order is already
-            # canonical, so this stream is deterministic.  The
-            # dispatch kind is carried as ``event`` ("kind" is the
-            # telemetry-level discriminator).
-            obs.emit(
-                obs.TIMED_EVENT, time=time, node=str(api.node), event=_KINDS[kind]
-            )
         api.now = time
         if kind == _DELIVER:
             api.events.append(_event(time, "receive", payload))
@@ -282,9 +265,6 @@ def run_timed(system: TimedSystem, horizon: float) -> TimedBehavior:
                 queue,
                 (arrival, to_rank, _DELIVER, next(seq), (receiver_port, message)),
             )
-
-    if obs_on:
-        obs.observe_span("executor.timed", perf_counter() - loop_t0)
 
     node_behaviors = {}
     for api in apis:

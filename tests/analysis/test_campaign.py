@@ -233,6 +233,36 @@ class TestConfigValidation:
             assert "Traceback" not in err
         assert not store.exists()
 
+    def test_link_kinds_must_be_known_and_non_empty(self):
+        with pytest.raises(ValueError, match="at least one kind"):
+            naive_config(link_kinds=())
+        for kinds in (("drop", "bogus"), ("",)):
+            with pytest.raises(ValueError, match="unknown link-fault kind"):
+                naive_config(link_kinds=kinds)
+        assert naive_config(link_kinds=("partition",)).link_kinds == (
+            "partition",
+        )
+
+    def test_cli_rejects_bad_kinds_before_the_store(self, capsys, tmp_path):
+        from repro.cli import main
+
+        store = tmp_path / "store"
+        argv = [
+            "campaign", "--graph", "complete:4", "--links", "2",
+            "--checkpoint", str(store),
+        ]
+        for kinds, message in (
+            ("drop,bogus", "unknown link-fault kind 'bogus'"),
+            ("", "unknown link-fault kind ''"),
+        ):
+            for extra in ([], ["--frontier"]):
+                assert main(argv + ["--kinds", kinds] + extra) == 2, kinds
+                err = capsys.readouterr().err
+                assert f"error: {message}" in err, kinds
+                assert "Traceback" not in err
+                assert not (store / "meta.json").exists()
+        assert not store.exists()
+
 
 class TestFrontier:
     def test_frontier_orders_clauses_by_budget(self):

@@ -38,7 +38,6 @@ class TestRegistryDerivation:
         obs.emit(obs.ATTEMPT_END, attempt=1, ok=True)
         obs.emit(obs.ATTEMPT_END, attempt=2, ok=False)
         obs.emit(obs.SHRINK_STEP, attempt=2, deleted="atom", atoms=1, nodes=0)
-        obs.emit(obs.TIMED_EVENT, time=0.5, node="p", event="deliver")
         obs.emit(obs.SWEEP_POINT, sweep="node-bound", n=4)
         obs.emit(obs.FRONTIER_LEVEL, budget=1, attempts=5, broken="-")
         counters = obs.get_registry().run_counters()
@@ -49,7 +48,6 @@ class TestRegistryDerivation:
         assert counters["run.attempts.ok"] == 1
         assert counters["run.attempts.violations"] == 1
         assert counters["run.shrink.deletions"] == 1
-        assert counters["run.timed.events"] == 1
         assert counters["run.sweep.points"] == 1
         assert counters["run.frontier.levels"] == 1
 

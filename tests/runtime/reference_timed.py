@@ -6,7 +6,8 @@ neighbour and the receiver's port from the system afresh, and events
 are built with the ``TimedEvent`` constructor.  It has no link-fault
 layer.  ``tests/runtime/test_timed_equivalence.py`` checks that
 :func:`repro.runtime.timed.run_timed` produces exactly the same
-behaviors, telemetry streams and exceptions.
+behaviors and exceptions, and dispatches events across nodes in the
+same order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro import obs
 from repro.runtime.timed import (
     TimedBehavior,
     TimedEdgeBehavior,
@@ -88,9 +88,10 @@ class _ReferenceApi(DeviceApi):
 
 
 class _ReferenceRun:
-    def __init__(self, system, horizon: float) -> None:
+    def __init__(self, system, horizon: float, dispatches: list) -> None:
         self.system = system
         self.horizon = horizon
+        self.dispatches = dispatches
         graph = system.graph
         self.rank = {u: i for i, u in enumerate(graph.nodes)}
         self.queue: list = []
@@ -143,14 +144,12 @@ class _ReferenceRun:
                     self.schedule(time, u, "scripted", (port, message, arrival))
             self.schedule(0.0, u, "start", None)
 
-        obs_on = obs.is_enabled()
         while self.queue:
             key, node, kind, payload = heapq.heappop(self.queue)
             time = key[0]
             if time > self.horizon:
                 break
-            if obs_on:
-                obs.emit(obs.TIMED_EVENT, time=time, node=str(node), event=kind)
+            self.dispatches.append((time, node))
             api = apis[node]
             api.now = time
             device = devices[node]
@@ -195,9 +194,13 @@ class _ReferenceRun:
         )
 
 
-def reference_run_timed(system, horizon: float) -> TimedBehavior:
+def reference_run_timed(
+    system, horizon: float, dispatches: list | None = None
+) -> TimedBehavior:
     """The reference executor's behavior of ``system`` through
-    ``horizon``."""
+    ``horizon``.  Each dispatched event appends ``(time, node)`` to
+    ``dispatches``, if given, before its handler runs."""
     if math.isnan(horizon) or horizon < 0:
         raise TimedExecutionError("horizon must be non-negative")
-    return _ReferenceRun(system, horizon).execute()
+    run = _ReferenceRun(system, horizon, [] if dispatches is None else dispatches)
+    return run.execute()

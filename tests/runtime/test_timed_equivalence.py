@@ -6,17 +6,22 @@ only when heap entries tie on (time, rank, kind).  The reference loop
 in :mod:`tests.runtime.reference_timed` does none of that.  On every
 system below the two must agree on the full behavior (each node's
 events, decision, decision and fire times, clock and logical segments,
-and each edge's sends), on the ``timed_event`` telemetry stream, and
-on any exception raised.
+and each edge's sends), on any exception raised, and on the order in
+which events are dispatched across nodes.  The node event lists alone
+do not fix that order: merged by (time, rank) they misplace a delivery
+with zero transit time, which is dispatched after a higher-ranked
+node's dispatch at the same instant.  ``run_timed`` emits no
+telemetry, so its order is read through the device API: the event loop
+sets ``api.now`` once per dispatch.
 """
 
 import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
 from repro.analysis.report import _entries
 from repro.graphs import GraphError, diamond, line, triangle
 from repro.runtime.timed import (
@@ -70,26 +75,52 @@ def _full(behavior):
     return behavior.graph, behavior.horizon, nodes, edges
 
 
-def _outcome(execute, system, horizon):
-    """The full behavior (or the exception) and the ``timed_event``
-    telemetry stream of one run."""
-    obs.enable()
+@contextmanager
+def _dispatch_log(dispatches):
+    """Make ``run_timed`` append ``(time, node)`` to ``dispatches`` for
+    each event it dispatches: its device API's ``now`` is set by the
+    constructor once, then by the event loop before every handler."""
+    api_class = timed_executor._Api
+
+    class LoggingApi(api_class):
+        @property
+        def now(self):
+            return self._now
+
+        @now.setter
+        def now(self, time):
+            if hasattr(self, "_now"):
+                dispatches.append((time, self.node))
+            self._now = time
+
+    timed_executor._Api = LoggingApi
     try:
-        try:
-            result = _full(execute(system, horizon))
-        except Exception as exc:  # noqa: BLE001 - compared across executors
-            result = (type(exc), str(exc))
-        stream = [e.fields for e in obs.get_log() if e.kind == obs.TIMED_EVENT]
+        yield
     finally:
-        obs.reset()
-    return result, stream
+        timed_executor._Api = api_class
+
+
+def _fast_run_timed(system, horizon, dispatches):
+    with _dispatch_log(dispatches):
+        return run_timed(system, horizon)
+
+
+def _outcome(execute, system, horizon):
+    """The full behavior (or the exception) and the ``(time, node)``
+    dispatch order of one run."""
+    dispatches = []
+    try:
+        result = _full(execute(system, horizon, dispatches))
+    except Exception as exc:  # noqa: BLE001 - compared across executors
+        result = (type(exc), str(exc))
+    return result, dispatches
 
 
 def assert_equivalent(system, horizon):
-    fast, fast_stream = _outcome(run_timed, system, horizon)
-    reference, reference_stream = _outcome(reference_run_timed, system, horizon)
+    fast, fast_order = _outcome(_fast_run_timed, system, horizon)
+    reference, reference_order = _outcome(reference_run_timed, system, horizon)
     assert fast == reference
-    assert fast_stream == reference_stream
+    assert fast_order == reference_order
     return fast
 
 
@@ -268,7 +299,7 @@ def test_misuse_raises_the_same_exception(device, error):
     system = make_timed_system(
         g, {u: device for u in g.nodes}, {u: None for u in g.nodes}
     )
-    result, _ = _outcome(run_timed, system, 3.0)
+    result, _ = _outcome(_fast_run_timed, system, 3.0)
     assert result[0] is error
     assert_equivalent(system, 3.0)
 
@@ -276,7 +307,7 @@ def test_misuse_raises_the_same_exception(device, error):
 def test_replay_on_a_bad_port_raises_the_same_exception():
     scripts = {"b": [(0.5, "nowhere", "x", 1.0)], "c": []}
     system = _replay_triangle(scripts)
-    result, _ = _outcome(run_timed, system, 2.0)
+    result, _ = _outcome(_fast_run_timed, system, 2.0)
     assert result[0] is GraphError
     assert_equivalent(system, 2.0)
 
