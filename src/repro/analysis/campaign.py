@@ -399,11 +399,8 @@ def frontier_store_key(
     Applies the same defaulting as :func:`degradation_frontier`, so the
     key depends on the *effective* sweep bounds.
     """
-    max_links = (
-        config.max_link_faults if max_link_faults is None else max_link_faults
-    )
-    attempts = (
-        config.attempts if attempts_per_level is None else attempts_per_level
+    max_links, attempts = _frontier_bounds(
+        config, max_link_faults, attempts_per_level
     )
     return json_fingerprint(
         {
@@ -415,6 +412,19 @@ def frontier_store_key(
             "seed": config.seed,
             "link_kinds": list(config.link_kinds),
         }
+    )
+
+
+def _frontier_bounds(
+    config: CampaignConfig,
+    max_link_faults: int | None,
+    attempts_per_level: int | None,
+) -> tuple[int, int]:
+    """A frontier's largest link budget and attempts per level: the
+    arguments, or the config's values where they are ``None``."""
+    return (
+        config.max_link_faults if max_link_faults is None else max_link_faults,
+        config.attempts if attempts_per_level is None else attempts_per_level,
     )
 
 
@@ -878,28 +888,15 @@ def degradation_frontier(
     — so an interrupted sweep resumes from the first unfinished level
     with byte-identical output.
     """
-    max_links = (
-        config.max_link_faults if max_link_faults is None else max_link_faults
-    )
-    attempts = (
-        config.attempts if attempts_per_level is None else attempts_per_level
+    max_links, attempts = _frontier_bounds(
+        config, max_link_faults, attempts_per_level
     )
 
     def level_row(budget: int) -> FrontierRow:
         probe_t0 = perf_counter()
-        level = CampaignConfig(
-            graph=config.graph,
-            device_factory=config.device_factory,
-            rounds=config.rounds,
-            max_node_faults=config.max_node_faults,
-            max_link_faults=budget,
-            attempts=attempts,
-            seed=config.seed,
-            value_pool=config.value_pool,
-            link_kinds=config.link_kinds,
-            spec=config.spec,
+        result = run_campaign(
+            replace(config, max_link_faults=budget, attempts=attempts)
         )
-        result = run_campaign(level)
         broken: tuple[str, ...] = ()
         if result.broken:
             assert result.shrunk is not None

@@ -469,17 +469,7 @@ def _cmd_resume(args) -> int:
     )
     # main() decided telemetry from the bare `resume` args; the saved
     # command's own --trace/--metrics flags are honored here instead.
-    telemetry = _telemetry_requested(resumed)
-    if telemetry:
-        obs.enable()
-    try:
-        code = handler(resumed)
-        if telemetry:
-            _finish_telemetry(resumed)
-        return code
-    finally:
-        if telemetry:
-            obs.reset()
+    return _with_telemetry(resumed, handler)
 
 
 def _cmd_profile(args) -> int:
@@ -499,31 +489,26 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _telemetry_requested(args) -> bool:
-    """Did the parsed command ask for --trace or --metrics?"""
-    return bool(getattr(args, "trace", None)) or bool(
-        getattr(args, "metrics", False)
-    )
-
-
-def _finish_telemetry(args) -> None:
-    """Flush the artifacts a ``--trace``/``--metrics`` run asked for,
-    warning on stderr if the run-event ring overflowed."""
-    registry = obs.get_registry()
-    if registry is not None:
-        obs.absorb_connectivity_stats(registry)
-    if getattr(args, "trace", None):
-        events = obs.write_trace(args.trace)
-        print(f"trace written to {args.trace} ({events} events)")
-    if getattr(args, "metrics", False):
-        print(obs.render_live_summary())
-    log = obs.get_log()
-    if log is not None and log.dropped:
-        print(
-            f"warning: {log.dropped} run events dropped from the "
-            f"{log.capacity}-event ring; only the latest are kept",
-            file=sys.stderr,
-        )
+def _with_telemetry(args, handler) -> int:
+    """``handler(args)`` under the telemetry its ``--trace``/``--metrics``
+    flags ask for; once it returns, write the trace and print the
+    summary they asked for."""
+    trace = getattr(args, "trace", None)
+    metrics = getattr(args, "metrics", False)
+    if not (trace or metrics):
+        return handler(args)
+    obs.enable(trace=bool(trace))
+    try:
+        code = handler(args)
+        obs.absorb_connectivity_stats(obs.get_registry())
+        if trace:
+            events = obs.write_trace(trace)
+            print(f"trace written to {trace} ({events} events)")
+        if metrics:
+            print(obs.render_live_summary())
+        return code
+    finally:
+        obs.reset()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -699,23 +684,14 @@ def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    telemetry = _telemetry_requested(args)
-    if telemetry:
-        obs.enable()
     try:
         jobs = getattr(args, "jobs", None)
         if jobs is not None and jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {jobs}")
-        code = args.func(args)
-        if telemetry:
-            _finish_telemetry(args)
-        return code
+        return _with_telemetry(args, args.func)
     except (GraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if telemetry:
-            obs.reset()
 
 
 if __name__ == "__main__":  # pragma: no cover

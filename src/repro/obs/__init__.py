@@ -3,12 +3,13 @@ run provenance.
 
 Public surface (re-exported here):
 
-* the telemetry switch — :func:`enable`, :func:`disable`,
-  :func:`reset`, :func:`is_enabled`;
+* the telemetry switch — :func:`enable` (``trace=True`` spools every
+  run-scope event for export), :func:`disable`, :func:`reset`,
+  :func:`is_enabled`;
 * emission — :func:`emit`, :func:`capture`, :func:`replay`,
   :func:`run_payload`, :func:`observe_span` (host-side wall time into
   ``host.span.*`` histograms), and the event-kind constants;
-* accessors — :func:`get_log`, :func:`get_registry`;
+* the registry accessor — :func:`get_registry`;
 * export — :func:`write_trace`, :func:`read_trace`,
   :func:`render_live_summary` and the ``repro profile`` formatters.
 
@@ -24,8 +25,6 @@ from .events import (
     CHECKPOINT_REUSE,
     CHECKPOINT_WRITE,
     Capsule,
-    Event,
-    EventLog,
     FAULT_INJECTION,
     FRONTIER_LEVEL,
     HOST_KINDS,
@@ -42,7 +41,6 @@ from .events import (
     disable,
     emit,
     enable,
-    get_log,
     get_registry,
     is_enabled,
     observe_span,
@@ -75,8 +73,6 @@ __all__ = [
     "CHECKPOINT_REUSE",
     "CHECKPOINT_WRITE",
     "Capsule",
-    "Event",
-    "EventLog",
     "FAULT_INJECTION",
     "FRONTIER_LEVEL",
     "HOST_KINDS",
@@ -99,7 +95,6 @@ __all__ = [
     "enable",
     "format_events",
     "format_metrics",
-    "get_log",
     "get_registry",
     "is_enabled",
     "metric_key",

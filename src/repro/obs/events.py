@@ -4,8 +4,8 @@ FLM's proof technique is retrospective — cut a scenario out of a
 recorded execution and replay it — yet until this subsystem our own
 runs were opaque: counters lived in half a dozen objects and nothing
 recorded *what a campaign actually did*.  This module is the core of
-``repro.obs``: a process-wide telemetry switch, a bounded ring buffer
-of structured events, and the capture/replay machinery that makes
+``repro.obs``: a process-wide telemetry switch, a write-through spool
+of run-scope trace lines, and the capture/replay machinery that makes
 traces **deterministic across worker counts**.
 
 Design rules
@@ -23,10 +23,16 @@ Design rules
   ``run``-scope stream whether it executed serially, under ``--jobs
   N``, or through the attempt memo.
   ``host``-scope events (:data:`HOST_KINDS`) describe *this process's*
-  optimization luck — cache hits, worker pools — and are
-  excluded from exported traces, which is what makes trace files
+  optimization luck — cache hits, worker pools — and are only
+  counted, never stored or exported, which is what makes trace files
   byte-identical across ``--jobs`` settings.
-* **Logical time.**  Events carry a monotonic sequence number and
+* **Write-through, never truncated.**  Under ``enable(trace=True)``
+  each run-scope event becomes its final trace line the moment it
+  reaches the main log and goes straight to an anonymous temporary
+  file, so a trace holds every event whatever the campaign's size and
+  memory does not grow with it.  Without ``trace`` the registry's
+  counters are the only record.
+* **Logical time.**  Trace lines carry a run sequence number and
   model-level timestamps (round index, simulated time), never wall
   time — wall time is observed host-side (:func:`observe_span`) into
   the registry's ``host.span.*`` histograms, outside every trace.
@@ -39,10 +45,11 @@ Design rules
 
 from __future__ import annotations
 
-from collections import deque
+import json
+import os
+import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import IO, Any, Iterator
 
 # -- event taxonomy --------------------------------------------------------
 
@@ -97,102 +104,6 @@ RUN_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One structured telemetry event.
-
-    ``seq`` is the position in the run's logical timeline (assigned
-    when the event reaches the main log — capsule replay re-stamps);
-    ``kind`` is one of the module's kind constants; ``fields`` is a
-    canonically sorted tuple of ``(name, value)`` pairs whose values
-    are JSON scalars.
-    """
-
-    seq: int
-    kind: str
-    fields: tuple[tuple[str, Any], ...]
-
-    @property
-    def scope(self) -> str:
-        return "host" if self.kind in HOST_KINDS else "run"
-
-    def to_jsonable(self) -> dict[str, Any]:
-        data: dict[str, Any] = {"type": "event", "seq": self.seq,
-                                "kind": self.kind}
-        data.update(self.fields)
-        return data
-
-    def describe(self) -> str:
-        parts = " ".join(f"{k}={v!r}" for k, v in self.fields)
-        return f"#{self.seq} {self.kind} {parts}".rstrip()
-
-
-class EventLog:
-    """Two bounded ring buffers of events, one per scope.
-
-    Run-scope and host-scope events live in **separate streams with
-    separate sequence counters**: a cache hit or worker-pool event must
-    not consume a run sequence number, or the deterministic stream
-    would renumber depending on process-local luck.  ``seq`` is the
-    run-stream counter (what the trace's sequence numbers come from);
-    host events count on ``host_seq``.
-
-    Each ring holds the most recent ``capacity`` events of its scope;
-    per-kind totals and the counters keep counting past evictions, and
-    ``dropped`` reports how many run events fell off the front
-    (recorded in the trace's meta line, so a truncated trace says so).
-    """
-
-    __slots__ = (
-        "capacity",
-        "_events",
-        "_host_events",
-        "seq",
-        "host_seq",
-        "kind_counts",
-    )
-
-    def __init__(self, capacity: int = 131072) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._events: deque[Event] = deque(maxlen=capacity)
-        self._host_events: deque[Event] = deque(maxlen=capacity)
-        self.seq = 0
-        self.host_seq = 0
-        self.kind_counts: dict[str, int] = {}
-
-    def append(self, kind: str, fields: tuple[tuple[str, Any], ...]) -> Event:
-        if kind in HOST_KINDS:
-            event = Event(seq=self.host_seq, kind=kind, fields=fields)
-            self.host_seq += 1
-            self._host_events.append(event)
-        else:
-            event = Event(seq=self.seq, kind=kind, fields=fields)
-            self.seq += 1
-            self._events.append(event)
-        self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
-        return event
-
-    @property
-    def dropped(self) -> int:
-        return self.seq - len(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events) + len(self._host_events)
-
-    def __iter__(self) -> Iterator[Event]:
-        yield from self._events
-        yield from self._host_events
-
-    def events(self, scope: str | None = None) -> list[Event]:
-        if scope is None:
-            return list(self)
-        if scope == "host":
-            return list(self._host_events)
-        return list(self._events)
-
-
 class Capsule:
     """A captured slice of the event stream (one work item's worth).
 
@@ -224,34 +135,49 @@ def run_payload(payload) -> tuple:
 
 
 class _TelemetryState:
-    __slots__ = ("enabled", "log", "registry", "sinks")
+    __slots__ = ("enabled", "registry", "sinks", "spool")
 
     def __init__(self) -> None:
         self.enabled = False
-        self.log: EventLog | None = None
         self.registry = None  # MetricsRegistry, created on enable()
         self.sinks: list[Capsule] = []
+        self.spool: IO[str] | None = None  # trace lines, under trace=True
 
 
 _STATE = _TelemetryState()
 
+#: Spools a forked child inherited from its parent, parked here so the
+#: child never writes to or closes them (see :func:`_detach_spool`).
+_INHERITED: list[IO[str]] = []
 
-def enable(capacity: int = 131072) -> None:
-    """Turn telemetry on with a fresh log and registry.
 
-    Idempotent in effect but not in state: calling it again starts a
-    fresh recording (the previous log is dropped).
+#: ``record`` as one canonical JSON trace line (no newline); what
+#: ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+#: returns, without building an encoder per call.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def enable(trace: bool = False) -> None:
+    """Turn telemetry on with a fresh registry.
+
+    With ``trace``, each run-scope event is written as its final trace
+    line to an anonymous temporary file (the spool) the moment it
+    reaches the main log, so a trace keeps every event at a bounded
+    memory cost; without it, events are only counted.  Calling it again
+    starts a fresh recording (the previous one is dropped).
     """
     from .metrics import MetricsRegistry
 
-    _STATE.log = EventLog(capacity)
+    _close_spool()
     _STATE.registry = MetricsRegistry()
     _STATE.sinks = []
+    if trace:
+        _STATE.spool = tempfile.TemporaryFile("w+", encoding="utf-8")
     _STATE.enabled = True
 
 
 def disable() -> None:
-    """Stop recording; the log and registry stay readable until
+    """Stop recording; the registry and spool stay readable until
     :func:`reset` or the next :func:`enable`."""
     _STATE.enabled = False
 
@@ -259,26 +185,77 @@ def disable() -> None:
 def reset() -> None:
     """Disable telemetry and drop all recorded state."""
     _STATE.enabled = False
-    _STATE.log = None
+    _close_spool()
     _STATE.registry = None
     _STATE.sinks = []
+
+
+def _close_spool() -> None:
+    if _STATE.spool is not None:
+        _STATE.spool.close()
+        _STATE.spool = None
+
+
+def _flush_spool() -> None:
+    # Run before every fork: the child's copy of the write buffer must
+    # hold nothing it could later flush into the shared file.
+    if _STATE.spool is not None:
+        _STATE.spool.flush()
+
+
+def _detach_spool() -> None:
+    # Run in every forked child, which shares the spool's file offset
+    # with its parent: a line it wrote would land in the parent's
+    # trace.  The child keeps counting events but spools none.
+    if _STATE.spool is not None:
+        _INHERITED.append(_STATE.spool)
+        _STATE.spool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_flush_spool, after_in_child=_detach_spool)
 
 
 def is_enabled() -> bool:
     return _STATE.enabled
 
 
-def get_log() -> EventLog | None:
-    return _STATE.log
-
-
 def get_registry():
     return _STATE.registry
 
 
+def spooled_lines() -> Iterator[str]:
+    """The spooled trace lines of the run-scope events so far, in
+    sequence order; raises :class:`ValueError` unless telemetry was
+    enabled with ``trace=True``."""
+    spool = _STATE.spool
+    if spool is None:
+        raise ValueError(
+            "telemetry was not enabled with trace=True; nothing to export"
+        )
+    spool.flush()
+    spool.seek(0)
+    return _read_spool(spool)
+
+
+def _read_spool(spool: IO[str]) -> Iterator[str]:
+    try:
+        for line in spool:
+            yield line[:-1]
+    finally:
+        spool.seek(0, os.SEEK_END)  # later events append after the rest
+
+
 def _append_main(kind: str, fields: tuple[tuple[str, Any], ...]) -> None:
     state = _STATE
-    state.log.append(kind, fields)
+    if state.spool is not None and kind not in HOST_KINDS:
+        record = {
+            "type": "event",
+            "seq": state.registry.counters.get("run.events.total", 0),
+            "kind": kind,
+        }
+        record.update(fields)
+        state.spool.write(_dump(record) + "\n")
     state.registry.record_event(kind, fields)
 
 
@@ -355,8 +332,6 @@ __all__ = [
     "CHECKPOINT_REUSE",
     "CHECKPOINT_WRITE",
     "Capsule",
-    "Event",
-    "EventLog",
     "FAULT_INJECTION",
     "FRONTIER_LEVEL",
     "HOST_KINDS",
@@ -373,11 +348,11 @@ __all__ = [
     "disable",
     "emit",
     "enable",
-    "get_log",
     "get_registry",
     "is_enabled",
     "observe_span",
     "replay",
     "reset",
     "run_payload",
+    "spooled_lines",
 ]

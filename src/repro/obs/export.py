@@ -22,33 +22,30 @@ import json
 from typing import Any, Iterator, TextIO
 
 from . import events as ev
+from .events import _dump
 
 TRACE_FORMAT = "repro-trace/1"
 
 
-def _dump(record: dict[str, Any]) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-
 def trace_lines() -> Iterator[str]:
     """The current telemetry state as JSONL lines (deterministic
-    subset: run-scope events + run metrics)."""
-    log = ev.get_log()
+    subset: run-scope events + run metrics); needs telemetry enabled
+    with ``trace=True``."""
     registry = ev.get_registry()
-    if log is None or registry is None:
+    if registry is None:
         raise ValueError("telemetry was never enabled; nothing to export")
-    run_events = log.events(scope="run")
+    events = ev.spooled_lines()
+    counters = registry.run_counters()
     yield _dump(
         {
             "type": "meta",
             "format": TRACE_FORMAT,
-            "events": len(run_events),
-            "dropped": log.dropped,
+            "events": counters.get("run.events.total", 0),
+            "dropped": 0,
         }
     )
-    for event in run_events:
-        yield _dump(event.to_jsonable())
-    for name, value in registry.run_counters().items():
+    yield from events
+    for name, value in counters.items():
         yield _dump({"type": "metric", "name": name, "value": value})
 
 
@@ -112,23 +109,29 @@ def _counts_section(counts: dict[str, int], title: str) -> list[str]:
     return lines
 
 
+def _event_counts(registry, scope: str) -> tuple[int, dict[str, int]]:
+    """The ``<scope>.events.*`` counters: the total and the per-kind
+    counts."""
+    prefix = f"{scope}.events."
+    counts = {
+        k.removeprefix(prefix): int(v)
+        for k, v in registry.counters.items()
+        if k.startswith(prefix)
+    }
+    return counts.pop("total", 0), counts
+
+
 def render_live_summary() -> str:
     """Summarize the live telemetry state: run section first, then the
     host-side (process-local, non-deterministic) sections."""
-    log = ev.get_log()
     registry = ev.get_registry()
-    if log is None or registry is None:
+    if registry is None:
         return "telemetry was never enabled"
-    run_counts = {
-        k: v for k, v in log.kind_counts.items() if k not in ev.HOST_KINDS
-    }
-    host_counts = {
-        k: v for k, v in log.kind_counts.items() if k in ev.HOST_KINDS
-    }
+    run_total, run_counts = _event_counts(registry, "run")
+    host_total, host_counts = _event_counts(registry, "host")
     lines = [
         "== telemetry summary ==",
-        f"events: {log.seq} run + {log.host_seq} host recorded"
-        + (f" ({log.dropped} dropped from the ring)" if log.dropped else ""),
+        f"events: {run_total} run + {host_total} host recorded",
     ]
     lines += _counts_section(run_counts, "run events by kind:")
     run_metrics = registry.run_counters()

@@ -16,13 +16,15 @@ connectivity analytics cache — behind labeled metric names with a ``run.`` /
   (:func:`~repro.obs.events.observe_span`).  They are printed in
   summaries but excluded from exported traces.
 
-The module is dependency-free and imports nothing from the rest of the
-repo at module level, so every layer can use it without cycles.
+The module imports nothing from the rest of the repo but the event
+kinds at module level, so every layer can use it without cycles.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
+
+from . import events as ev
 
 RUN_SCOPE = "run"
 HOST_SCOPE = "host"
@@ -101,8 +103,6 @@ class MetricsRegistry:
         registry.  Every ``run.*`` counter is derived here and nowhere
         else, which is what makes the run-scope metrics a pure function
         of the event stream."""
-        from . import events as ev
-
         scope = HOST_SCOPE if kind in ev.HOST_KINDS else RUN_SCOPE
         self.inc(f"{scope}.events.total")
         self.inc(f"{scope}.events.{kind}")

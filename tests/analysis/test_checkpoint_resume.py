@@ -74,7 +74,7 @@ def _as_json(result):
 
 def _run_traced(fn):
     """Run ``fn`` under fresh telemetry; return (result, trace lines)."""
-    obs.enable()
+    obs.enable(trace=True)
     try:
         result = fn()
         return result, list(obs.trace_lines())
@@ -130,16 +130,18 @@ class TestCampaignResumeEquivalence:
         key = campaign_store_key(config)
         with RunStore(tmp_path).shard(key) as shard:
             _run_traced(lambda: run_campaign(config, store=shard))
-        obs.enable()
+        obs.enable(trace=True)
         try:
             with RunStore(tmp_path).shard(key) as shard:
                 run_campaign(config, store=shard)
-            counts = obs.get_log().kind_counts
-            assert counts.get(obs.CHECKPOINT_REUSE, 0) == config.attempts
+            counters = obs.get_registry().counters
+            reused = counters.get(f"host.events.{obs.CHECKPOINT_REUSE}", 0)
+            assert reused == config.attempts
             # Reuse facts must never reach the exported trace.
+            lines = list(obs.trace_lines())
+            assert any('"kind":"attempt_end"' in line for line in lines)
             assert not any(
-                f'"kind": "{obs.CHECKPOINT_REUSE}"' in line
-                for line in obs.trace_lines()
+                f'"kind":"{obs.CHECKPOINT_REUSE}"' in line for line in lines
             )
         finally:
             obs.reset()

@@ -258,16 +258,16 @@ class TestWorkerFaultTolerance:
         obs.enable()
         try:
             start = time.monotonic()
-            results = runner.map(dies_on_three, range(8))
+            with obs.capture() as capsule:
+                results = runner.map(dies_on_three, range(8))
             elapsed = time.monotonic() - start
-            host_events = obs.get_log().events("host")
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
             obs.reset()
         assert results == [x * 10 for x in range(8)]
         assert elapsed < 10
-        assert any(e.kind == obs.WORKER_RETRY for e in host_events)
+        assert any(kind == obs.WORKER_RETRY for kind, _ in capsule.payload())
         assert not multiprocessing.active_children()
 
 
@@ -305,8 +305,9 @@ class TestOnePoolPerCall:
 
         obs.enable()
         try:
-            result = run_campaign(_k4_config(*SURVIVING), jobs=2)
-            kinds = [e.kind for e in obs.get_log().events("host")]
+            with obs.capture() as capsule:
+                result = run_campaign(_k4_config(*SURVIVING), jobs=2)
+            kinds = [kind for kind, _ in capsule.payload()]
         finally:
             obs.reset()
         assert not result.broken
@@ -437,10 +438,11 @@ class TestChunkedDispatch:
         signal.alarm(30)
         obs.enable()
         try:
-            results = runner.map(dies_mid_chunk, range(128))
+            with obs.capture() as capsule:
+                results = runner.map(dies_mid_chunk, range(128))
             retried = [
-                e for e in obs.get_log().events("host")
-                if e.kind == obs.WORKER_RETRY
+                dict(fields) for kind, fields in capsule.payload()
+                if kind == obs.WORKER_RETRY
             ]
         finally:
             signal.alarm(0)
@@ -449,7 +451,7 @@ class TestChunkedDispatch:
         assert results == [x * 10 for x in range(128)]
         # The lost chunk and everything after it: the pool delivers in
         # order, so nothing past the dead worker's chunk was merged.
-        indices = [dict(e.fields)["index"] for e in retried]
+        indices = [fields["index"] for fields in retried]
         assert indices == list(range(full[0], 128))
         assert not multiprocessing.active_children()
 

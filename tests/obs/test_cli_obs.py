@@ -22,30 +22,7 @@ class TestTraceFlag:
         assert trace["meta"]["events"] > 0
         # the CLI resets global telemetry after the run
         assert not obs.is_enabled()
-        assert obs.get_log() is None
-
-    def test_ring_overflow_warns_on_stderr(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        enable = obs.enable
-        monkeypatch.setattr(obs, "enable", lambda: enable(capacity=64))
-        path = str(tmp_path / "t.jsonl")
-        args = [
-            "campaign", "--protocol", "naive", "--graph", "complete:4",
-            "--links", "2", "--attempts", "10", "--trace", path,
-        ]
-        assert main(args) == 0
-        captured = capsys.readouterr()
-        dropped = obs.read_trace(path)["meta"]["dropped"]
-        assert dropped > 0
-        assert captured.out.endswith(f"trace written to {path} (64 events)\n")
-        assert "warning" not in captured.out
-        (warning,) = captured.err.splitlines()
-        assert warning.startswith(f"warning: {dropped} run events dropped")
-
-        monkeypatch.setattr(obs, "enable", enable)
-        assert main(args) == 0
-        assert capsys.readouterr().err == ""
+        assert obs.get_registry() is None
 
     def test_trace_identical_across_jobs(self, tmp_path, capsys):
         paths = []
@@ -74,6 +51,54 @@ class TestTraceFlag:
         assert obs.read_trace(trace)["meta"]["events"] > 0
         assert main(["sweep", "nodes", "--faults", "1", "--metrics"]) == 0
         assert "run.sweep.points" in capsys.readouterr().out
+
+
+class TestTraceCompleteness:
+    """A trace holds every run-scope event: its event lines, its meta
+    ``events`` and its ``run.events.total`` metric agree, with
+    contiguous sequence numbers, serially, under ``--jobs 2`` and
+    through ``repro resume``."""
+
+    ARGS = [
+        "campaign", "--protocol", "eig", "--graph", "complete:7",
+        "--faults", "2", "--links", "0", "--attempts", "20",
+    ]
+
+    @staticmethod
+    def _counts(path):
+        trace = obs.read_trace(str(path))
+        seqs = [event["seq"] for event in trace["events"]]
+        assert seqs == list(range(len(seqs)))
+        return (
+            len(seqs),
+            trace["meta"]["events"],
+            trace["metrics"]["run.events.total"],
+            trace["meta"]["dropped"],
+        )
+
+    def test_event_lines_meta_and_metric_agree(self, tmp_path, capsys):
+        counts = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            assert main(
+                [*self.ARGS, "--jobs", jobs, "--trace", str(path)]
+            ) == 0
+            counts.append(self._counts(path))
+        store = tmp_path / "store"
+        path = tmp_path / "resumed.jsonl"
+        assert main(
+            [*self.ARGS, "--checkpoint", str(store), "--trace", str(path)]
+        ) == 0
+        (shard,) = (store / "shards").glob("*.jsonl")
+        journal = shard.read_text().splitlines(keepends=True)
+        shard.write_text("".join(journal[:5]))
+        path.unlink()
+        assert main(["resume", str(store)]) == 0
+        counts.append(self._counts(path))
+        assert capsys.readouterr().err == ""
+        events = counts[0][0]
+        assert events > 0
+        assert counts == [(events, events, events, 0)] * 3
 
 
 class TestProfile:

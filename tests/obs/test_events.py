@@ -1,74 +1,141 @@
-"""Event core: the switch, the two-scope log, capture/replay."""
+"""Event core: the switch, the two scopes, the spool, capture/replay."""
+
+import json
+import os
+
+import pytest
 
 from repro import obs
+
+
+def _run_events():
+    """The spooled run-scope events, parsed."""
+    return [
+        json.loads(line)
+        for line in obs.trace_lines()
+        if '"type":"event"' in line
+    ]
+
+
+def _count(name):
+    return obs.get_registry().counters.get(name, 0)
 
 
 class TestSwitch:
     def test_off_by_default_and_emit_is_noop(self):
         assert not obs.is_enabled()
         obs.emit(obs.ROUND_START, round=0)  # must not raise or record
-        assert obs.get_log() is None
+        assert obs.get_registry() is None
 
     def test_enable_records_disable_stops_reset_drops(self):
-        obs.enable()
+        obs.enable(trace=True)
         obs.emit(obs.ROUND_START, round=0)
-        assert obs.get_log().seq == 1
+        assert _count("run.events.total") == 1
         obs.disable()
         obs.emit(obs.ROUND_START, round=1)
-        assert obs.get_log().seq == 1  # still readable, no longer recording
+        # still readable, no longer recording
+        assert _count("run.events.total") == 1
+        assert [e["round"] for e in _run_events()] == [0]
         obs.reset()
-        assert obs.get_log() is None
+        assert obs.get_registry() is None
+        with pytest.raises(ValueError):
+            list(obs.trace_lines())
 
     def test_enable_starts_fresh(self):
+        obs.enable(trace=True)
+        obs.emit(obs.ROUND_START, round=0)
+        obs.enable(trace=True)
+        assert _count("run.events.total") == 0
+        assert _run_events() == []
+
+    def test_untraced_enable_counts_but_cannot_export(self):
         obs.enable()
         obs.emit(obs.ROUND_START, round=0)
-        obs.enable()
-        assert obs.get_log().seq == 0
+        assert _count("run.events.round_start") == 1
+        with pytest.raises(ValueError, match="trace=True"):
+            list(obs.trace_lines())
 
 
 class TestScopeSplit:
     def test_host_events_do_not_consume_run_seq(self):
-        obs.enable()
+        obs.enable(trace=True)
         obs.emit(obs.ROUND_START, round=0)
         obs.emit(obs.CACHE_HIT, cache="behavior")
         obs.emit(obs.ROUND_END, round=0, messages=0, injected=0)
-        log = obs.get_log()
-        run_events = log.events(scope="run")
-        assert [e.seq for e in run_events] == [0, 1]
-        assert [e.kind for e in run_events] == [obs.ROUND_START, obs.ROUND_END]
-        host_events = log.events(scope="host")
-        assert [e.seq for e in host_events] == [0]
-        assert host_events[0].scope == "host"
+        run_events = _run_events()
+        assert [e["seq"] for e in run_events] == [0, 1]
+        assert [e["kind"] for e in run_events] == [
+            obs.ROUND_START, obs.ROUND_END,
+        ]
+        # Host events are counted, never stored.
+        assert _count("host.events.total") == 1
+        assert _count(f"host.events.{obs.CACHE_HIT}") == 1
 
     def test_kind_constants_partition(self):
         assert not (obs.HOST_KINDS & obs.RUN_KINDS)
 
-    def test_ring_buffer_drops_oldest_and_counts(self):
-        obs.enable(capacity=3)
+
+class TestSpool:
+    def test_every_event_is_kept(self):
+        obs.enable(trace=True)
         for i in range(5):
             obs.emit(obs.ROUND_START, round=i)
-        log = obs.get_log()
-        assert log.dropped == 2
-        assert [dict(e.fields)["round"] for e in log.events("run")] == [2, 3, 4]
-        assert log.kind_counts[obs.ROUND_START] == 5  # totals keep counting
+        meta = json.loads(next(obs.trace_lines()))
+        assert meta["events"] == 5 and meta["dropped"] == 0
+        assert [e["round"] for e in _run_events()] == [0, 1, 2, 3, 4]
+
+    def test_events_after_an_export_append(self):
+        obs.enable(trace=True)
+        obs.emit(obs.ROUND_START, round=0)
+        lines = obs.trace_lines()
+        next(lines), next(lines)
+        lines.close()  # abandoned mid-spool
+        obs.emit(obs.ROUND_START, round=1)
+        assert [(e["seq"], e["round"]) for e in _run_events()] == [
+            (0, 0), (1, 1),
+        ]
+
+    def test_forked_child_never_writes_to_the_spool(self):
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork on this platform")
+        obs.enable(trace=True)
+        obs.emit(obs.ROUND_START, round=0)
+        pid = os.fork()
+        if pid == 0:  # child: emit, export, reset, then vanish
+            code = 1
+            try:
+                obs.emit(obs.ROUND_START, round=99)
+                try:
+                    list(obs.trace_lines())
+                except ValueError:
+                    code = 0
+                obs.reset()
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        obs.emit(obs.ROUND_START, round=1)
+        assert [e["round"] for e in _run_events()] == [0, 1]
 
 
 class TestCaptureReplay:
     def test_capture_diverts_and_replay_restamps(self):
-        obs.enable()
+        obs.enable(trace=True)
         obs.emit(obs.ATTEMPT_START, attempt=1)
         with obs.capture() as capsule:
             obs.emit(obs.ROUND_START, round=0)
             obs.emit(obs.CACHE_MISS, cache="behavior")
-        assert obs.get_log().seq == 1  # nothing hit the main log
+        # nothing hit the main log
+        assert _count("run.events.total") == 1
+        assert _count("host.events.total") == 0
         obs.replay(capsule.payload())
-        log = obs.get_log()
-        assert [e.kind for e in log.events("run")] == [
+        run_events = _run_events()
+        assert [e["kind"] for e in run_events] == [
             obs.ATTEMPT_START,
             obs.ROUND_START,
         ]
-        assert [e.seq for e in log.events("run")] == [0, 1]
-        assert [e.kind for e in log.events("host")] == [obs.CACHE_MISS]
+        assert [e["seq"] for e in run_events] == [0, 1]
+        assert _count(f"host.events.{obs.CACHE_MISS}") == 1
 
     def test_run_payload_strips_host_events(self):
         obs.enable()
@@ -96,7 +163,8 @@ class TestCaptureReplay:
 
     def test_fields_canonically_sorted(self):
         obs.enable()
-        obs.emit(obs.ROUND_END, round=0, injected=0, messages=3)
-        obs.emit(obs.ROUND_END, messages=3, injected=0, round=0)
-        a, b = obs.get_log().events("run")
-        assert a.fields == b.fields
+        with obs.capture() as capsule:
+            obs.emit(obs.ROUND_END, round=0, injected=0, messages=3)
+            obs.emit(obs.ROUND_END, messages=3, injected=0, round=0)
+        (_, a), (_, b) = capsule.payload()
+        assert a == b == (("injected", 0), ("messages", 3), ("round", 0))

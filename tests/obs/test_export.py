@@ -46,7 +46,7 @@ def _run_workload():
 
 class TestTraceRoundTrip:
     def test_write_then_read(self, tmp_path):
-        obs.enable()
+        obs.enable(trace=True)
         _run_workload()
         path = str(tmp_path / "t.jsonl")
         count = obs.write_trace(path)
@@ -61,7 +61,7 @@ class TestTraceRoundTrip:
         assert trace["metrics"]["run.messages.delivered"] == 12
 
     def test_trace_lines_are_canonical_json(self):
-        obs.enable()
+        obs.enable(trace=True)
         _run_workload()
         for line in obs.trace_lines():
             assert line == json.dumps(
@@ -69,7 +69,7 @@ class TestTraceRoundTrip:
             )
 
     def test_host_events_excluded_from_trace(self, tmp_path):
-        obs.enable()
+        obs.enable(trace=True)
         obs.emit(obs.ROUND_START, round=0)
         obs.emit(obs.CACHE_HIT, cache="behavior")
         path = str(tmp_path / "t.jsonl")
@@ -102,7 +102,7 @@ class TestSummaries:
         assert obs.render_live_summary() == "telemetry was never enabled"
 
     def test_profile_views(self, tmp_path):
-        obs.enable()
+        obs.enable(trace=True)
         _run_workload()
         path = str(tmp_path / "t.jsonl")
         obs.write_trace(path)
@@ -134,17 +134,19 @@ class TestExecutorInstrumentation:
 
     def test_round_events_shape(self):
         obs.enable()
-        _run_workload()
-        events = obs.get_log().events("run")
-        starts = [e for e in events if e.kind == obs.ROUND_START]
-        ends = [e for e in events if e.kind == obs.ROUND_END]
+        with obs.capture() as capsule:
+            _run_workload()
+        events = capsule.payload()
+        starts = [e for e in events if e[0] == obs.ROUND_START]
+        ends = [e for e in events if e[0] == obs.ROUND_END]
         assert len(starts) == len(ends) == 2
-        deliveries = [e for e in events if e.kind == obs.MESSAGE_DELIVERY]
+        deliveries = [
+            dict(fields) for kind, fields in events
+            if kind == obs.MESSAGE_DELIVERY
+        ]
         assert len(deliveries) == 12
         # deliveries are emitted in sorted edge order within each round
-        first_round = [
-            dict(e.fields) for e in deliveries if dict(e.fields)["round"] == 0
-        ]
+        first_round = [d for d in deliveries if d["round"] == 0]
         keys = [(d["src"], d["dst"]) for d in first_round]
         assert keys == sorted(keys)
 
@@ -179,5 +181,5 @@ class TestExecutorInstrumentation:
         untraced = refute()
         obs.enable()
         traced = refute()
-        assert not list(obs.get_log().events("run"))
+        assert "run.events.total" not in obs.get_registry().counters
         assert traced == untraced

@@ -28,7 +28,7 @@ def _config(**overrides):
 
 def _traced(fn):
     """Run ``fn`` under fresh telemetry; return (trace lines, metrics)."""
-    obs.enable()
+    obs.enable(trace=True)
     try:
         fn()
         lines = list(obs.trace_lines())

@@ -239,12 +239,12 @@ def _outcome(execute, system, rounds, plan, traced=True):
     else:
         obs.reset()
     try:
-        try:
-            result = execute(system, rounds, injector)
-        except Exception as exc:  # noqa: BLE001 - compared across executors
-            result = (type(exc), str(exc))
-        log = obs.get_log()
-        events = [(e.kind, e.fields) for e in log.events("run")] if log else []
+        with obs.capture() as capsule:
+            try:
+                result = execute(system, rounds, injector)
+            except Exception as exc:  # noqa: BLE001 - across executors
+                result = (type(exc), str(exc))
+        events = list(obs.run_payload(capsule.payload()))
     finally:
         obs.reset()
     return result, injector.trace if injector is not None else None, events
@@ -389,8 +389,9 @@ def test_reused_injector_emits_only_this_runs_injections():
     assert held
     obs.enable()
     try:
-        run(system, rounds, injector)
-        events = [(e.kind, e.fields) for e in obs.get_log().events("run")]
+        with obs.capture() as capsule:
+            run(system, rounds, injector)
+        events = list(obs.run_payload(capsule.payload()))
     finally:
         obs.reset()
     assert len(injector.trace) == 2 * held
