@@ -501,7 +501,8 @@ def execute_attempt(
         )
         return (verdict, trace)
     # Telemetry-transparent caching: an entry is ``((verdict, trace),
-    # run-scope events of the original execution)``, replayed on every
+    # the original execution's captured payload)`` — run-scope events
+    # only, since host events are never captured — replayed on every
     # hit, so the trace never depends on cache warmth.  Entries made
     # with telemetry off hold no events, so traced runs key theirs
     # apart.  The hit/miss facts are host-scope (and no-ops with
@@ -523,7 +524,7 @@ def execute_attempt(
     result = (verdict, trace)
     payload = capsule.payload()
     obs.replay(payload)
-    cache.put(key, (result, obs.run_payload(payload)))
+    cache.put(key, (result, payload))
     return result
 
 
@@ -753,8 +754,10 @@ def run_campaign(
     skip their queued attempts and exit before shrinking starts.
     ``jobs`` only decides whether the stream's pool forks — at
     ``jobs=1``, or when the runner falls back to serial, attempts
-    execute in-process.  Workers return only the spec bit plus their
-    captured telemetry, which the parent replays in index order, so
+    execute in-process.  With telemetry on, each attempt emits its own
+    ``attempt_start``/``attempt_end`` around its execution, so its
+    captured payload is the whole attempt; workers return only the spec
+    bit plus that payload, which the stream replays in index order, so
     results, witnesses, traces and ``run.*`` metrics are identical for
     every ``jobs``.  Shrinking stays in the parent.
 
@@ -769,8 +772,8 @@ def run_campaign(
 
     ``store`` (a :class:`~repro.analysis.runstore.Shard`, usually
     obtained via :func:`campaign_store_key`) journals every merged
-    attempt's verdict — plus its run-scope events when telemetry is on
-    — with an fsync every ``max(4 * jobs, 8)`` attempts and when the
+    attempt's verdict — plus its payload when telemetry is on — with
+    an fsync every ``max(4 * jobs, 8)`` attempts and when the
     scan stops, and skips attempts already journaled by an earlier,
     interrupted process.  Resumed runs replay the journaled events, so
     their output is byte-identical to an uninterrupted run (checkpoint
@@ -790,26 +793,29 @@ def run_campaign(
         )
         return verdict.ok
 
+    def traced_probe(attempt: int) -> bool:
+        obs.emit(obs.ATTEMPT_START, attempt=attempt)
+        ok = probe(attempt)
+        obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
+        return ok
+
+    obs_on = obs.is_enabled()
     verdicts = journaled_imap(
         runner,
-        probe,
+        traced_probe if obs_on else probe,
         range(1, config.attempts + 1),
         store,
         key_fn=lambda attempt: f"attempt:{attempt}",
         encode=lambda ok: {"ok": ok},
         decode=lambda record: bool(record["ok"]),
     )
-    obs_on = obs.is_enabled()
     first_bad: int | None = None
     with closing(verdicts):
         # The span runs merge to merge: in-process it covers the
         # attempt's execution, with a pool the wait for its result.
         attempt_t0 = perf_counter()
-        for attempt, (ok, payload, _) in enumerate(verdicts, 1):
+        for attempt, ok in enumerate(verdicts, 1):
             if obs_on:
-                obs.emit(obs.ATTEMPT_START, attempt=attempt)
-                obs.replay(payload)
-                obs.emit(obs.ATTEMPT_END, attempt=attempt, ok=ok)
                 merged_t = perf_counter()
                 obs.observe_span("campaign.attempt", merged_t - attempt_t0)
                 attempt_t0 = merged_t
@@ -933,8 +939,7 @@ def degradation_frontier(
     rows = []
     first_break: dict[str, int | None] = dict.fromkeys(SPEC_CONDITIONS)
     with closing(levels):
-        for row, payload, _ in levels:
-            obs.replay(payload)
+        for row in levels:
             rows.append(row)
             for condition in row.broken_conditions:
                 if first_break.get(condition) is None:

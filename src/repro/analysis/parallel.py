@@ -267,10 +267,11 @@ class ParallelRunner:
         The pool forks lazily, on the first ``next``, and only for two
         or more items, with ``min(jobs, len(items))`` workers; fewer
         items, a serial runner, or a pool that cannot be built run
-        in-process.  Payloads are *not* replayed: callers whose serial
-        semantics stop consuming early (first-violation reductions)
-        replay them in item order, exactly as far as the serial run
-        would have executed, then close the generator — with
+        in-process.  Payloads are *not* replayed here: the run store's
+        :func:`~repro.analysis.runstore.journaled_imap` replays them in
+        item order, exactly as far as a caller that stops early
+        (first-violation reductions) would have executed serially, and
+        the caller then closes the generator — with
         :func:`contextlib.closing`, so the workers have exited when
         the caller moves on.  Payloads are empty when telemetry is
         disabled.  ``fn`` may be any callable (closures welcome — see

@@ -38,14 +38,18 @@ Layout and guarantees
   close — bounding loss to the unsynced suffix even on power failure,
   while keeping the per-item cost to a buffered write.
 * **Equivalence.**  A journaled record stores the item's result *and*
-  (when telemetry is enabled) the run-scope event payload the original
-  execution emitted.  Resume replays the payload instead of
-  re-executing, so a resumed run's traces and ``run.*`` metrics are
-  byte-identical to an uninterrupted run's.  Records journaled with
-  telemetry off carry no payload and are deliberately **not** reused by
-  a telemetry-on resume — the item re-executes so the trace stays
-  complete.  Checkpoint reuse/write facts themselves are host-scope
-  events, invisible in exported traces.
+  (when telemetry is enabled) its payload as captured — every run-scope
+  event the original execution emitted, a campaign attempt's from
+  ``attempt_start`` to ``attempt_end`` — as JSON lists.  The stream
+  replays a reused item's payload where it replays a fresh one's, so a
+  resumed run's traces and ``run.*`` metrics are byte-identical to an
+  uninterrupted run's.  Records journaled with telemetry off carry no
+  payload and are deliberately **not** reused by a telemetry-on resume
+  — the item re-executes so the trace stays complete.  Checkpoint
+  reuse/write facts are host-scope events, counted and never captured.
+* **One format.**  :meth:`RunStore.read_meta` and
+  :meth:`RunStore.write_meta` both refuse a ``meta.json`` of another
+  :data:`STORE_FORMAT`, before any shard opens.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import glob
 import json
 import os
 import tempfile
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -63,7 +67,7 @@ from .. import obs
 T = TypeVar("T")
 R = TypeVar("R")
 
-STORE_FORMAT = "repro-runstore/1"
+STORE_FORMAT = "repro-runstore/2"
 META_NAME = "meta.json"
 SHARD_DIR = "shards"
 
@@ -124,24 +128,7 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
-# -- telemetry payload round-trip -------------------------------------------
-
-
-def encode_payload(payload: Sequence[tuple]) -> list:
-    """A captured event payload as a JSON-safe nested list."""
-    return [
-        [kind, [[name, value] for name, value in fields]]
-        for kind, fields in payload
-    ]
-
-
-def decode_payload(data: Iterable) -> tuple:
-    """The inverse of :func:`encode_payload` (lists back to tuples, as
-    :func:`repro.obs.replay` expects)."""
-    return tuple(
-        (kind, tuple((name, value) for name, value in fields))
-        for kind, fields in data
-    )
+# -- the journal ------------------------------------------------------------
 
 
 def reusable(record: dict | None) -> bool:
@@ -153,9 +140,6 @@ def reusable(record: dict | None) -> bool:
     if record is None:
         return False
     return not obs.is_enabled() or "obs" in record
-
-
-# -- the journal ------------------------------------------------------------
 
 
 class Shard:
@@ -277,7 +261,11 @@ class RunStore:
         return Shard(self.root / SHARD_DIR / f"{key}.jsonl")
 
     def write_meta(self, command: str, seed: int, args: dict) -> None:
-        """Atomically record how to re-run this store's command."""
+        """Atomically record how to re-run this store's command; raises
+        :class:`RunStoreError`, writing nothing, if the store already
+        holds metadata that :meth:`read_meta` refuses (another format)."""
+        if self.meta_path.exists():
+            self.read_meta()
         meta = {
             "format": STORE_FORMAT,
             "command": command,
@@ -328,28 +316,28 @@ def journaled_imap(
     key_fn: Callable[[T], str],
     encode: Callable[[R], dict],
     decode: Callable[[dict], R],
-) -> Iterator[tuple[R, tuple, bool]]:
-    """Stream ``(result, payload, journaled)`` over ``items``, in item
-    order, journaling each fresh item as it merges.
+) -> Iterator[R]:
+    """Stream each item's result over ``items``, in item order,
+    journaling each fresh item and replaying its telemetry as it merges.
 
     The one checkpoint-aware driver behind campaigns, frontier levels
     and sweep points.  ``shard`` (anything with :class:`Shard`'s
     ``get``, ``append`` and ``sync``; ``None`` journals nothing) is read
     once: items whose key holds a :func:`reusable` record decode from
-    it, with their recorded run-scope events as the payload and
-    ``journaled`` true.  The rest stream through ``runner`` (a
-    :class:`~repro.analysis.parallel.ParallelRunner`), and each is
-    appended as ``encode(result)`` plus, when telemetry is on, its
-    run-scope events — before it is yielded, so a process killed after
-    merging an item has journaled it.  The journal is fsynced every
-    ``max(4 * jobs, 8)`` merged items and once more when the stream
-    ends or is closed early.
+    it, with its recorded events as the payload.  The rest stream
+    through ``runner`` (a :class:`~repro.analysis.parallel.
+    ParallelRunner`), and each is appended as ``encode(result)`` plus,
+    when telemetry is on, its captured payload — before it is yielded,
+    so a process killed after merging an item has journaled it.  The
+    journal is fsynced every ``max(4 * jobs, 8)`` merged items and once
+    more when the stream ends or is closed early.
 
-    The caller replays each payload (:func:`repro.obs.replay`), so
-    reused items emit the events their original execution emitted and
-    traces and ``run.*`` metrics cannot tell the difference; it closes
-    the stream with :func:`contextlib.closing`, which also shuts the
-    runner's pool down.
+    Right before yielding an item, the stream replays its payload
+    (:func:`repro.obs.replay`), so reused items emit the events their
+    original execution emitted and traces and ``run.*`` metrics cannot
+    tell the difference.  Callers close the stream with
+    :func:`contextlib.closing`, which also shuts the runner's pool
+    down; items past the point where they stop are never replayed.
     """
     work = list(items)
     keys = [key_fn(item) for item in work]
@@ -365,19 +353,20 @@ def journaled_imap(
         for key, record, old in zip(keys, records, reused):
             if old:
                 obs.emit(obs.CHECKPOINT_REUSE, item=key)
-                item = (decode(record), decode_payload(record.get("obs", ())), True)
+                result, payload = decode(record), record.get("obs", ())
             else:
                 result, payload = next(fresh)
                 if shard is not None:
                     value = encode(result)
                     if obs_on:
-                        value["obs"] = encode_payload(obs.run_payload(payload))
+                        value["obs"] = payload
                     shard.append(key, value)
-                item = (result, payload, False)
             merged += 1
             if shard is not None and merged % every == 0:
                 shard.sync()
-            yield item
+            if obs_on:
+                obs.replay(payload)
+            yield result
     finally:
         fresh.close()
         if shard is not None and merged % every:
@@ -392,8 +381,6 @@ __all__ = [
     "STORE_FORMAT",
     "Shard",
     "atomic_write_text",
-    "decode_payload",
-    "encode_payload",
     "journaled_imap",
     "reusable",
 ]

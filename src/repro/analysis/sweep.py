@@ -166,12 +166,8 @@ def _sweep(
         encode=lambda row: {"r": asdict(row)},
         decode=lambda record: SweepRow(**record["r"]),
     )
-    rows = []
     with closing(stream):
-        for row, payload, _ in stream:
-            obs.replay(payload)
-            rows.append(row)
-    return rows
+        return list(stream)
 
 
 def _node_bound_point(point: tuple[int, int]) -> SweepRow:

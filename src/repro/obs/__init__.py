@@ -7,8 +7,8 @@ Public surface (re-exported here):
   run-scope event for export), :func:`disable`, :func:`reset`,
   :func:`is_enabled`;
 * emission — :func:`emit`, :func:`capture`, :func:`replay`,
-  :func:`run_payload`, :func:`observe_span` (host-side wall time into
-  ``host.span.*`` histograms), and the event-kind constants;
+  :func:`observe_span` (host-side wall time into ``host.span.*``
+  histograms), and the event-kind constants;
 * the registry accessor — :func:`get_registry`;
 * export — :func:`write_trace`, :func:`read_trace`,
   :func:`render_live_summary` and the ``repro profile`` formatters.
@@ -46,7 +46,6 @@ from .events import (
     observe_span,
     replay,
     reset,
-    run_payload,
 )
 from .export import (
     TRACE_FORMAT,
@@ -103,7 +102,6 @@ __all__ = [
     "render_live_summary",
     "replay",
     "reset",
-    "run_payload",
     "summarize_trace",
     "trace_lines",
     "write_trace",

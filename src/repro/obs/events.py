@@ -23,9 +23,11 @@ Design rules
   ``run``-scope stream whether it executed serially, under ``--jobs
   N``, or through the attempt memo.
   ``host``-scope events (:data:`HOST_KINDS`) describe *this process's*
-  optimization luck — cache hits, worker pools — and are only
-  counted, never stored or exported, which is what makes trace files
-  byte-identical across ``--jobs`` settings.
+  optimization luck — cache hits, worker pools — and are counted in
+  the live registry the moment they are emitted, inside a capture or
+  not; they are never stored, captured or exported, which is what
+  makes trace files byte-identical across ``--jobs`` settings.  A
+  forked worker's host events stay in that worker's registry.
 * **Write-through, never truncated.**  Under ``enable(trace=True)``
   each run-scope event becomes its final trace line the moment it
   reaches the main log and goes straight to an anonymous temporary
@@ -36,11 +38,15 @@ Design rules
   model-level timestamps (round index, simulated time), never wall
   time — wall time is observed host-side (:func:`observe_span`) into
   the registry's ``host.span.*`` histograms, outside every trace.
-* **Capture/replay.**  :func:`capture` redirects emission into a
-  picklable capsule; :func:`replay` appends a capsule to the active
-  sink, re-stamping sequence numbers.  Fork-based workers capture each
-  item's events and ship them back to the parent, which replays them
-  in item-index order — reproducing the serial event stream exactly.
+* **Capture/replay.**  :func:`capture` redirects run-scope emission
+  into a picklable capsule, so a payload holds run events only;
+  :func:`replay` appends a payload to the active sink, re-stamping
+  sequence numbers.  Fork-based workers capture each item's events and
+  ship them back to the parent.  One place replays a work item's
+  payload: the run store's stream
+  (:func:`~repro.analysis.runstore.journaled_imap`), in item-index
+  order, whether the item ran fresh or came from the journal — which
+  reproduces the serial event stream exactly.
 """
 
 from __future__ import annotations
@@ -64,11 +70,12 @@ SHRINK_STEP = "shrink_step"
 FRONTIER_LEVEL = "frontier_level"
 SWEEP_POINT = "sweep_point"
 
-# host scope: process-local optimization/lifecycle facts.  Excluded
-# from exported traces (and from cached-attempt replay payloads), so
-# the deterministic stream never depends on which process got lucky.
-# Checkpoint/resume facts live here too: whether an item was journaled
-# by an earlier process must not change the exported trace.
+# host scope: process-local optimization/lifecycle facts.  Counted at
+# emit time and never captured, so no payload (worker capsule, memo
+# entry or journal record) holds one and the deterministic stream never
+# depends on which process got lucky.  Checkpoint/resume facts live
+# here too: whether an item was journaled by an earlier process must
+# not change the exported trace.
 CACHE_HIT = "cache_hit"
 CACHE_MISS = "cache_miss"
 WORKER_POOL = "worker_pool"
@@ -122,16 +129,6 @@ class Capsule:
 
     def payload(self) -> tuple[tuple[str, tuple[tuple[str, Any], ...]], ...]:
         return tuple(self.items)
-
-
-def run_payload(payload) -> tuple:
-    """``payload`` with host-scope events (cache luck, worker pools,
-    checkpoint facts) stripped: the deterministic stream a memo entry
-    or a journal record stores, so replaying it reproduces exactly the
-    run-scope events of the original execution."""
-    return tuple(
-        (kind, fields) for kind, fields in payload if kind not in HOST_KINDS
-    )
 
 
 class _TelemetryState:
@@ -248,7 +245,7 @@ def _read_spool(spool: IO[str]) -> Iterator[str]:
 
 def _append_main(kind: str, fields: tuple[tuple[str, Any], ...]) -> None:
     state = _STATE
-    if state.spool is not None and kind not in HOST_KINDS:
+    if state.spool is not None:
         record = {
             "type": "event",
             "seq": state.registry.counters.get("run.events.total", 0),
@@ -263,10 +260,16 @@ def emit(kind: str, **fields: Any) -> None:
     """Emit one event (no-op when telemetry is disabled).
 
     Field values must be JSON scalars (str/int/float/bool/None); field
-    order is canonicalized, so equal calls yield equal events.
+    order is canonicalized, so equal calls yield equal events.  A
+    host-scope event is only counted, at once (``host.events.<kind>``
+    and ``host.events.total``), and its fields are dropped.
     """
     state = _STATE
     if not state.enabled:
+        return
+    if kind in HOST_KINDS:
+        state.registry.inc("host.events.total")
+        state.registry.inc(f"host.events.{kind}")
         return
     canonical = tuple(sorted(fields.items()))
     if state.sinks:
@@ -280,7 +283,7 @@ _NULL_CAPSULE = Capsule()
 
 @contextmanager
 def capture() -> Iterator[Capsule]:
-    """Redirect emission into a fresh :class:`Capsule`.
+    """Redirect run-scope emission into a fresh :class:`Capsule`.
 
     Nestable: an inner capture's events stay out of the outer capsule
     until explicitly replayed.  When telemetry is disabled this yields
@@ -300,7 +303,9 @@ def capture() -> Iterator[Capsule]:
 
 def replay(payload) -> None:
     """Append a captured payload to the active sink (capsule or main
-    log), re-stamping sequence numbers.  No-op when disabled or for
+    log), re-stamping sequence numbers.  Each event is a ``(kind,
+    fields)`` pair of sequences, so a payload read back from JSON
+    (lists for tuples) replays as well.  No-op when disabled or for
     empty payloads."""
     state = _STATE
     if not state.enabled or not payload:
@@ -353,6 +358,5 @@ __all__ = [
     "observe_span",
     "replay",
     "reset",
-    "run_payload",
     "spooled_lines",
 ]

@@ -182,7 +182,7 @@ def summarize_trace(path: str) -> str:
     lines = [
         f"trace: {path}",
         f"format: {meta.get('format')}; {meta.get('events', len(events))} "
-        f"events ({meta.get('dropped', 0)} dropped)",
+        "events",
     ]
     lines += _counts_section(counts, "events by kind:")
     derived = {

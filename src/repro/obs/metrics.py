@@ -10,8 +10,9 @@ connectivity analytics cache — behind labeled metric names with a ``run.`` /
   so they are byte-identical across ``--jobs`` settings — the parent
   replays worker capsules in item order and the counters fall out of
   the same stream.
-* ``host.*`` metrics are process-local facts: host-event counts, the
-  cache stats absorbed from those objects as gauges, and wall time per
+* ``host.*`` metrics are process-local facts: host-event counts
+  (taken at emit time, see :func:`~repro.obs.events.emit`), the cache
+  stats absorbed from those objects as gauges, and wall time per
   region in ``host.span.<name>`` histograms
   (:func:`~repro.obs.events.observe_span`).  They are printed in
   summaries but excluded from exported traces.
@@ -27,7 +28,6 @@ from typing import Any, Mapping
 from . import events as ev
 
 RUN_SCOPE = "run"
-HOST_SCOPE = "host"
 
 
 def metric_key(name: str, **labels: Any) -> str:
@@ -99,13 +99,13 @@ class MetricsRegistry:
     def record_event(
         self, kind: str, fields: tuple[tuple[str, Any], ...]
     ) -> None:
-        """Fold one event (just appended to the main log) into the
-        registry.  Every ``run.*`` counter is derived here and nowhere
-        else, which is what makes the run-scope metrics a pure function
-        of the event stream."""
-        scope = HOST_SCOPE if kind in ev.HOST_KINDS else RUN_SCOPE
-        self.inc(f"{scope}.events.total")
-        self.inc(f"{scope}.events.{kind}")
+        """Fold one run-scope event (just appended to the main log) into
+        the registry.  Every ``run.*`` counter is derived here and
+        nowhere else, which is what makes the run-scope metrics a pure
+        function of the event stream.  ``fields`` may be any sequence
+        of pairs (a journal record's payload holds lists)."""
+        self.inc("run.events.total")
+        self.inc(f"run.events.{kind}")
         if kind == ev.ROUND_END:
             data = dict(fields)
             self.inc("run.rounds.total")
@@ -176,7 +176,6 @@ def absorb_connectivity_stats(registry: MetricsRegistry) -> None:
 
 
 __all__ = [
-    "HOST_SCOPE",
     "Histogram",
     "MetricsRegistry",
     "RUN_SCOPE",

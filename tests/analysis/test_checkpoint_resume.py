@@ -392,6 +392,103 @@ class TestOlderStoreResume:
         assert out_trace.read_bytes() == golden_trace.read_bytes()
 
 
+class TestStoreFormat:
+    """A store written in another format is refused before any shard
+    opens: ``repro resume`` and both ``--checkpoint`` commands exit 2."""
+
+    def _old_store(self, tmp_path):
+        store = tmp_path / "store"
+        (store / "shards").mkdir(parents=True)
+        meta = {
+            "format": "repro-runstore/1",
+            "command": "sweep",
+            "seed": 0,
+            "args": {"dimension": "nodes", "faults": [1], "jobs": 1,
+                     "trace": None, "metrics": False},
+        }
+        (store / "meta.json").write_text(json.dumps(meta))
+        return store
+
+    @pytest.mark.parametrize("argv", [
+        ["resume", "STORE"],
+        ["campaign", "--protocol", "naive", "--graph", "complete:4",
+         "--links", "1", "--rounds", "2", "--attempts", "3",
+         "--checkpoint", "STORE"],
+        ["sweep", "nodes", "--faults", "1", "--checkpoint", "STORE"],
+    ], ids=["resume", "campaign", "sweep"])
+    def test_older_format_exits_2_before_any_shard(
+        self, tmp_path, capsys, argv
+    ):
+        from repro.cli import main
+
+        store = self._old_store(tmp_path)
+        meta = (store / "meta.json").read_text()
+        argv = [str(store) if arg == "STORE" else arg for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "repro-runstore/1" in err
+        assert list((store / "shards").iterdir()) == []
+        assert (store / "meta.json").read_text() == meta
+
+
+class TestPayloadsHoldRunEventsOnly:
+    """Every journal record's payload and every memo entry's payload
+    holds run-scope events only, and a campaign record's payload is the
+    whole attempt, from its ``attempt_start`` to its ``attempt_end`` —
+    serially, from a forked pool, and after a resume."""
+
+    @staticmethod
+    def _check_journal(store_dir, key):
+        path = Path(store_dir) / "shards" / f"{key}.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert records
+        for record in records:
+            attempt = int(record["k"].removeprefix("attempt:"))
+            events = record["v"]["obs"]
+            kinds = [kind for kind, _ in events]
+            assert set(kinds) <= obs.RUN_KINDS
+            assert kinds.count(obs.ATTEMPT_START) == 1
+            assert events[0] == [obs.ATTEMPT_START, [["attempt", attempt]]]
+            assert events[-1] == [
+                obs.ATTEMPT_END,
+                [["attempt", attempt], ["ok", record["v"]["ok"]]],
+            ]
+
+    @pytest.mark.parametrize("mode", ["jobs1", "jobs2", "resumed"])
+    def test_journal_and_memo_payloads(self, tmp_path, monkeypatch, mode):
+        import repro.analysis.parallel as parallel
+        from repro.runtime.memo import BehaviorCache
+
+        monkeypatch.setattr(parallel, "available_parallelism", lambda: 2)
+        jobs = 2 if mode == "jobs2" else 1
+        memo = []
+        for config in (_surviving_config(), _breaking_config()):
+            key = campaign_store_key(config)
+            cache = BehaviorCache()
+
+            def campaign():
+                with RunStore(tmp_path).shard(key) as shard:
+                    return run_campaign(
+                        config, jobs=jobs, cache=cache, store=shard
+                    )
+
+            _run_traced(campaign)
+            if mode == "resumed":
+                path = tmp_path / "shards" / f"{key}.jsonl"
+                first = path.read_text().splitlines(keepends=True)[0]
+                path.write_text(first)
+                cache = BehaviorCache()
+                _run_traced(campaign)
+            self._check_journal(tmp_path, key)
+            memo += [payload for _, payload in cache._data.values()]
+        # Forked workers run uncached; the breaking campaign's shrink
+        # fills the parent's memo at every jobs value.
+        assert memo
+        for payload in memo:
+            assert payload
+            assert {kind for kind, _ in payload} <= obs.RUN_KINDS
+
+
 class TestFrontierJson:
     """``campaign --frontier --json F`` writes the frontier's rows in the
     journal's row encoding, directly and through ``repro resume``."""

@@ -15,8 +15,6 @@ from repro.analysis.runstore import (
     RunStoreError,
     Shard,
     atomic_write_text,
-    decode_payload,
-    encode_payload,
     journaled_imap,
     reusable,
 )
@@ -166,20 +164,6 @@ class TestRunStore:
 
 
 class TestPayloadRoundTrip:
-    PAYLOAD = (
-        ("round_start", (("round", 1),)),
-        ("cache_hit", (("cache", "behavior"), ("op", "sync-run"))),
-        ("round_end", (("round", 1),)),
-    )
-
-    def test_encode_decode_inverse(self):
-        data = json.loads(json.dumps(encode_payload(self.PAYLOAD)))
-        assert decode_payload(data) == self.PAYLOAD
-
-    def test_run_scope_strips_host_events(self):
-        kept = obs.run_payload(self.PAYLOAD)
-        assert [kind for kind, _ in kept] == ["round_start", "round_end"]
-
     def test_reusable_rules(self):
         assert not reusable(None)
         assert reusable({"ok": True})  # telemetry off: no payload needed
@@ -196,8 +180,8 @@ def _square(x):
 
 
 def _journaled(fn, items, shard, calls=None):
-    """Drain a ``journaled_imap`` stream into ``(result, journaled)``
-    pairs, recording the items ``fn`` executed in ``calls``."""
+    """Drain a ``journaled_imap`` stream into its results, recording
+    the items ``fn`` executed in ``calls``."""
 
     def traced(x):
         if calls is not None:
@@ -208,14 +192,20 @@ def _journaled(fn, items, shard, calls=None):
         ParallelRunner(1), traced, items, shard,
         key_fn=str, encode=lambda r: {"v": r}, decode=lambda d: d["v"],
     )
-    return [(result, journaled) for result, _, journaled in stream]
+    return list(stream)
+
+
+def _emits_square(x):
+    obs.emit(obs.ROUND_START, round=x)
+    obs.emit(obs.CHECKPOINT_WRITE, item="host")  # counted, never captured
+    return x * x
 
 
 class TestJournaledMap:
     def test_without_shard_is_plain_map(self):
         calls = []
         out = _journaled(_square, [1, 2, 3], None, calls)
-        assert out == [(1, False), (4, False), (9, False)]
+        assert out == [1, 4, 9]
         assert calls == [1, 2, 3]
 
     def test_journaled_items_skip_execution(self, tmp_path):
@@ -226,8 +216,7 @@ class TestJournaledMap:
         calls.clear()
         with Shard(path) as shard:
             second = _journaled(_square, [1, 2, 3], shard, calls)
-        assert [r for r, _ in first] == [r for r, _ in second] == [1, 4, 9]
-        assert [j for _, j in second] == [True, True, True]
+        assert first == second == [1, 4, 9]
         assert calls == []  # everything came from the journal
 
     def test_partial_journal_executes_only_the_rest(self, tmp_path):
@@ -236,8 +225,36 @@ class TestJournaledMap:
         with Shard(path) as shard:
             shard.append("2", {"v": -2})
             out = _journaled(lambda x: -x, [1, 2, 3], shard, calls)
-        assert out == [(-1, False), (-2, True), (-3, False)]
+        assert out == [-1, -2, -3]
         assert calls == [1, 3]
+
+    def test_stream_replays_fresh_and_journaled_payloads(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        runs = []
+        for stop in (2, None):  # stop early, then resume the rest
+            obs.enable(trace=True)
+            try:
+                with Shard(path) as shard:
+                    stream = journaled_imap(
+                        ParallelRunner(1), _emits_square, range(4), shard,
+                        key_fn=str, encode=lambda r: {"v": r},
+                        decode=lambda d: d["v"],
+                    )
+                    with closing(stream):
+                        for seen, _ in enumerate(stream, 1):
+                            if seen == stop:
+                                break
+                lines = obs.trace_lines()
+                runs.append([line for line in lines if '"kind":"round_' in line])
+            finally:
+                obs.reset()
+        # Only merged items replay; a resume replays the journaled ones.
+        assert [len(events) for events in runs] == [2, 4]
+        assert runs[1][:2] == runs[0]
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["v"]["obs"] for r in records] == [
+            [["round_start", [["round", x]]]] for x in range(4)
+        ]
 
     def test_items_are_journaled_before_they_are_yielded(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -248,7 +265,7 @@ class TestJournaledMap:
                 decode=lambda d: d["v"],
             )
             with closing(stream):
-                for seen, (result, _, _) in enumerate(stream, 1):
+                for seen, _ in enumerate(stream, 1):
                     assert len(path.read_text().splitlines()) == seen
                     if seen == 2:
                         break

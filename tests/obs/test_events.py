@@ -125,9 +125,9 @@ class TestCaptureReplay:
         with obs.capture() as capsule:
             obs.emit(obs.ROUND_START, round=0)
             obs.emit(obs.CACHE_MISS, cache="behavior")
-        # nothing hit the main log
+        # no run event hit the main log; the host event is counted
         assert _count("run.events.total") == 1
-        assert _count("host.events.total") == 0
+        assert _count(f"host.events.{obs.CACHE_MISS}") == 1
         obs.replay(capsule.payload())
         run_events = _run_events()
         assert [e["kind"] for e in run_events] == [
@@ -137,14 +137,33 @@ class TestCaptureReplay:
         assert [e["seq"] for e in run_events] == [0, 1]
         assert _count(f"host.events.{obs.CACHE_MISS}") == 1
 
-    def test_run_payload_strips_host_events(self):
-        obs.enable()
+    def test_host_event_counted_once_at_emit_never_captured(self):
+        obs.enable(trace=True)
+        with obs.capture() as outer:
+            with obs.capture() as inner:
+                obs.emit(obs.CACHE_HIT, cache="behavior")
+                obs.emit(obs.ROUND_START, round=0)
+                assert _count(f"host.events.{obs.CACHE_HIT}") == 1
+                assert _count("host.events.total") == 1
+            obs.replay(inner.payload())
+        assert [kind for kind, _ in inner.payload()] == [obs.ROUND_START]
+        assert [kind for kind, _ in outer.payload()] == [obs.ROUND_START]
+        obs.replay(outer.payload())
+        assert _count(f"host.events.{obs.CACHE_HIT}") == 1
+        assert _count("host.events.total") == 1
+        assert [e["kind"] for e in _run_events()] == [obs.ROUND_START]
+
+    def test_payload_read_back_from_json_replays_the_same(self):
+        obs.enable(trace=True)
         with obs.capture() as capsule:
-            obs.emit(obs.CACHE_HIT, cache="behavior")
-            obs.emit(obs.ROUND_START, round=0)
-        kinds = [kind for kind, _ in obs.run_payload(capsule.payload())]
-        assert kinds == [obs.ROUND_START]
-        assert len(capsule.payload()) == 2
+            obs.emit(obs.ROUND_END, round=0, messages=3, injected=1)
+        obs.replay(capsule.payload())
+        obs.replay(json.loads(json.dumps(capsule.payload())))
+        first, second = (
+            {k: v for k, v in e.items() if k != "seq"} for e in _run_events()
+        )
+        assert first == second
+        assert _count("run.messages.delivered") == 6
 
     def test_capture_disabled_yields_empty_capsule(self):
         with obs.capture() as capsule:

@@ -108,6 +108,8 @@ class TestSummaries:
         obs.write_trace(path)
         summary = obs.summarize_trace(path)
         assert "events by kind:" in summary
+        assert "format: repro-trace/1; " in summary
+        assert "dropped" not in summary  # nothing ever is
         events = obs.format_events(path, kind=obs.ROUND_END, limit=1)
         assert "round_end" in events
         assert "(1 of 2 events" in events

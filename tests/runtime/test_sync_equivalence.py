@@ -244,7 +244,7 @@ def _outcome(execute, system, rounds, plan, traced=True):
                 result = execute(system, rounds, injector)
             except Exception as exc:  # noqa: BLE001 - across executors
                 result = (type(exc), str(exc))
-        events = list(obs.run_payload(capsule.payload()))
+        events = list(capsule.payload())
     finally:
         obs.reset()
     return result, injector.trace if injector is not None else None, events
@@ -391,7 +391,7 @@ def test_reused_injector_emits_only_this_runs_injections():
     try:
         with obs.capture() as capsule:
             run(system, rounds, injector)
-        events = list(obs.run_payload(capsule.payload()))
+        events = list(capsule.payload())
     finally:
         obs.reset()
     assert len(injector.trace) == 2 * held
