@@ -389,42 +389,20 @@ def campaign_store_key(config: CampaignConfig) -> str:
     )
 
 
-def frontier_store_key(
-    config: CampaignConfig,
-    max_link_faults: int | None = None,
-    attempts_per_level: int | None = None,
-) -> str:
-    """Content fingerprint naming a degradation-frontier shard.
-
-    Applies the same defaulting as :func:`degradation_frontier`, so the
-    key depends on the *effective* sweep bounds.
-    """
-    max_links, attempts = _frontier_bounds(
-        config, max_link_faults, attempts_per_level
-    )
+def frontier_store_key(config: CampaignConfig) -> str:
+    """Content fingerprint naming a degradation-frontier shard: the
+    sweep's largest link budget and attempts per level are the
+    config's ``max_link_faults`` and ``attempts``."""
     return json_fingerprint(
         {
             "kind": "frontier",
             "config": _config_token(config),
             "node_faults": config.max_node_faults,
-            "max_links": max_links,
-            "attempts_per_level": attempts,
+            "max_links": config.max_link_faults,
+            "attempts_per_level": config.attempts,
             "seed": config.seed,
             "link_kinds": list(config.link_kinds),
         }
-    )
-
-
-def _frontier_bounds(
-    config: CampaignConfig,
-    max_link_faults: int | None,
-    attempts_per_level: int | None,
-) -> tuple[int, int]:
-    """A frontier's largest link budget and attempts per level: the
-    arguments, or the config's values where they are ``None``."""
-    return (
-        config.max_link_faults if max_link_faults is None else max_link_faults,
-        config.attempts if attempts_per_level is None else attempts_per_level,
     )
 
 
@@ -608,62 +586,43 @@ def shrink_counterexample(
     progress = True
     while progress:
         progress = False
-        for i in range(current.plan.size):
-            if system is None:
-                system = _build_system(
-                    config, current.inputs, current.node_faults
-                )
-            candidate_plan = current.plan.without_atoms([i])
+        atoms = current.plan.size
+        for i in range(atoms + len(current.node_faults)):
+            atom = i < atoms
+            if atom:
+                nodes = current.node_faults
+                plan = current.plan.without_atoms([i])
+                if system is None:
+                    system = _build_system(config, current.inputs, nodes)
+            else:
+                k = i - atoms
+                nodes = current.node_faults[:k] + current.node_faults[k + 1 :]
+                plan = current.plan
             verdict, _ = execute_attempt(
-                config, current.inputs, current.node_faults, candidate_plan,
-                cache, system=system,
+                config, current.inputs, nodes, plan, cache,
+                system=system if atom else None,
             )
-            if not verdict.ok:
-                current = Counterexample(
-                    inputs=current.inputs,
-                    node_faults=current.node_faults,
-                    plan=candidate_plan,
-                    verdict=verdict,
-                    attempt=current.attempt,
-                )
-                steps += 1
-                progress = True
-                obs.emit(
-                    obs.SHRINK_STEP,
-                    attempt=current.attempt,
-                    deleted="atom",
-                    atoms=current.plan.size,
-                    nodes=len(current.node_faults),
-                )
-                break
-        if progress:
-            continue
-        for i in range(len(current.node_faults)):
-            candidate_nodes = (
-                current.node_faults[:i] + current.node_faults[i + 1 :]
+            if verdict.ok:
+                continue
+            current = Counterexample(
+                inputs=current.inputs,
+                node_faults=nodes,
+                plan=plan,
+                verdict=verdict,
+                attempt=current.attempt,
             )
-            verdict, _ = execute_attempt(
-                config, current.inputs, candidate_nodes, current.plan, cache
-            )
-            if not verdict.ok:
-                current = Counterexample(
-                    inputs=current.inputs,
-                    node_faults=candidate_nodes,
-                    plan=current.plan,
-                    verdict=verdict,
-                    attempt=current.attempt,
-                )
+            if not atom:
                 system = None
-                steps += 1
-                progress = True
-                obs.emit(
-                    obs.SHRINK_STEP,
-                    attempt=current.attempt,
-                    deleted="node",
-                    atoms=current.plan.size,
-                    nodes=len(current.node_faults),
-                )
-                break
+            steps += 1
+            progress = True
+            obs.emit(
+                obs.SHRINK_STEP,
+                attempt=current.attempt,
+                deleted="atom" if atom else "node",
+                atoms=current.plan.size,
+                nodes=len(current.node_faults),
+            )
+            break
     obs.observe_span("campaign.shrink", perf_counter() - shrink_t0)
     return (current, steps)
 
@@ -876,13 +835,13 @@ class DegradationFrontier:
 
 def degradation_frontier(
     config: CampaignConfig,
-    max_link_faults: int | None = None,
-    attempts_per_level: int | None = None,
     jobs: int = 1,
     store: Shard | None = None,
 ) -> DegradationFrontier:
-    """Sweep the link budget 0..max and report, per spec clause, the
-    smallest budget at which a campaign finds a violation of it.
+    """Sweep the link budget 0..``config.max_link_faults``, running
+    ``config.attempts`` attempts per level, and report, per spec
+    clause, the smallest budget at which a campaign finds a violation
+    of it.
 
     Budget levels are independent campaigns, so ``jobs > 1`` evaluates
     them across a process pool; rows come back in budget order and the
@@ -894,15 +853,9 @@ def degradation_frontier(
     — so an interrupted sweep resumes from the first unfinished level
     with byte-identical output.
     """
-    max_links, attempts = _frontier_bounds(
-        config, max_link_faults, attempts_per_level
-    )
-
     def level_row(budget: int) -> FrontierRow:
         probe_t0 = perf_counter()
-        result = run_campaign(
-            replace(config, max_link_faults=budget, attempts=attempts)
-        )
+        result = run_campaign(replace(config, max_link_faults=budget))
         broken: tuple[str, ...] = ()
         if result.broken:
             assert result.shrunk is not None
@@ -914,13 +867,13 @@ def degradation_frontier(
         obs.emit(
             obs.FRONTIER_LEVEL,
             budget=budget,
-            attempts=attempts,
+            attempts=config.attempts,
             broken=", ".join(broken) or "-",
         )
         obs.observe_span("frontier.probe", perf_counter() - probe_t0)
         return FrontierRow(
             link_budget=budget,
-            attempts=attempts,
+            attempts=config.attempts,
             broken_conditions=broken,
             example=result.shrunk,
         )
@@ -928,7 +881,7 @@ def degradation_frontier(
     levels = journaled_imap(
         ParallelRunner(jobs),
         level_row,
-        range(max_links + 1),
+        range(config.max_link_faults + 1),
         store,
         key_fn=lambda budget: f"level:{budget}",
         encode=lambda row: {"r": frontier_row_to_dict(row)},

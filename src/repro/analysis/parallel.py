@@ -51,15 +51,15 @@ Design notes
   ``SIGPIPE``, so a killed run leaves neither workers nor
   ``BrokenPipeError`` tracebacks behind.
 * **Per-item fault tolerance.**  A worker exception does not abort the
-  whole stream: the trampoline ships failures back as values (with the
-  item's partially captured telemetry), and the parent re-executes the
-  failed item serially.  A worker *process* that dies (SIGKILL, OOM
+  whole stream: the trampoline ships failures back as values (the
+  error's ``repr``), and the parent re-executes the failed item
+  serially.  A worker *process* that dies (SIGKILL, OOM
   killer) is noticed while the parent waits on the next result: the
   pool is terminated and every undelivered item is finished serially
   in the parent.  Only when a serial retry *also* fails does the error
-  surface — as an :class:`ItemError` carrying the item's index, the
-  item itself, and the worker's captured event payload, so a
-  post-mortem knows exactly which unit died and what it had logged.
+  surface — as an :class:`ItemError` carrying the item's index and the
+  item itself, with the retry's exception chained, so a post-mortem
+  knows exactly which unit died and why.
 """
 
 from __future__ import annotations
@@ -86,24 +86,17 @@ _POLL_S = 0.25
 class ItemError(RuntimeError):
     """One work item failed in a worker *and* in the serial retry.
 
-    Carries the item's identity (``index`` into the mapped sequence and
-    the ``item`` value itself — for campaigns that is the attempt index
-    that seeds the failing scenario) plus ``payload``, the telemetry
-    events the worker captured before dying, so the failure's partial
-    trace is preserved rather than silently dropped.  The retry's
-    exception is chained as ``__cause__``.
+    Carries the item's identity: ``index`` into the mapped sequence and
+    the ``item`` value itself (for campaigns, the attempt index that
+    seeds the failing scenario).  The retry's exception is chained as
+    ``__cause__``.
     """
 
     def __init__(
-        self,
-        index: int,
-        item: Any,
-        error: BaseException | str,
-        payload: tuple = (),
+        self, index: int, item: Any, error: BaseException | str
     ) -> None:
         self.index = index
         self.item = item
-        self.payload = payload
         super().__init__(
             f"work item #{index} ({item!r}) failed after serial retry: "
             f"{error}"
@@ -140,8 +133,8 @@ def _call_captured(item: Any) -> tuple[bool, tuple[Any, tuple], str | None]:
     item's events into a picklable capsule that rides back over the
     result pipe alongside the result, so the parent can replay them in
     item order.  Exceptions become values, so a crashing item neither
-    aborts the stream nor loses its identity, and its partial capsule
-    still rides back — post-mortem traces stay complete.
+    aborts the stream nor loses its identity; its partial events are
+    dropped, since the serial retry captures the item afresh.
     """
     assert _WORK is not None, "worker forked before _WORK was set"
     _exit_if_orphaned()
@@ -151,7 +144,7 @@ def _call_captured(item: Any) -> tuple[bool, tuple[Any, tuple], str | None]:
         try:
             result = _WORK(item)
         except Exception as exc:
-            return (False, (None, capsule.payload()), repr(exc))
+            return (False, (None, ()), repr(exc))
     return (True, (result, capsule.payload()), None)
 
 
@@ -336,9 +329,7 @@ class ParallelRunner:
                         "re-executing serially",
                         index, work[index], error,
                     )
-                    yield _retry(
-                        fn, index, work[index], error or "unknown", value[1]
-                    )
+                    yield _retry(fn, index, work[index], error or "unknown")
         finally:
             # Workers that ran ahead finish the item in hand and skip
             # the rest; once every item is accounted for, the pool exits
@@ -362,7 +353,7 @@ class ParallelRunner:
             _WORK, _STOP, _PARENT = previous
             obs.emit(obs.WORKER_MERGE, items=merged)
         for rest in range(len(work) if lost is None else lost, len(work)):
-            yield _retry(fn, rest, work[rest], "worker died", ())
+            yield _retry(fn, rest, work[rest], "worker died")
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """Apply ``fn`` to every item; results in item order.
@@ -395,25 +386,19 @@ def _next(results: Any, workers: list) -> Any:
 
 
 def _retry(
-    fn: Callable[[Any], Any],
-    index: int,
-    item: Any,
-    error: str,
-    worker_payload: tuple,
+    fn: Callable[[Any], Any], index: int, item: Any, error: str
 ) -> tuple[Any, tuple]:
     """Serially re-execute one item the pool did not deliver.
 
-    A success stands in for the failed result (re-captured from
-    scratch, so the merged event stream is exactly what an all-healthy
-    run produces — the worker's partial capsule is discarded).  A
-    second failure raises :class:`ItemError`, preserving the worker's
-    partial capsule for post-mortems.
+    A success stands in for the failed result (captured from scratch,
+    so the merged event stream is exactly what an all-healthy run
+    produces).  A second failure raises :class:`ItemError`.
     """
     obs.emit(obs.WORKER_RETRY, index=index, error=error)
     try:
         return _run_captured(fn, item)
     except Exception as exc:
-        raise ItemError(index, item, exc, worker_payload) from exc
+        raise ItemError(index, item, exc) from exc
 
 
 __all__ = [

@@ -27,16 +27,21 @@ Layout and guarantees
 * **Atomic metadata.**  ``meta.json`` is written via
   :func:`atomic_write_text` (tmp file + ``fsync`` + ``os.replace``): a
   crash mid-write can never leave a truncated file behind.
-* **Append-only journals with torn-tail recovery.**  Each record is one
-  JSON line, written and flushed in a single call; a process killed
-  mid-append can tear at most the final line, which the loader detects
-  and discards (the item simply re-executes on resume).  Garbage
+* **Append-only journals that write through.**  Each record is one
+  JSON line, written and flushed in a single call and then dropped from
+  memory: a shard holds only the records its file held when it was
+  opened, which is all a resume reads.  A process killed mid-append can
+  tear at most the final line, which the loader discards (the item
+  simply re-executes on resume); the first append after such a load
+  cuts the file back to the end of the last good record, ending that
+  record's line if it has no newline, so every appended record starts
+  a line of its own.  Opening a shard changes no byte.  Garbage
   *before* the last line is real corruption and raises
-  :class:`RunStoreError` with a clear message.  ``fsync`` runs every
-  ``max(4 * jobs, 8)`` merged items and when a stream ends
-  (:meth:`Shard.sync`), every :data:`FSYNC_EVERY` appends, and on
-  close — bounding loss to the unsynced suffix even on power failure,
-  while keeping the per-item cost to a buffered write.
+  :class:`RunStoreError` with a clear message.  :func:`journaled_imap`
+  fsyncs every ``max(4 * jobs, 8)`` merged items and when a stream ends
+  (:meth:`Shard.sync`), and :meth:`Shard.close` fsyncs once more —
+  bounding loss to the unsynced suffix even on power failure, while
+  keeping the per-item cost to a buffered write.
 * **Equivalence.**  A journaled record stores the item's result *and*
   (when telemetry is enabled) its payload as captured — every run-scope
   event the original execution emitted, a campaign attempt's from
@@ -70,10 +75,6 @@ R = TypeVar("R")
 STORE_FORMAT = "repro-runstore/2"
 META_NAME = "meta.json"
 SHARD_DIR = "shards"
-
-#: Appends between forced ``fsync`` calls (crash loss bound on power
-#: failure; a plain SIGKILL loses nothing past the buffered write).
-FSYNC_EVERY = 64
 
 #: Age past which :func:`atomic_write_text` takes a sibling temp file
 #: for a killed write's leftover.  A live write modifies its temp file
@@ -147,8 +148,9 @@ class Shard:
 
     Records are ``{"k": item_key, "v": {...}}`` lines; the constructor
     loads any existing journal into memory (last record wins per key,
-    torn tail tolerated).  :meth:`append` writes and flushes one line —
-    a SIGKILL immediately after still finds the record on disk — and
+    torn tail tolerated), and :meth:`get` answers from that load only.
+    :meth:`append` writes and flushes one line and keeps nothing — a
+    SIGKILL immediately after still finds the record on disk — and
     :meth:`sync` fsyncs at merge points.
     """
 
@@ -156,22 +158,26 @@ class Shard:
         self.path = Path(path)
         self._records: dict[str, dict] = {}
         self._fh = None
-        self._unsynced = 0
+        self._unsynced = False
+        #: Where the first append cuts the file (the end of the last
+        #: good record), or ``None`` when the file ends cleanly.
+        self._cut: int | None = None
         self._load()
 
     def _load(self) -> None:
         if not self.path.exists():
             return
         try:
-            text = self.path.read_text()
+            data = self.path.read_bytes()
         except OSError as exc:
             raise RunStoreError(
                 f"cannot read journal shard {self.path}: {exc}"
             ) from exc
         pending: dict[str, dict] = {}
         bad_line: int | None = None
-        lines = text.split("\n")
-        for lineno, line in enumerate(lines, 1):
+        good_end = offset = 0
+        for lineno, line in enumerate(data.split(b"\n"), 1):
+            line_start, offset = offset, offset + len(line) + 1
             if not line.strip():
                 continue
             if bad_line is not None:
@@ -184,26 +190,36 @@ class Shard:
                 )
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError:
-                bad_line = lineno
-                continue
+            except ValueError:
+                record = None
             if not isinstance(record, dict) or "k" not in record:
                 bad_line = lineno
                 continue
             pending[str(record["k"])] = record.get("v", {})
+            good_end = line_start + len(line)
         # A trailing unparseable line is the signature of a crash
         # mid-append: drop it, the item re-executes on resume.
         self._records = pending
+        if bad_line is not None or not data.endswith(b"\n"):
+            self._cut = good_end
 
     def get(self, item_key: str) -> dict | None:
-        """The journaled record for ``item_key``, or ``None``."""
+        """The record for ``item_key`` as loaded when the shard was
+        opened, or ``None``; appends never show here."""
         return self._records.get(item_key)
 
     def append(self, item_key: str, value: dict) -> None:
-        """Journal one completed item (write + flush, periodic fsync)."""
+        """Journal one completed item (write + flush; keeps nothing)."""
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a")
+            if self._cut is not None:
+                # Drop a torn tail and end the last good record's line,
+                # so this record starts a line of its own.
+                self._fh.truncate(self._cut)
+                if self._cut:
+                    self._fh.write("\n")
+                self._cut = None
         line = json.dumps(
             {"k": item_key, "v": value},
             sort_keys=True,
@@ -211,29 +227,20 @@ class Shard:
         )
         self._fh.write(line + "\n")
         self._fh.flush()
-        self._records[item_key] = value
-        self._unsynced += 1
+        self._unsynced = True
         obs.emit(obs.CHECKPOINT_WRITE, item=item_key)
-        if self._unsynced >= FSYNC_EVERY:
-            self.sync()
 
     def sync(self) -> None:
         """fsync the journal (called at merge points and on close)."""
         if self._fh is not None and self._unsynced:
             os.fsync(self._fh.fileno())
-        self._unsynced = 0
+        self._unsynced = False
 
     def close(self) -> None:
         if self._fh is not None:
             self.sync()
             self._fh.close()
             self._fh = None
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def keys(self) -> list[str]:
-        return list(self._records)
 
     def __enter__(self) -> "Shard":
         return self
@@ -374,7 +381,6 @@ def journaled_imap(
 
 
 __all__ = [
-    "FSYNC_EVERY",
     "META_NAME",
     "RunStore",
     "RunStoreError",

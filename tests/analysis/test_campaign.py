@@ -266,8 +266,8 @@ class TestConfigValidation:
 
 class TestFrontier:
     def test_frontier_orders_clauses_by_budget(self):
-        config = naive_config(attempts=40)
-        frontier = degradation_frontier(config, max_link_faults=2)
+        config = naive_config(attempts=40, max_link_faults=2)
+        frontier = degradation_frontier(config)
         assert len(frontier.rows) == 3
         # Budget zero with f=0 cannot break anything.
         assert frontier.rows[0].broken_conditions == ()

@@ -166,21 +166,14 @@ class TestCampaignResumeEquivalence:
 
 class TestFrontierResumeEquivalence:
     def test_resumed_frontier_identical(self, tmp_path):
-        config = _breaking_config()
+        config = replace(_breaking_config(), attempts=12)
         golden, golden_trace = _run_traced(
-            lambda: degradation_frontier(
-                config, max_link_faults=2, attempts_per_level=12
-            )
+            lambda: degradation_frontier(config)
         )
-        key = frontier_store_key(
-            config, max_link_faults=2, attempts_per_level=12
-        )
+        key = frontier_store_key(config)
         with RunStore(tmp_path).shard(key) as shard:
             first, first_trace = _run_traced(
-                lambda: degradation_frontier(
-                    config, max_link_faults=2, attempts_per_level=12,
-                    store=shard,
-                )
+                lambda: degradation_frontier(config, store=shard)
             )
         # Drop the last journaled level; resume recomputes just it.
         path = tmp_path / "shards" / f"{key}.jsonl"
@@ -188,10 +181,7 @@ class TestFrontierResumeEquivalence:
         path.write_text("\n".join(lines[:-1]) + "\n")
         with RunStore(tmp_path).shard(key) as shard:
             resumed, resumed_trace = _run_traced(
-                lambda: degradation_frontier(
-                    config, max_link_faults=2, attempts_per_level=12,
-                    store=shard,
-                )
+                lambda: degradation_frontier(config, store=shard)
             )
         assert golden == first == resumed
         assert golden_trace == first_trace == resumed_trace
@@ -254,17 +244,13 @@ class TestInterruptedResume:
     ):
         import repro.analysis.campaign as campaign
 
-        config = _breaking_config()
+        config = replace(_breaking_config(), max_link_faults=4, attempts=12)
 
         def frontier(store=None):
-            return degradation_frontier(
-                config, max_link_faults=4, attempts_per_level=12, store=store
-            )
+            return degradation_frontier(config, store=store)
 
         golden, golden_trace = _run_traced(frontier)
-        key = frontier_store_key(
-            config, max_link_faults=4, attempts_per_level=12
-        )
+        key = frontier_store_key(config)
         _stop_after(monkeypatch, campaign, "run_campaign", 3)
         with RunStore(tmp_path).shard(key) as shard:
             with pytest.raises(_Interrupted):
@@ -390,6 +376,52 @@ class TestOlderStoreResume:
         assert main(["resume", str(store)]) == 0
         assert out_json.read_text() == golden_json.read_text()
         assert out_trace.read_bytes() == golden_trace.read_bytes()
+
+
+class TestResumeAfterTornTail:
+    """A kill mid-append tears the shard's final line (or leaves the
+    last record without its newline).  The resume that appends after
+    it must leave a shard the next resume still loads: every resume
+    reproduces the uninterrupted run's stdout, ``--json`` and trace."""
+
+    ARGS = TestOlderStoreResume.ARGS
+
+    @pytest.mark.parametrize(
+        "cut", ["mid-line", "no-final-newline"]
+    )
+    def test_resume_twice_is_byte_identical(self, tmp_path, capsys, cut):
+        from repro.cli import main
+
+        # stdout names the output files: write both runs' to one place.
+        out_json = tmp_path / "out.json"
+        out_trace = tmp_path / "out.trace"
+        outputs = ["--json", str(out_json), "--trace", str(out_trace)]
+        capsys.readouterr()
+        assert main([*self.ARGS, *outputs]) == 0
+        golden_out = capsys.readouterr().out
+        golden_json = out_json.rename(tmp_path / "golden.json")
+        golden_trace = out_trace.rename(tmp_path / "golden.trace")
+
+        store = tmp_path / "store"
+        assert main(
+[*self.ARGS, *outputs, "--checkpoint", str(store)]) == 0
+        capsys.readouterr()
+        (shard,) = (store / "shards").glob("*.jsonl")
+        lines = shard.read_text().splitlines()
+        assert len(lines) > 4
+        kept = "\n".join(lines[:3])
+        if cut == "mid-line":
+            kept += "\n" + lines[3][: len(lines[3]) // 2]
+        shard.write_text(kept)
+
+        for _ in range(2):
+            out_json.unlink()
+            out_trace.unlink()
+            assert main(["resume", str(store)]) == 0
+            assert capsys.readouterr().out == golden_out
+            assert out_json.read_text() == golden_json.read_text()
+            assert out_trace.read_bytes() == golden_trace.read_bytes()
+        assert shard.read_text().splitlines() == lines
 
 
 class TestStoreFormat:
